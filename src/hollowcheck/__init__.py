@@ -1,9 +1,8 @@
 """Algebraic emptiness test for polyhedra {x : Ax <= b}, with an exact
 Fourier-Motzkin oracle and a randomized probe harness."""
 
-from .densemat import (FLOAT64, RATIONAL, Matrix, Vector, invert,
-                       left_nullspace_basis, mat_mul, mat_vec,
-                       mp_axioms_check, orth_complement_basis,
+from .densemat import (Matrix, Vector, invert, left_nullspace_basis, mat_mul,
+                       mat_vec, mp_axioms_check, orth_complement_basis,
                        pinv_append_row, pinv_full_col_rank, rank)
 from .emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM,
                         NOT_PROVEN_EMPTY, EmptinessReport, build_U, decide,
@@ -20,9 +19,9 @@ from .standardize import (EarlyEmpty, RawSystem, StandardSystem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FLOAT64", "RATIONAL", "Matrix", "Vector", "invert",
-    "left_nullspace_basis", "mat_mul", "mat_vec", "mp_axioms_check",
-    "orth_complement_basis", "pinv_append_row", "pinv_full_col_rank", "rank",
+    "Matrix", "Vector", "invert", "left_nullspace_basis", "mat_mul",
+    "mat_vec", "mp_axioms_check", "orth_complement_basis", "pinv_append_row",
+    "pinv_full_col_rank", "rank",
     "EMPTY", "MODE_ALGORITHM", "MODE_THEOREM", "NOT_PROVEN_EMPTY",
     "EmptinessReport", "build_U", "decide", "decompose", "family_tests",
     "run_test",

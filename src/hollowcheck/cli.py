@@ -7,7 +7,7 @@ Subcommands:
   gen     write a random admissible instance file
 
 Exit codes: 0 not-proven-empty, 1 empty, 2 input/usage error, 3 internal
-error or soundness violation.
+error, including an Empty certificate that fails its exact self-check.
 
 Input format: first data line "m n", then m lines of n+1 numbers (row of
 A then b_i).  Numbers are integers, decimals, or fractions "p/q"; "#"
@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 from fractions import Fraction
 
 from . import harness
-from .densemat import FLOAT64, RATIONAL, Matrix, Vector
-from .emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM, decide)
+from .densemat import Matrix, Vector
+from .emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM,
+                        SoundnessViolation, decide)
 from .interval import is_neg_inf, is_pos_inf
 from .oracle import FEASIBLE, fm_feasible
-from .standardize import (EarlyEmpty, FORMS, RawSystem, StandardSystem,
-                          TriviallyNonEmpty, standardize)
+from .standardize import (EarlyEmpty, FORMS, RawSystem, TriviallyNonEmpty,
+                          standardize)
 
 EXIT_NOT_PROVEN_EMPTY = 0
 EXIT_EMPTY = 1
@@ -43,6 +43,10 @@ class ParseError(ValueError):
 
 class DimensionError(ParseError):
     pass
+
+
+class UsageError(Exception):
+    """A command-line value the command cannot use."""
 
 
 def parse_system(text: str, form: str = "ineq") -> RawSystem:
@@ -87,9 +91,7 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
 
 
 def _frac_str(x) -> str:
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    return repr(float(x))
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _endpoint_str(x) -> str:
@@ -104,7 +106,19 @@ def _vec_json(v: Vector) -> list:
     return [_frac_str(x) for x in v.entries]
 
 
-def report_to_jsonable(report, backend: str, oracle_result=None) -> dict:
+def _report_obj(verdict, mode, tests_run, families, certificate) -> dict:
+    # the arithmetic is always exact rational; the key stays for stable output
+    return {
+        "verdict": verdict,
+        "mode": mode,
+        "backend": "rational",
+        "tests_run": tests_run,
+        "families": families,
+        "certificate": certificate,
+    }
+
+
+def report_to_jsonable(report, oracle_result=None) -> dict:
     cert = None
     if report.certificate is not None:
         c = report.certificate
@@ -115,14 +129,8 @@ def report_to_jsonable(report, backend: str, oracle_result=None) -> dict:
                          _endpoint_str(c.interval.hi)],
             "farkas_y": _vec_json(c.farkas_y),
         }
-    out = {
-        "verdict": report.verdict,
-        "mode": report.mode,
-        "backend": backend,
-        "tests_run": report.tests_run,
-        "families": dict(sorted(report.family_counts.items())),
-        "certificate": cert,
-    }
+    out = _report_obj(report.verdict, report.mode, report.tests_run,
+                      dict(sorted(report.family_counts.items())), cert)
     if oracle_result is not None:
         out["oracle"] = {
             "status": oracle_result.status,
@@ -144,30 +152,7 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HOLLOWCHECK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"HOLLOWCHECK_THREADS must be a positive integer, "
-                         f"got {raw!r}")
-    if cap < 1:
-        raise ValueError("HOLLOWCHECK_THREADS must be >= 1")
-    return cap
-
-
-def _to_backend(sys_std: StandardSystem, backend: str) -> StandardSystem:
-    if backend == RATIONAL:
-        return sys_std
-    A = Matrix.from_rows(sys_std.A.row_lists(), FLOAT64)
-    b = Vector.from_list(list(sys_std.b.entries), FLOAT64)
-    return StandardSystem(A, b, sys_std.provenance)
-
-
 def cmd_check(args, out) -> int:
-    _thread_cap()  # validate the env var; evaluation itself is sequential
     text = _read_input(args.input)
     raw = parse_system(text, args.form)
     std = standardize(raw)
@@ -175,19 +160,12 @@ def cmd_check(args, out) -> int:
     if isinstance(std, EarlyEmpty):
         y = [Fraction(0)] * raw.Atilde.rows
         y[std.row] = Fraction(1)
-        obj = {
-            "verdict": EMPTY,
-            "mode": args.mode,
-            "backend": args.backend,
-            "tests_run": 0,
-            "families": {},
-            "certificate": {
-                "family": "presolve",
-                "k_prime": None,
-                "interval": None,
-                "farkas_y": [_frac_str(x) for x in y],
-            },
-        }
+        obj = _report_obj(EMPTY, args.mode, 0, {}, {
+            "family": "presolve",
+            "k_prime": None,
+            "interval": None,
+            "farkas_y": [_frac_str(x) for x in y],
+        })
         if args.json:
             _emit_json(obj, out)
         else:
@@ -196,23 +174,15 @@ def cmd_check(args, out) -> int:
         return EXIT_EMPTY
 
     if isinstance(std, TriviallyNonEmpty):
-        obj = {
-            "verdict": "NOT_PROVEN_EMPTY",
-            "mode": args.mode,
-            "backend": args.backend,
-            "tests_run": 0,
-            "families": {},
-            "certificate": None,
-            "note": "all constraints redundant; polyhedron is the whole space",
-        }
+        obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
+        obj["note"] = "all constraints redundant; polyhedron is the whole space"
         if args.json:
             _emit_json(obj, out)
         else:
             out.write("NOT-PROVEN-EMPTY (trivial: whole space)\n")
         return EXIT_NOT_PROVEN_EMPTY
 
-    report = decide(_to_backend(std, args.backend), mode=args.mode,
-                    stated_order=args.stated_order)
+    report = decide(std, mode=args.mode, stated_order=args.stated_order)
     oracle_result = None
     if args.oracle_check:
         oracle_result = fm_feasible(std.A, std.b)
@@ -221,7 +191,7 @@ def cmd_check(args, out) -> int:
                               "oracle-feasible system\n")
             return EXIT_INTERNAL
 
-    obj = report_to_jsonable(report, args.backend, oracle_result)
+    obj = report_to_jsonable(report, oracle_result)
     if args.json:
         _emit_json(obj, out)
     else:
@@ -327,8 +297,11 @@ def cmd_probe(args, out) -> int:
 
 
 def cmd_gen(args, out) -> int:
-    spec = harness.GenSpec(seed=args.seed, m=args.m, n=args.n,
-                           entry_range=args.range, b_range=args.range)
+    try:
+        spec = harness.GenSpec(seed=args.seed, m=args.m, n=args.n,
+                               entry_range=args.range, b_range=args.range)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     sysg = harness.gen_random_system(spec)
     lines = [f"# generated instance seed={args.seed}",
              f"{sysg.m} {sysg.n}"]
@@ -362,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     common_io(sp)
     sp.add_argument("--mode", choices=[MODE_ALGORITHM, MODE_THEOREM],
                     default=MODE_ALGORITHM)
-    sp.add_argument("--backend", choices=[RATIONAL, FLOAT64], default=RATIONAL)
-    sp.add_argument("--tolerance", type=float, default=None,
-                    help="float64 backend zero tolerance")
     sp.add_argument("--stated-order", action="store_true", dest="stated_order",
                     help="test families in the originally stated order")
     sp.add_argument("--oracle-check", action="store_true", dest="oracle_check")
@@ -403,16 +373,12 @@ def run(argv=None, out=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code not in (0,) else 0
-    if getattr(args, "tolerance", None) is not None \
-            and getattr(args, "backend", RATIONAL) != FLOAT64:
-        _sys.stderr.write("--tolerance requires --backend float64\n")
-        return EXIT_USAGE
     try:
         return args.fn(args, out)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, UsageError, OSError, UnicodeDecodeError) as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except harness.SoundnessViolation as exc:
+    except SoundnessViolation as exc:
         _sys.stderr.write(f"soundness violation: {exc}\n")
         return EXIT_INTERNAL
     except Exception as exc:  # internal error

@@ -4,18 +4,21 @@ Pipeline: split A into (A1; A2) with A2 invertible, form R = A1 A2^-1 and
 G = [I | -R], then run the interval membership test 0 in t(k') G . boxes
 over the finite family of test vectors (canonical basis, left kernel of
 R, orthogonal complements of b1 and R b2, and the pairwise elimination
-vectors).  A failing test yields a Farkas certificate, so the Empty
-verdict is unconditionally sound; the converse rests on the enumeration
-being sufficient and is only measured (see harness).
+vectors).  A failing test yields a Farkas certificate, which decide
+checks exactly before it returns Empty, so the Empty verdict is
+unconditionally sound; the converse rests on the enumeration being
+sufficient and is only measured (see harness).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from .densemat import (Matrix, Vector, invert, left_nullspace_basis, mat_mul,
-                       mat_vec, orth_complement_basis, to_scalar, vec_mat)
+                       mat_vec, orth_complement_basis, vec_mat)
 from .interval import Interval, box_below, contains_zero, iv_dot
+from .oracle import validate_certificate
 from .standardize import StandardSystem
 
 MODE_ALGORITHM = "algorithm"
@@ -40,6 +43,10 @@ class NoInvertibleSubmatrix(Exception):
 
 class MixedSigns(Exception):
     """Sign-mixed t(k')G on a failing test; internally impossible."""
+
+
+class SoundnessViolation(AssertionError):
+    """A verdict failed an exact soundness check: a build-stopping bug."""
 
 
 @dataclass(frozen=True)
@@ -113,12 +120,6 @@ def decompose(sys: StandardSystem) -> Decomposition:
     """
     A, b = sys.A, sys.b
     m, n = A.rows, A.cols
-    backend = A.backend
-    if backend == "rational":
-        thr = 0
-    else:
-        from .densemat import DEFAULT_FLOAT_TOL, _max_abs, _zero_threshold
-        thr = _zero_threshold(_max_abs(A.entries), DEFAULT_FLOAT_TOL)
     selected = []
     reduced = []  # eliminated copies of the selected rows
     for i in range(m):
@@ -132,7 +133,7 @@ def decompose(sys: StandardSystem) -> Decomposition:
                 fv = f / vec[piv]
                 for j in range(n):
                     cand[j] -= fv * vec[j]
-        piv = next((j for j in range(n) if abs(cand[j]) > thr), None)
+        piv = next((j for j in range(n) if cand[j] != 0), None)
         if piv is not None:
             reduced.append((piv, cand))
             selected.append(i)
@@ -143,21 +144,21 @@ def decompose(sys: StandardSystem) -> Decomposition:
     unselected = [i for i in range(m) if i not in sel]
     perm = tuple(unselected + selected)
     rowlists = A.row_lists()
-    A1 = Matrix.from_rows([rowlists[i] for i in unselected], backend)
-    A2 = Matrix.from_rows([rowlists[i] for i in selected], backend)
+    A1 = Matrix.from_rows([rowlists[i] for i in unselected])
+    A2 = Matrix.from_rows([rowlists[i] for i in selected])
     A2inv = invert(A2)
     R = mat_mul(A1, A2inv)
-    negR = Matrix(R.rows, R.cols, tuple(-e for e in R.entries), backend)
-    G = Matrix.identity(m - n, backend).hstack(negR)
-    b1 = Vector.from_list([b[i] for i in unselected], backend)
-    b2 = Vector.from_list([b[i] for i in selected], backend)
-    b_perm = Vector(m, b1.entries + b2.entries, backend)
+    negR = Matrix(R.rows, R.cols, tuple(-e for e in R.entries))
+    G = Matrix.identity(m - n).hstack(negR)
+    b1 = Vector.from_list([b[i] for i in unselected])
+    b2 = Vector.from_list([b[i] for i in selected])
+    b_perm = Vector(m, b1.entries + b2.entries)
     return Decomposition(perm, A1, A2, A2inv, R, G, b1, b2, b_perm)
 
 
 def build_U(dec: Decomposition) -> Matrix:
     """The m x m matrix [[I, -R], [0, 0]]; G is its nonzero top block."""
-    bottom = Matrix.zeros(dec.n, dec.m, dec.G.backend)
+    bottom = Matrix.zeros(dec.n, dec.m)
     return dec.G.vstack(bottom)
 
 
@@ -185,11 +186,10 @@ def family_tests(dec: Decomposition, b1: Vector, b2: Vector,
                  order: tuple = DEFAULT_ORDER) -> Iterator[TestVector]:
     """Deterministic enumeration of all test vectors, family by family."""
     d = dec.m - dec.n
-    backend = dec.G.backend
     for family in order:
         if family == FAMILY_CANONICAL:
             for i in range(d):
-                yield TestVector(Vector.unit(d, i, backend),
+                yield TestVector(Vector.unit(d, i),
                                  FAMILY_CANONICAL, (i + 1,))
         elif family == FAMILY_KERNEL:
             yield from _signed_filtered(left_nullspace_basis(dec.R),
@@ -205,10 +205,10 @@ def family_tests(dec: Decomposition, b1: Vector, b2: Vector,
             for j in range(dec.n):
                 for i in range(d - 1):
                     for i2 in range(i + 1, d):
-                        ents = [to_scalar(0, backend)] * d
+                        ents = [Fraction(0)] * d
                         ents[i] = -dec.R.at(i2, j)
                         ents[i2] = dec.R.at(i, j)
-                        yield TestVector(Vector(d, tuple(ents), backend),
+                        yield TestVector(Vector(d, tuple(ents)),
                                          FAMILY_PAIR, (j + 1, i + 1, i2 + 1))
 
 
@@ -232,12 +232,16 @@ def farkas_from(k: TestVector, dec: Decomposition, z: Vector = None) -> Vector:
     ents = [None] * dec.m
     for p, orig in enumerate(dec.row_perm):
         ents[orig] = y_perm[p]
-    return Vector(dec.m, tuple(ents), z.backend)
+    return Vector(dec.m, tuple(ents))
 
 
 def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
            stated_order: bool = False) -> EmptinessReport:
-    """Run the full test battery; Empty at the first failing test vector."""
+    """Run the full test battery; Empty at the first failing test vector.
+
+    The Farkas vector is checked exactly against sys before Empty is
+    returned; a vector that fails raises SoundnessViolation.
+    """
     dec = decompose(sys)
     order = STATED_ORDER if stated_order else DEFAULT_ORDER
     counts = {f: 0 for f in order}
@@ -248,6 +252,9 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
         passed, z, result = run_test(tv, dec, dec.b_perm)
         if not passed:
             y = farkas_from(tv, dec, z)
+            if not validate_certificate(sys.A, sys.b, y):
+                raise SoundnessViolation(
+                    f"Farkas vector from test {tv.label()} fails the exact check")
             cert = Certificate(tv, result, y)
             return EmptinessReport(EMPTY, cert, tests_run, counts, mode, False)
     return EmptinessReport(NOT_PROVEN_EMPTY, None, tests_run, counts, mode, True)

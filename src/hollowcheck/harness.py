@@ -1,7 +1,7 @@
 """Randomized probes for every lemma/theorem behind the emptiness test,
 plus agreement runs against the Fourier-Motzkin oracle.
 
-All probes are exact (rational backend).  Soundness (Empty implies the
+All probes use exact rational arithmetic.  Soundness (Empty implies the
 oracle agrees) is hard-asserted; completeness of the enumeration is only
 tallied, with discrepancies shrunk to small reportable instances.
 """
@@ -13,9 +13,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .densemat import (Matrix, Vector, mat_mul, mat_vec, pinv_append_row,
-                       pinv_full_col_rank, rank)
-from .emptiness import (EMPTY, MODE_ALGORITHM, TestVector, build_U, decide,
-                        decompose, run_test)
+                       pinv_full_col_rank, rank, rref)
+from .emptiness import (EMPTY, MODE_ALGORITHM, SoundnessViolation, TestVector,
+                        build_U, decide, decompose, run_test)
 from .oracle import (FEASIBLE, INFEASIBLE, fm_feasible, validate_certificate,
                      validate_witness)
 from .standardize import Provenance, StandardSystem, check_assumptions
@@ -30,10 +30,6 @@ class GenerationExhausted(Exception):
 
 class ProbeFailure(AssertionError):
     """A lemma/theorem probe found a counterexample; carries the instance."""
-
-
-class SoundnessViolation(AssertionError):
-    """Empty verdict on an oracle-feasible instance: a build-stopping bug."""
 
 
 @dataclass(frozen=True)
@@ -164,36 +160,12 @@ def _random_full_row_rank(rng: random.Random, k: int, n: int,
     raise GenerationExhausted(f"no full-row-rank {k}x{n} matrix found")
 
 
-def _rref_rows(M: Matrix):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in M.row_lists()]
-    ncols = M.cols
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    return rows[:r], piv_cols
-
-
 def pinv_rank_factorization(M: Matrix) -> Matrix:
     """Independent reference pseudoinverse via M = B C (full-rank factors)."""
-    crows, piv_cols = _rref_rows(M)
+    crows, piv_cols = rref(M)
     B = Matrix.from_rows([[M.at(i, c) for c in piv_cols]
-                          for i in range(M.rows)], M.backend)
-    C = Matrix.from_rows(crows, M.backend)
+                          for i in range(M.rows)])
+    C = Matrix.from_rows(crows)
     B_pinv = pinv_full_col_rank(B)
     C_pinv = pinv_full_col_rank(C.transpose()).transpose()
     return mat_mul(C_pinv, B_pinv)

@@ -1,9 +1,8 @@
 """Extended-real interval arithmetic for half-infinite boxes.
 
-Endpoints are exact rationals (or floats in the float64 backend) with
-math.inf / -math.inf as the two infinite values.  Multiplication by zero
-short-circuits to the thin interval [0,0] before any endpoint product, so
-0 * inf never occurs.
+Endpoints are exact rationals, with math.inf / -math.inf as the two
+infinite values.  Multiplication by zero short-circuits to the thin
+interval [0,0] before any endpoint product, so 0 * inf never occurs.
 """
 from __future__ import annotations
 

@@ -115,8 +115,6 @@ def fm_eliminate(A: Matrix, b: Vector, j: int, row_cap: int = DEFAULT_ROW_CAP):
     output row i.  When the projection is the whole space the returned
     system is empty (signalled by A' = None).
     """
-    if A.backend != "rational":
-        raise ValueError("the oracle is rational-only")
     m, n = A.rows, A.cols
     rows = [_Row([A.at(i, k) for k in range(n)], b[i], {i: Fraction(1)})
             for i in range(m)]
@@ -202,8 +200,6 @@ def fm_feasible_rows(coeff_rows: list, bounds: list, n: int,
 
 
 def fm_feasible(A: Matrix, b: Vector, row_cap: int = DEFAULT_ROW_CAP) -> FMResult:
-    if A.backend != "rational":
-        raise ValueError("the oracle is rational-only")
     if A.rows != b.dim:
         raise ValueError("A and b sizes differ")
     coeff_rows = A.row_lists()

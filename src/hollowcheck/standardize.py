@@ -13,9 +13,10 @@ dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Union
 
-from .densemat import FLOAT64, RATIONAL, Matrix, Vector, rank, to_scalar
+from .densemat import Matrix, Vector, rank
 
 FORM_INEQ = "ineq"
 FORM_INEQ_NONNEG = "ineq_nonneg"
@@ -66,7 +67,7 @@ class Provenance:
             return x_std
         nn = self.n_original
         ents = tuple(x_std[j] - x_std[nn + j] for j in range(nn))
-        return Vector(nn, ents, x_std.backend)
+        return Vector(nn, ents)
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,8 @@ def drop_or_decide_zero_rows(A: Matrix, b: Vector):
         raise AllRowsRemoved()
     if len(kept) == A.rows:
         return A, b, list(range(A.rows))
-    A2 = Matrix.from_rows([[A.at(i, j) for j in range(A.cols)] for i in kept],
-                          A.backend)
-    b2 = Vector.from_list([b[i] for i in kept], b.backend)
+    A2 = Matrix.from_rows([[A.at(i, j) for j in range(A.cols)] for i in kept])
+    b2 = Vector.from_list([b[i] for i in kept])
     return A2, b2, kept
 
 
@@ -125,18 +125,16 @@ def check_assumptions(A: Matrix, b: Vector) -> list:
     return violations
 
 
-def _neg_identity(n: int, backend: str) -> Matrix:
-    one = to_scalar(-1, backend)
-    zero = to_scalar(0, backend)
+def _neg_identity(n: int) -> Matrix:
+    one, zero = Fraction(-1), Fraction(0)
     return Matrix(n, n, tuple(one if i == j else zero
-                              for i in range(n) for j in range(n)), backend)
+                              for i in range(n) for j in range(n)))
 
 
 StandardizeResult = Union[StandardSystem, EarlyEmpty, TriviallyNonEmpty]
 
 
 def standardize(raw: RawSystem) -> StandardizeResult:
-    backend = raw.Atilde.backend
     if raw.form == FORM_EQ_NONNEG:
         # a zero row 0 = b_i is only redundant when b_i = 0
         for i in range(raw.Atilde.rows):
@@ -160,28 +158,27 @@ def standardize(raw: RawSystem) -> StandardizeResult:
         if not check_assumptions(At, bt):
             return direct
         # sign-split embedding x = x+ - x-, always restores full column rank
-        negAt = Matrix(At.rows, At.cols, tuple(-e for e in At.entries), backend)
+        negAt = Matrix(At.rows, At.cols, tuple(-e for e in At.entries))
         top = At.hstack(negAt)
-        negI = _neg_identity(nt, backend)
-        zeros = Matrix.zeros(nt, nt, backend)
+        negI = _neg_identity(nt)
+        zeros = Matrix.zeros(nt, nt)
         A = top.vstack(negI.hstack(zeros)).vstack(zeros.hstack(negI))
-        b = Vector.from_list(list(bt.entries) + [0] * (2 * nt), backend)
+        b = Vector.from_list(list(bt.entries) + [0] * (2 * nt))
         labels = labels + tuple(("nonneg_pos", j) for j in range(nt)) \
             + tuple(("nonneg_neg", j) for j in range(nt))
         return _finish(A, b, Provenance(raw.form, nt, True, labels))
 
     if raw.form == FORM_INEQ_NONNEG:
-        A = At.vstack(_neg_identity(nt, backend))
-        b = Vector.from_list(list(bt.entries) + [0] * nt, backend)
+        A = At.vstack(_neg_identity(nt))
+        b = Vector.from_list(list(bt.entries) + [0] * nt)
         labels = tuple(("orig", i) for i in kept) \
             + tuple(("nonneg", j) for j in range(nt))
         return _finish(A, b, Provenance(raw.form, nt, False, labels))
 
     # eq_nonneg: A x = b becomes Ax <= b and -Ax <= -b, plus x >= 0
-    negA = Matrix(mt, nt, tuple(-e for e in At.entries), backend)
-    A = At.vstack(negA).vstack(_neg_identity(nt, backend))
-    b = Vector.from_list(list(bt.entries) + [-x for x in bt.entries] + [0] * nt,
-                         backend)
+    negA = Matrix(mt, nt, tuple(-e for e in At.entries))
+    A = At.vstack(negA).vstack(_neg_identity(nt))
+    b = Vector.from_list(list(bt.entries) + [-x for x in bt.entries] + [0] * nt)
     labels = tuple(("orig", i) for i in kept) \
         + tuple(("eq_lower", i) for i in kept) \
         + tuple(("nonneg", j) for j in range(nt))

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
-from hollowcheck.cli import (EXIT_EMPTY, EXIT_NOT_PROVEN_EMPTY, EXIT_USAGE,
-                             DimensionError, ParseError, parse_system, run)
+from hollowcheck import cli, emptiness
+from hollowcheck.cli import (EXIT_EMPTY, EXIT_INTERNAL, EXIT_NOT_PROVEN_EMPTY,
+                             EXIT_USAGE, DimensionError, ParseError,
+                             parse_system, run)
+from hollowcheck.densemat import DimensionMismatch, RankDeficient, Singular
 
 EMPTY_1D = "3 1\n1 1\n1 2\n-1 -3\n"
 OK_1D = "3 1\n1 1\n1 2\n-1 0\n"
@@ -120,16 +123,6 @@ class TestCheck:
                             tmp_path=tmp_path, text=OK_1D)
         assert json.loads(out)["mode"] == "theorem"
 
-    def test_float_backend(self, tmp_path):
-        code, out = run_cli(["check", "@IN@", "--backend", "float64", "--json"],
-                            tmp_path=tmp_path, text=EMPTY_1D)
-        assert code == EXIT_EMPTY
-
-    def test_tolerance_requires_float(self, tmp_path):
-        code, _ = run_cli(["check", "@IN@", "--tolerance", "1e-6"],
-                          tmp_path=tmp_path, text=OK_1D)
-        assert code == EXIT_USAGE
-
     def test_early_empty_presolve(self, tmp_path):
         text = "2 2\n0 0 -1\n1 0 5\n"
         code, out = run_cli(["check", "@IN@", "--json"],
@@ -176,13 +169,35 @@ class TestOtherSubcommands:
         assert code == EXIT_USAGE
 
 
-class TestThreadsEnv:
-    def test_invalid_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLLOWCHECK_THREADS", "zero")
-        code, _ = run_cli(["check", "@IN@"], tmp_path=tmp_path, text=OK_1D)
+class TestExitCodes:
+    def test_directory_exit_2(self, tmp_path):
+        code, _ = run_cli(["check", str(tmp_path)])
         assert code == EXIT_USAGE
 
-    def test_valid_env_ok(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOLLOWCHECK_THREADS", "4")
+    def test_non_utf8_file_exit_2(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"1 1\n\xff 1\n")
+        code, _ = run_cli(["check", str(path)])
+        assert code == EXIT_USAGE
+
+    def test_gen_bad_shape_exit_2(self):
+        code, out = run_cli(["gen", "-", "-m", "2", "-n", "3"])
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    @pytest.mark.parametrize("fault", [Singular, DimensionMismatch, RankDeficient])
+    def test_internal_fault_exit_3(self, tmp_path, monkeypatch, fault):
+        def broken(*args, **kwargs):
+            raise fault("injected")
+        monkeypatch.setattr(cli, "decide", broken)
         code, _ = run_cli(["check", "@IN@"], tmp_path=tmp_path, text=OK_1D)
-        assert code == EXIT_NOT_PROVEN_EMPTY
+        assert code == EXIT_INTERNAL
+
+    def test_tampered_certificate_exit_3(self, tmp_path, monkeypatch):
+        farkas_from = emptiness.farkas_from
+        monkeypatch.setattr(emptiness, "farkas_from",
+                            lambda *args: farkas_from(*args).neg())
+        code, out = run_cli(["check", "@IN@", "--json"],
+                            tmp_path=tmp_path, text=EMPTY_1D)
+        assert code == EXIT_INTERNAL
+        assert out == ""

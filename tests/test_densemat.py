@@ -209,16 +209,3 @@ class TestMPAxiomsCheck:
         with pytest.raises(DimensionMismatch):
             mp_axioms_check(M([[1, 2]]), M([[1, 2]]))
 
-
-def test_float_backend_round_trip():
-    A = Matrix.from_rows([[2.0, 1.0], [1.0, 3.0]], backend="float64")
-    Ainv = invert(A)
-    prod = mat_mul(A, Ainv)
-    for i in range(2):
-        for j in range(2):
-            assert abs(prod.at(i, j) - (1.0 if i == j else 0.0)) < 1e-12
-
-
-def test_float_backend_rank_tolerance():
-    A = Matrix.from_rows([[1.0, 2.0], [2.0, 4.0 + 1e-13]], backend="float64")
-    assert rank(A) == 1
