@@ -10,8 +10,7 @@ from .emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM,
 from .harness import (GenSpec, agreement_run, gen_random_system,
                       probe_lemma1, probe_lemma2, probe_theorem1,
                       system_from_rows)
-from .interval import (Interval, IntervalVector, box_below, contains_zero,
-                       iv_add, iv_dot, iv_scale)
+from .interval import Interval, contains_zero, iv_dot
 from .oracle import FEASIBLE, INFEASIBLE, FMResult, fm_feasible
 from .standardize import (EarlyEmpty, RawSystem, StandardSystem,
                           TriviallyNonEmpty, check_assumptions, standardize)
@@ -27,8 +26,7 @@ __all__ = [
     "run_test",
     "GenSpec", "agreement_run", "gen_random_system", "probe_lemma1",
     "probe_lemma2", "probe_theorem1", "system_from_rows",
-    "Interval", "IntervalVector", "box_below", "contains_zero",
-    "iv_add", "iv_dot", "iv_scale",
+    "Interval", "contains_zero", "iv_dot",
     "FEASIBLE", "INFEASIBLE", "FMResult", "fm_feasible",
     "EarlyEmpty", "RawSystem", "StandardSystem", "TriviallyNonEmpty",
     "check_assumptions", "standardize",

@@ -158,8 +158,9 @@ def cmd_check(args, out) -> int:
     std = standardize(raw)
 
     if isinstance(std, EarlyEmpty):
+        # an equality multiplier may be negative: pick the sign giving t(y)b < 0
         y = [Fraction(0)] * raw.Atilde.rows
-        y[std.row] = Fraction(1)
+        y[std.row] = Fraction(-1) if raw.btilde[std.row] > 0 else Fraction(1)
         obj = _report_obj(EMPTY, args.mode, 0, {}, {
             "family": "presolve",
             "k_prime": None,

@@ -1,10 +1,11 @@
 """The algebraic emptiness test.
 
 Pipeline: split A into (A1; A2) with A2 invertible, form R = A1 A2^-1 and
-G = [I | -R], then run the interval membership test 0 in t(k') G . boxes
-over the finite family of test vectors (canonical basis, left kernel of
-R, orthogonal complements of b1 and R b2, and the pairwise elimination
-vectors).  A failing test yields a Farkas certificate, which decide
+G = [I | -R], then test whether 0 lies in {t(k')G a : a <= b} for each
+vector k' of a finite family (canonical basis, left kernel of R,
+orthogonal complements of b1 and R b2, and the pairwise elimination
+vectors).  `image` evaluates t(k')G as [k' | -t(k')R]; only it relies on
+G's shape.  A failing test yields a Farkas certificate, which decide
 checks exactly before it returns Empty, so the Empty verdict is
 unconditionally sound; the converse rests on the enumeration being
 sufficient and is only measured (see harness).
@@ -16,8 +17,8 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .densemat import (Matrix, Vector, invert, left_nullspace_basis, mat_mul,
-                       mat_vec, orth_complement_basis, vec_mat)
-from .interval import Interval, box_below, contains_zero, iv_dot
+                       mat_vec, orth_complement_basis, rref, vec_mat)
+from .interval import Interval, contains_zero, iv_dot
 from .oracle import validate_certificate
 from .standardize import StandardSystem
 
@@ -120,23 +121,8 @@ def decompose(sys: StandardSystem) -> Decomposition:
     """
     A, b = sys.A, sys.b
     m, n = A.rows, A.cols
-    selected = []
-    reduced = []  # eliminated copies of the selected rows
-    for i in range(m):
-        if len(selected) == n:
-            break
-        cand = list(A.entries[i * n:(i + 1) * n])
-        for base in reduced:
-            piv, vec = base
-            f = cand[piv]
-            if f != 0:
-                fv = f / vec[piv]
-                for j in range(n):
-                    cand[j] -= fv * vec[j]
-        piv = next((j for j in range(n) if cand[j] != 0), None)
-        if piv is not None:
-            reduced.append((piv, cand))
-            selected.append(i)
+    # the pivot columns of t(A) are the first n independent rows of A
+    _, selected = rref(A.transpose())
     if len(selected) < n:
         raise NoInvertibleSubmatrix(
             f"only {len(selected)} independent rows in a rank-{n} system")
@@ -162,12 +148,17 @@ def build_U(dec: Decomposition) -> Matrix:
     return dec.G.vstack(bottom)
 
 
+def image(k: Vector, dec: Decomposition) -> Vector:
+    """t(k) G = [k | -t(k) R], without multiplying through G's identity block."""
+    return Vector(dec.m, k.entries
+                  + tuple(-e for e in vec_mat(k, dec.R).entries))
+
+
 def in_cone_G(k: Vector, dec: Decomposition) -> bool:
     """True iff every component of t(k) G is >= 0."""
     if k.dim != dec.m - dec.n:
         raise ValueError(f"test vector has dim {k.dim}, expected {dec.m - dec.n}")
-    z = vec_mat(k, dec.G)
-    return all(e >= 0 for e in z.entries)
+    return all(e >= 0 for e in image(k, dec).entries)
 
 
 def _signed_filtered(basis, family, dec, mode) -> Iterator[TestVector]:
@@ -213,16 +204,16 @@ def family_tests(dec: Decomposition, b1: Vector, b2: Vector,
 
 
 def run_test(k: TestVector, dec: Decomposition, b_perm: Vector):
-    """pass/fail of 0 in t(k') G . boxes; returns (passed, z, interval)."""
-    z = vec_mat(k.kprime, dec.G)
-    result = iv_dot(z, box_below(b_perm))
+    """Whether 0 lies in {t(k')G a : a <= b_perm}; returns (passed, z, interval)."""
+    z = image(k.kprime, dec)
+    result = iv_dot(z, b_perm)
     return contains_zero(result), z, result
 
 
 def farkas_from(k: TestVector, dec: Decomposition, z: Vector = None) -> Vector:
     """Farkas vector for a failing test, in original row order."""
     if z is None:
-        z = vec_mat(k.kprime, dec.G)
+        z = image(k.kprime, dec)
     if all(e >= 0 for e in z.entries):
         y_perm = z
     elif all(e <= 0 for e in z.entries):

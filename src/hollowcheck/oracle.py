@@ -1,6 +1,6 @@
 """Exact Fourier-Motzkin feasibility oracle over rationals.
 
-Ground truth for cross-validating the interval-based emptiness test.
+Ground truth for cross-validating the algebraic emptiness test.
 Every derived row carries the nonnegative combination of original rows
 that produced it, so an infeasibility certificate (y >= 0, t(y)A = 0,
 t(y)b < 0) falls out of the elimination for free.  Feasible systems get

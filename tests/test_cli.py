@@ -132,6 +132,14 @@ class TestCheck:
         assert obj["certificate"]["family"] == "presolve"
         assert obj["certificate"]["farkas_y"] == ["1/1", "0/1"]
 
+    def test_eq_nonneg_presolve_multiplier_sign(self, tmp_path):
+        # 0 = 3 is infeasible; the equality multiplier must be -1 so that
+        # t(y)b = -3 < 0
+        code, out = run_cli(["check", "@IN@", "--form", "eq-nonneg", "--json"],
+                            tmp_path=tmp_path, text="2 1\n0 3\n1 1\n")
+        assert code == EXIT_EMPTY
+        assert json.loads(out)["certificate"]["farkas_y"] == ["-1/1", "0/1"]
+
     def test_stated_order_flag_same_verdict(self, tmp_path):
         a = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path, text=EMPTY_1D)
         b = run_cli(["check", "@IN@", "--stated-order", "--json"],

@@ -7,7 +7,7 @@ from hollowcheck.densemat import Matrix, Vector, mat_mul, vec_mat
 from hollowcheck.emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM,
                                    NOT_PROVEN_EMPTY, TestVector, build_U,
                                    decide, decompose, family_tests,
-                                   farkas_from, in_cone_G, run_test)
+                                   farkas_from, image, in_cone_G, run_test)
 from hollowcheck.harness import gen_random_system, GenSpec, system_from_rows
 from hollowcheck.oracle import INFEASIBLE, fm_feasible, validate_certificate
 
@@ -86,6 +86,19 @@ class TestConeAndTests:
         assert failing is not None
         tv, z, interval = failing
         assert interval.hi == Fraction(-2)
+
+    def test_image_matches_product_through_G(self):
+        shapes = [(4, 2), (5, 2), (6, 2), (5, 3), (7, 3)]
+        seen_zero = seen_pair = False
+        for seed in range(20):
+            m, n = shapes[seed % len(shapes)]
+            dec = decompose(gen_random_system(GenSpec(seed=seed, m=m, n=n)))
+            for mode in (MODE_ALGORITHM, MODE_THEOREM):
+                for tv in family_tests(dec, dec.b1, dec.b2, mode):
+                    assert image(tv.kprime, dec) == vec_mat(tv.kprime, dec.G)
+                    seen_zero |= tv.kprime.is_zero()
+                    seen_pair |= tv.family == "pair"
+        assert seen_zero and seen_pair
 
     def test_kernel_sentinel_passes(self):
         dec = decompose(sys_of(*OK_1D))
