@@ -19,8 +19,8 @@ def show(name, rows, bounds):
           f"{dec.row_perm[dec.m - dec.n:]}")
     print(f"R = A1 A2^-1 = {dec.R.row_lists()}")
 
-    for tv in family_tests(dec, dec.b1, dec.b2):
-        passed, z, interval = run_test(tv, dec, dec.b_perm)
+    for tv, z in family_tests(dec):
+        passed, interval = run_test(z, dec)
         print(f"  test {tv.label():<16} t(k')G={tuple(z.entries)} "
               f"image=[{interval.lo}, {interval.hi}] "
               f"{'contains 0' if passed else 'MISSES 0 -> empty'}")

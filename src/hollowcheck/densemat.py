@@ -67,20 +67,11 @@ class Vector:
     def scale(self, z) -> "Vector":
         return Vector(self.dim, tuple(z * e for e in self.entries))
 
-    def add(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise DimensionMismatch("vector add")
-        return Vector(self.dim,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def neg(self) -> "Vector":
         return self.scale(Fraction(-1))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
-
-    def to_list(self) -> list:
-        return list(self.entries)
 
 
 @dataclass(frozen=True)
@@ -124,9 +115,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return Vector(self.cols, self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def col(self, j: int) -> Vector:
-        return Vector(self.rows, tuple(self.at(i, j) for i in range(self.rows)))
-
     def row_lists(self) -> list:
         return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
@@ -134,11 +122,6 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       tuple(self.at(i, j)
                             for j in range(self.cols) for i in range(self.rows)))
-
-    def __matmul__(self, other):
-        if isinstance(other, Vector):
-            return mat_vec(self, other)
-        return mat_mul(self, other)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:

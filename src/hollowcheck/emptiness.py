@@ -4,8 +4,12 @@ Pipeline: split A into (A1; A2) with A2 invertible, form R = A1 A2^-1 and
 G = [I | -R], then test whether 0 lies in {t(k')G a : a <= b} for each
 vector k' of a finite family (canonical basis, left kernel of R,
 orthogonal complements of b1 and R b2, and the pairwise elimination
-vectors).  `image` evaluates t(k')G as [k' | -t(k')R]; only it relies on
-G's shape.  A failing test yields a Farkas certificate, which decide
+vectors).  The verdict for k' depends on z = t(k')G alone, so
+`family_tests` evaluates z once per candidate (once per +-v, as
+t(-v)G = -t(v)G) and yields it with the test vector; the algorithm-mode
+filter, the test and the certificate all read that z.  `image` evaluates
+t(k')G as [k' | -t(k')R]; only it relies on G's shape.  A test fails only
+when z has a single sign, and the Farkas vector is then +-z, which decide
 checks exactly before it returns Empty, so the Empty verdict is
 unconditionally sound; the converse rests on the enumeration being
 sufficient and is only measured (see harness).
@@ -42,10 +46,6 @@ class NoInvertibleSubmatrix(Exception):
     """No n independent rows found; upstream rank check must be broken."""
 
 
-class MixedSigns(Exception):
-    """Sign-mixed t(k')G on a failing test; internally impossible."""
-
-
 class SoundnessViolation(AssertionError):
     """A verdict failed an exact soundness check: a build-stopping bug."""
 
@@ -55,9 +55,7 @@ class Decomposition:
     row_perm: tuple      # permuted position -> original row index
     A1: Matrix
     A2: Matrix
-    A2inv: Matrix
     R: Matrix            # A1 A2^-1
-    G: Matrix            # [I_{m-n} | -R]
     b1: Vector
     b2: Vector
     b_perm: Vector       # (b1; b2)
@@ -132,20 +130,18 @@ def decompose(sys: StandardSystem) -> Decomposition:
     rowlists = A.row_lists()
     A1 = Matrix.from_rows([rowlists[i] for i in unselected])
     A2 = Matrix.from_rows([rowlists[i] for i in selected])
-    A2inv = invert(A2)
-    R = mat_mul(A1, A2inv)
-    negR = Matrix(R.rows, R.cols, tuple(-e for e in R.entries))
-    G = Matrix.identity(m - n).hstack(negR)
+    R = mat_mul(A1, invert(A2))
     b1 = Vector.from_list([b[i] for i in unselected])
     b2 = Vector.from_list([b[i] for i in selected])
     b_perm = Vector(m, b1.entries + b2.entries)
-    return Decomposition(perm, A1, A2, A2inv, R, G, b1, b2, b_perm)
+    return Decomposition(perm, A1, A2, R, b1, b2, b_perm)
 
 
 def build_U(dec: Decomposition) -> Matrix:
-    """The m x m matrix [[I, -R], [0, 0]]; G is its nonzero top block."""
-    bottom = Matrix.zeros(dec.n, dec.m)
-    return dec.G.vstack(bottom)
+    """The m x m matrix [[I, -R], [0, 0]]; G = [I | -R] is its top block."""
+    negR = Matrix(dec.R.rows, dec.R.cols, tuple(-e for e in dec.R.entries))
+    G = Matrix.identity(dec.m - dec.n).hstack(negR)
+    return G.vstack(Matrix.zeros(dec.n, dec.m))
 
 
 def image(k: Vector, dec: Decomposition) -> Vector:
@@ -154,42 +150,40 @@ def image(k: Vector, dec: Decomposition) -> Vector:
                   + tuple(-e for e in vec_mat(k, dec.R).entries))
 
 
-def in_cone_G(k: Vector, dec: Decomposition) -> bool:
-    """True iff every component of t(k) G is >= 0."""
-    if k.dim != dec.m - dec.n:
-        raise ValueError(f"test vector has dim {k.dim}, expected {dec.m - dec.n}")
-    return all(e >= 0 for e in image(k, dec).entries)
+def in_cone_G(z: Vector) -> bool:
+    """True iff z = t(k) G has every component >= 0."""
+    return all(e >= 0 for e in z.entries)
 
 
-def _signed_filtered(basis, family, dec, mode) -> Iterator[TestVector]:
+def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
     for idx, v in enumerate(basis):
-        candidates = [(v, 1)]
+        z = image(v, dec)
+        candidates = [(v, z, 1)]
         if not v.is_zero():
-            candidates.append((v.neg(), -1))
-        for vec, sign in candidates:
-            if mode == MODE_ALGORITHM and not in_cone_G(vec, dec):
+            candidates.append((v.neg(), z.neg(), -1))
+        for vec, zs, sign in candidates:
+            if mode == MODE_ALGORITHM and not in_cone_G(zs):
                 continue
-            yield TestVector(vec, family, (idx, sign))
+            yield TestVector(vec, family, (idx, sign)), zs
 
 
-def family_tests(dec: Decomposition, b1: Vector, b2: Vector,
-                 mode: str = MODE_ALGORITHM,
-                 order: tuple = DEFAULT_ORDER) -> Iterator[TestVector]:
-    """Deterministic enumeration of all test vectors, family by family."""
+def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
+                 order: tuple = DEFAULT_ORDER) -> Iterator[tuple]:
+    """Deterministic enumeration of (test vector, t(k')G), family by family."""
     d = dec.m - dec.n
     for family in order:
         if family == FAMILY_CANONICAL:
             for i in range(d):
-                yield TestVector(Vector.unit(d, i),
-                                 FAMILY_CANONICAL, (i + 1,))
+                k = Vector.unit(d, i)
+                yield TestVector(k, FAMILY_CANONICAL, (i + 1,)), image(k, dec)
         elif family == FAMILY_KERNEL:
             yield from _signed_filtered(left_nullspace_basis(dec.R),
                                         FAMILY_KERNEL, dec, mode)
         elif family == FAMILY_B1_PERP:
-            yield from _signed_filtered(orth_complement_basis(b1),
+            yield from _signed_filtered(orth_complement_basis(dec.b1),
                                         FAMILY_B1_PERP, dec, mode)
         elif family == FAMILY_RB2_PERP:
-            rb2 = mat_vec(dec.R, b2)
+            rb2 = mat_vec(dec.R, dec.b2)
             yield from _signed_filtered(orth_complement_basis(rb2),
                                         FAMILY_RB2_PERP, dec, mode)
         elif family == FAMILY_PAIR:
@@ -199,27 +193,24 @@ def family_tests(dec: Decomposition, b1: Vector, b2: Vector,
                         ents = [Fraction(0)] * d
                         ents[i] = -dec.R.at(i2, j)
                         ents[i2] = dec.R.at(i, j)
-                        yield TestVector(Vector(d, tuple(ents)),
-                                         FAMILY_PAIR, (j + 1, i + 1, i2 + 1))
+                        k = Vector(d, tuple(ents))
+                        yield (TestVector(k, FAMILY_PAIR, (j + 1, i + 1, i2 + 1)),
+                               image(k, dec))
 
 
-def run_test(k: TestVector, dec: Decomposition, b_perm: Vector):
-    """Whether 0 lies in {t(k')G a : a <= b_perm}; returns (passed, z, interval)."""
-    z = image(k.kprime, dec)
-    result = iv_dot(z, b_perm)
-    return contains_zero(result), z, result
+def run_test(z: Vector, dec: Decomposition):
+    """Whether 0 lies in {t(z) a : a <= b_perm}; returns (passed, interval)."""
+    result = iv_dot(z, dec.b_perm)
+    return contains_zero(result), result
 
 
-def farkas_from(k: TestVector, dec: Decomposition, z: Vector = None) -> Vector:
-    """Farkas vector for a failing test, in original row order."""
-    if z is None:
-        z = image(k.kprime, dec)
-    if all(e >= 0 for e in z.entries):
-        y_perm = z
-    elif all(e <= 0 for e in z.entries):
-        y_perm = z.neg()
-    else:
-        raise MixedSigns("failing test with sign-mixed t(k')G")
+def farkas_from(z: Vector, dec: Decomposition) -> Vector:
+    """Farkas vector +-z for a failing test, in original row order.
+
+    A failing z has a single sign; were it mixed, y would have a negative
+    entry and decide's exact check would reject it.
+    """
+    y_perm = z if all(e >= 0 for e in z.entries) else z.neg()
     ents = [None] * dec.m
     for p, orig in enumerate(dec.row_perm):
         ents[orig] = y_perm[p]
@@ -237,12 +228,12 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
     order = STATED_ORDER if stated_order else DEFAULT_ORDER
     counts = {f: 0 for f in order}
     tests_run = 0
-    for tv in family_tests(dec, dec.b1, dec.b2, mode, order):
+    for tv, z in family_tests(dec, mode, order):
         tests_run += 1
         counts[tv.family] += 1
-        passed, z, result = run_test(tv, dec, dec.b_perm)
+        passed, result = run_test(z, dec)
         if not passed:
-            y = farkas_from(tv, dec, z)
+            y = farkas_from(z, dec)
             if not validate_certificate(sys.A, sys.b, y):
                 raise SoundnessViolation(
                     f"Farkas vector from test {tv.label()} fails the exact check")

@@ -14,10 +14,10 @@ from typing import Optional
 
 from .densemat import (Matrix, Vector, mat_mul, mat_vec, pinv_append_row,
                        pinv_full_col_rank, rank, rref)
-from .emptiness import (EMPTY, MODE_ALGORITHM, SoundnessViolation, TestVector,
-                        build_U, decide, decompose, run_test)
-from .oracle import (FEASIBLE, INFEASIBLE, fm_feasible, validate_certificate,
-                     validate_witness)
+from .emptiness import (EMPTY, MODE_ALGORITHM, SoundnessViolation, build_U,
+                        decide, decompose, image, run_test)
+from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
+                     validate_certificate, validate_witness)
 from .standardize import Provenance, StandardSystem, check_assumptions
 
 DEFAULT_INSTANCES = 100
@@ -217,18 +217,18 @@ def probe_lemma2(n: int, k: int, trials: int = DEFAULT_TRIALS,
 def probe_theorem1(sys: StandardSystem, i: Optional[int] = None) -> dict:
     """Row-wise interval test vs oracle feasibility of the touched subsystem."""
     dec = decompose(sys)
-    U = build_U(dec)
-    A_perm = dec.permuted_A()
+    A_rows = dec.permuted_A().row_lists()
     d = dec.m - dec.n
     indices = range(1, d + 1) if i is None else [i]
     results = []
     for idx in indices:
         if not 1 <= idx <= d:
             raise ValueError(f"row index {idx} out of range [1, {d}]")
-        tv = TestVector(Vector.unit(d, idx - 1), "canonical", (idx,))
-        passed, _, _ = run_test(tv, dec, dec.b_perm)
-        B_i = [j for j in range(dec.m) if U.at(idx - 1, j) != 0]
-        sub_rows = [A_perm.row_lists()[j] for j in B_i]
+        # z = t(e_i)G is row i of U; its support B_i is the touched rows
+        z = image(Vector.unit(d, idx - 1), dec)
+        passed, _ = run_test(z, dec)
+        B_i = [j for j in range(dec.m) if z[j] != 0]
+        sub_rows = [A_rows[j] for j in B_i]
         sub_b = [dec.b_perm[j] for j in B_i]
         res = fm_feasible(Matrix.from_rows(sub_rows),
                           Vector.from_list(sub_b))
@@ -244,18 +244,22 @@ def _rows_bounds(sys: StandardSystem):
 
 
 def _discrepancy_holds(rows, bounds) -> bool:
-    """The shrink predicate: still NotProvenEmpty yet oracle-infeasible."""
-    try:
-        A = Matrix.from_rows(rows)
-        b = Vector.from_list(bounds)
-        if check_assumptions(A, b):
-            return False
-        sys = StandardSystem(A, b, _trivial_provenance(A.rows, A.cols))
-        report = decide(sys)
-        res = fm_feasible(A, b)
-    except Exception:
+    """The shrink predicate: still NotProvenEmpty yet oracle-infeasible.
+
+    Only the oracle's row cap counts as "does not hold"; any other error,
+    a SoundnessViolation above all, propagates.
+    """
+    A = Matrix.from_rows(rows)
+    b = Vector.from_list(bounds)
+    if check_assumptions(A, b):
         return False
-    return report.verdict != EMPTY and res.status == INFEASIBLE
+    sys = StandardSystem(A, b, _trivial_provenance(A.rows, A.cols))
+    if decide(sys).verdict == EMPTY:
+        return False
+    try:
+        return fm_feasible(A, b).status == INFEASIBLE
+    except SizeExceeded:
+        return False
 
 
 def shrink_discrepancy(rows, bounds):

@@ -70,7 +70,7 @@ def _dedupe(rows: list) -> list:
     return [best[k] for k in order]
 
 
-def _eliminate_rows(rows: list, j: int, row_cap: int, keep_constant: bool = False):
+def _eliminate_rows(rows: list, j: int, row_cap: int):
     """One FM step on full-width rows; returns (new_rows, contradiction)."""
     zero, pos, neg = [], [], []
     for r in rows:
@@ -89,44 +89,16 @@ def _eliminate_rows(rows: list, j: int, row_cap: int, keep_constant: bool = Fals
                 raise SizeExceeded(f"row cap {row_cap} exceeded eliminating x_{j}")
     # constant rows: 0 <= bound is either a contradiction or noise
     kept = []
-    contradiction = None
     for r in out:
-        if all(c == 0 for c in r.coeffs):
-            if r.bound < 0 and contradiction is None:
-                contradiction = r
-            if keep_constant:
-                kept.append(r)
-        else:
+        if any(c != 0 for c in r.coeffs):
             kept.append(r)
-    if contradiction is not None and not keep_constant:
-        return out, contradiction
-    return _dedupe(kept), contradiction
+        elif r.bound < 0:
+            return out, r
+    return _dedupe(kept), None
 
 
 def _mult_vector(row: _Row, m: int) -> Vector:
     return Vector.from_list([row.mult.get(i, Fraction(0)) for i in range(m)])
-
-
-def fm_eliminate(A: Matrix, b: Vector, j: int, row_cap: int = DEFAULT_ROW_CAP):
-    """Project variable j out.
-
-    Returns (A', b', log) over the remaining variables (column j removed);
-    log[i] is the multiplier vector over the input rows that produced
-    output row i.  When the projection is the whole space the returned
-    system is empty (signalled by A' = None).
-    """
-    m, n = A.rows, A.cols
-    rows = [_Row([A.at(i, k) for k in range(n)], b[i], {i: Fraction(1)})
-            for i in range(m)]
-    out, _ = _eliminate_rows(rows, j, row_cap, keep_constant=True)
-    keep_cols = [k for k in range(n) if k != j]
-    log = [_mult_vector(r, m) for r in out]
-    if not out or not keep_cols:
-        bounds = Vector.from_list([r.bound for r in out]) if out else None
-        return None, bounds, log
-    Ap = Matrix.from_rows([[r.coeffs[k] for k in keep_cols] for r in out])
-    bp = Vector.from_list([r.bound for r in out])
-    return Ap, bp, log
 
 
 def _pick_column(rows: list, remaining: list) -> int:

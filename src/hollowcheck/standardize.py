@@ -12,9 +12,9 @@ dropped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .densemat import Matrix, Vector, rank
 
@@ -185,15 +185,9 @@ def standardize(raw: RawSystem) -> StandardizeResult:
     return _finish(A, b, Provenance(raw.form, nt, False, labels))
 
 
-def _finish(A: Matrix, b: Vector, prov: Provenance) -> StandardizeResult:
-    post = drop_or_decide_zero_rows(A, b)
-    if isinstance(post, EarlyEmpty):
-        return post
-    A2, b2, kept = post
-    labels = tuple(prov.row_labels[i] for i in kept)
-    sys = StandardSystem(A2, b2, Provenance(prov.form, prov.n_original,
-                                            prov.sign_split, labels))
-    bad = check_assumptions(sys.A, sys.b)
+def _finish(A: Matrix, b: Vector, prov: Provenance) -> StandardSystem:
+    # every embedded row is a nonzero input row or a row of -I
+    bad = check_assumptions(A, b)
     if bad:  # embeddings guarantee the assumptions; reaching this is a bug
         raise AssertionError(f"standardized system violates assumptions: {bad}")
-    return sys
+    return StandardSystem(A, b, prov)

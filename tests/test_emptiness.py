@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from hollowcheck import emptiness
 from hollowcheck.densemat import Matrix, Vector, mat_mul, vec_mat
 from hollowcheck.emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM,
-                                   NOT_PROVEN_EMPTY, TestVector, build_U,
+                                   NOT_PROVEN_EMPTY, build_U,
                                    decide, decompose, family_tests,
                                    farkas_from, image, in_cone_G, run_test)
 from hollowcheck.harness import gen_random_system, GenSpec, system_from_rows
@@ -18,6 +19,11 @@ OK_1D = ([[1], [1], [-1]], [1, 2, 0])
 
 def sys_of(rows, b):
     return system_from_rows(rows, b)
+
+
+def G_of(dec):
+    """G = [I | -R], the top m - n rows of U."""
+    return Matrix.from_rows(build_U(dec).row_lists()[:dec.m - dec.n])
 
 
 class TestDecompose:
@@ -45,7 +51,7 @@ class TestDecompose:
         for seed in range(15):
             sysr = gen_random_system(GenSpec(seed=seed, m=6, n=2))
             dec = decompose(sysr)
-            assert mat_mul(dec.G, dec.permuted_A()).is_zero()
+            assert mat_mul(G_of(dec), dec.permuted_A()).is_zero()
 
 
 class TestBuildU:
@@ -53,10 +59,8 @@ class TestBuildU:
         dec = decompose(sys_of(*OK_1D))
         U = build_U(dec)
         assert (U.rows, U.cols) == (3, 3)
-        # top block is G, bottom n rows zero
-        for j in range(3):
-            assert U.at(2, j) == 0
-            assert U.at(0, j) == dec.G.at(0, j)
+        # top block is G = [I | -R] with R = (1, -1), bottom n rows zero
+        assert U.row_lists() == [[1, 0, -1], [0, 1, 1], [0, 0, 0]]
 
     def test_square_U(self):
         dec = decompose(sys_of([[0, 1], [1, 0], [0, 1]], [1, 1, 1]))
@@ -67,25 +71,23 @@ class TestBuildU:
 class TestConeAndTests:
     def test_zero_vector_in_cone(self):
         dec = decompose(sys_of(*OK_1D))
-        assert in_cone_G(Vector.zero(2), dec)
+        assert in_cone_G(image(Vector.zero(2), dec))
 
     def test_mixed_not_in_cone(self):
         dec = decompose(sys_of(*OK_1D))
         # t(k)G = (1,-1)[I | -R] has mixed signs here
-        assert not in_cone_G(Vector.from_list([1, -1]), dec)
+        assert not in_cone_G(image(Vector.from_list([1, -1]), dec))
 
     def test_run_test_fail_on_empty_instance(self):
         dec = decompose(sys_of(*EMPTY_1D))
         d = dec.m - dec.n
         failing = None
         for i in range(d):
-            tv = TestVector(Vector.unit(d, i), "canonical", (i + 1,))
-            passed, z, interval = run_test(tv, dec, dec.b_perm)
+            passed, interval = run_test(image(Vector.unit(d, i), dec), dec)
             if not passed:
-                failing = (tv, z, interval)
+                failing = interval
         assert failing is not None
-        tv, z, interval = failing
-        assert interval.hi == Fraction(-2)
+        assert failing.hi == Fraction(-2)
 
     def test_image_matches_product_through_G(self):
         shapes = [(4, 2), (5, 2), (6, 2), (5, 3), (7, 3)]
@@ -93,25 +95,25 @@ class TestConeAndTests:
         for seed in range(20):
             m, n = shapes[seed % len(shapes)]
             dec = decompose(gen_random_system(GenSpec(seed=seed, m=m, n=n)))
+            G = G_of(dec)
             for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                for tv in family_tests(dec, dec.b1, dec.b2, mode):
-                    assert image(tv.kprime, dec) == vec_mat(tv.kprime, dec.G)
+                for tv, z in family_tests(dec, mode):
+                    assert z == image(tv.kprime, dec)
+                    assert z == vec_mat(tv.kprime, G)
                     seen_zero |= tv.kprime.is_zero()
                     seen_pair |= tv.family == "pair"
         assert seen_zero and seen_pair
 
     def test_kernel_sentinel_passes(self):
         dec = decompose(sys_of(*OK_1D))
-        tv = TestVector(Vector.zero(2), "kernel")
-        passed, _, interval = run_test(tv, dec, dec.b_perm)
+        passed, interval = run_test(image(Vector.zero(2), dec), dec)
         assert passed and interval.lo == interval.hi == 0
 
 
 class TestFamilies:
     def test_pair_vector_construction(self):
         dec = decompose(sys_of(*OK_1D))
-        pairs = [tv for tv in family_tests(dec, dec.b1, dec.b2)
-                 if tv.family == "pair"]
+        pairs = [tv for tv, _ in family_tests(dec) if tv.family == "pair"]
         assert len(pairs) == 1
         (tv,) = pairs
         # k'(j=1,i=1,i'=2) = -r_21 e1 + r_11 e2 with R = (1, -1)
@@ -121,7 +123,7 @@ class TestFamilies:
         for seed in range(10):
             sysr = gen_random_system(GenSpec(seed=seed, m=6, n=2))
             dec = decompose(sysr)
-            for tv in family_tests(dec, dec.b1, dec.b2):
+            for tv, _ in family_tests(dec):
                 if tv.family != "pair":
                     continue
                 j = tv.params[0]
@@ -131,15 +133,15 @@ class TestFamilies:
     def test_m_minus_n_one_has_no_pairs(self):
         sysr = sys_of([[1, 0], [0, 1], [1, 1]], [1, 1, 1])
         dec = decompose(sysr)
-        fams = [tv.family for tv in family_tests(dec, dec.b1, dec.b2)]
+        fams = [tv.family for tv, _ in family_tests(dec)]
         assert "pair" not in fams
         assert fams.count("canonical") == 1
 
     def test_theorem_mode_superset(self):
         sysr = gen_random_system(GenSpec(seed=12, m=7, n=2))
         dec = decompose(sysr)
-        alg = list(family_tests(dec, dec.b1, dec.b2, MODE_ALGORITHM))
-        thm = list(family_tests(dec, dec.b1, dec.b2, MODE_THEOREM))
+        alg = list(family_tests(dec, MODE_ALGORITHM))
+        thm = list(family_tests(dec, MODE_THEOREM))
         assert len(thm) >= len(alg)
 
 
@@ -176,29 +178,44 @@ class TestDecide:
             b = decide(sysr, stated_order=True)
             assert a.verdict == b.verdict
 
+    def test_one_product_per_candidate(self, monkeypatch):
+        # 2 canonical, 1 pair and 3 signed basis vectors (kernel, b1_perp,
+        # rb2_perp): one t(k')R each, whatever the filter keeps
+        calls = []
+
+        def counting(x, A):
+            calls.append(x)
+            return vec_mat(x, A)
+        monkeypatch.setattr(emptiness, "vec_mat", counting)
+        for mode in (MODE_ALGORITHM, MODE_THEOREM):
+            calls.clear()
+            report = decide(sys_of(*OK_1D), mode=mode)
+            assert report.verdict == NOT_PROVEN_EMPTY
+            assert len(calls) == 6, mode
+
 
 class TestFarkas:
     def test_hand_certificate(self):
         dec = decompose(sys_of(*EMPTY_1D))
         d = dec.m - dec.n
         for i in range(d):
-            tv = TestVector(Vector.unit(d, i), "canonical", (i + 1,))
-            passed, z, _ = run_test(tv, dec, dec.b_perm)
+            z = image(Vector.unit(d, i), dec)
+            passed, _ = run_test(z, dec)
             if not passed:
-                y = farkas_from(tv, dec, z)
+                y = farkas_from(z, dec)
                 assert y == Vector.from_list([1, 0, 1])
 
     def test_negated_case(self):
         dec = decompose(sys_of(*EMPTY_1D))
         d = dec.m - dec.n
         for i in range(d):
-            tv = TestVector(Vector.unit(d, i), "canonical", (i + 1,))
-            passed, z, _ = run_test(tv, dec, dec.b_perm)
+            k = Vector.unit(d, i)
+            passed, _ = run_test(image(k, dec), dec)
             if not passed:
-                neg = TestVector(tv.kprime.neg(), "canonical", (i + 1,))
-                _, zn, _ = run_test(neg, dec, dec.b_perm)
-                y = farkas_from(neg, dec, zn)
-                assert all(v >= 0 for v in y.entries)
+                zn = image(k.neg(), dec)
+                assert not run_test(zn, dec)[0]
+                y = farkas_from(zn, dec)
+                assert y == Vector.from_list([1, 0, 1])
 
 
 class TestLemma1Identity:

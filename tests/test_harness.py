@@ -1,7 +1,8 @@
 import pytest
 
+from hollowcheck import harness
 from hollowcheck.densemat import Matrix, Vector, mat_mul, rank
-from hollowcheck.emptiness import EMPTY, MODE_THEOREM
+from hollowcheck.emptiness import EMPTY, MODE_THEOREM, SoundnessViolation
 from hollowcheck.harness import (AgreementStats, GenSpec, GenerationExhausted,
                                  ProbeFailure, agreement_run,
                                  gen_random_system, pinv_rank_factorization,
@@ -106,3 +107,11 @@ class TestShrink:
         rows, bounds = shrink_discrepancy(s.A.row_lists(),
                                           list(s.b.entries))
         assert len(rows) >= 1
+
+    def test_soundness_violation_propagates(self, monkeypatch):
+        # only the oracle's row cap may stop the predicate quietly
+        def broken(sys):
+            raise SoundnessViolation("injected")
+        monkeypatch.setattr(harness, "decide", broken)
+        with pytest.raises(SoundnessViolation):
+            shrink_discrepancy([[1], [1], [-1]], [1, 2, -3])

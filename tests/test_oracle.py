@@ -6,7 +6,7 @@ import pytest
 
 from hollowcheck.densemat import Matrix, Vector
 from hollowcheck.oracle import (FEASIBLE, INFEASIBLE, SizeExceeded,
-                                fm_eliminate, fm_feasible, fm_feasible_rows,
+                                fm_feasible, fm_feasible_rows,
                                 validate_certificate, validate_witness)
 
 
@@ -16,24 +16,6 @@ def M(rows):
 
 def V(xs):
     return Vector.from_list(xs)
-
-
-class TestEliminate:
-    def test_trivial_row_survives(self):
-        Ap, bp, log = fm_eliminate(M([[1], [-1]]), V([1, 0]), 0)
-        # projection of a 1-variable system: one constant row 0 <= 1
-        assert Ap is None
-        assert list(bp.entries) == [Fraction(1)]
-        assert list(log[0].entries) == [Fraction(1), Fraction(1)]
-
-    def test_contradiction_row(self):
-        Ap, bp, log = fm_eliminate(M([[1], [-1]]), V([1, -3]), 0)
-        assert bp[0] == Fraction(-2)
-
-    def test_uninvolved_rows_pass_through(self):
-        Ap, bp, log = fm_eliminate(M([[1, 0], [0, 1]]), V([1, 2]), 0)
-        assert Ap == M([[1]])
-        assert bp == V([2])
 
 
 class TestFeasible:
@@ -115,15 +97,3 @@ class TestProperties:
                 # witness exists but may sit off the coarse grid; verify it
                 assert validate_witness(A, b, res.witness)
         assert checked > 5
-
-    def test_projection_extension(self):
-        # a point feasible for the eliminated system extends to the original
-        A = M([[1, 1], [-1, 0], [0, -1]])
-        b = V([2, 0, 0])
-        Ap, bp, _ = fm_eliminate(A, b, 0)
-        # projected system over x2: x2 <= 2, -x2 <= 0
-        for x2 in (Fraction(0), Fraction(1), Fraction(2)):
-            assert all(sum(r * x2 for r in Ap.row_lists()[i]) <= bp[i]
-                       for i in range(Ap.rows))
-            # extension with x1 = 0 works for these points
-            assert validate_witness(A, b, V([0, x2]))
