@@ -10,8 +10,9 @@ Exit codes: 0 not-proven-empty, 1 empty, 2 input/usage error, 3 internal
 error, including an Empty certificate that fails its exact self-check.
 
 Input format: first data line "m n", then m lines of n+1 numbers (row of
-A then b_i).  Numbers are integers, decimals, or fractions "p/q"; "#"
-starts a comment; blank lines are ignored; path "-" reads stdin.
+A then b_i).  Numbers are integers, decimals, or fractions "p/q", with no
+exponent notation; "#" starts a comment; blank lines are ignored; path
+"-" reads stdin.
 """
 from __future__ import annotations
 
@@ -78,6 +79,10 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
         vals = []
         for col, tok in enumerate(tokens, start=1):
             try:
+                # Fraction also reads exponents, and expanding 1e1000000000
+                # takes practically forever; the format has none
+                if "e" in tok or "E" in tok:
+                    raise ValueError(tok)
                 vals.append(Fraction(tok))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(lineno, f"bad number {tok!r} (column {col})")
@@ -158,14 +163,11 @@ def cmd_check(args, out) -> int:
     std = standardize(raw)
 
     if isinstance(std, EarlyEmpty):
-        # an equality multiplier may be negative: pick the sign giving t(y)b < 0
-        y = [Fraction(0)] * raw.Atilde.rows
-        y[std.row] = Fraction(-1) if raw.btilde[std.row] > 0 else Fraction(1)
         obj = _report_obj(EMPTY, args.mode, 0, {}, {
             "family": "presolve",
             "k_prime": None,
             "interval": None,
-            "farkas_y": [_frac_str(x) for x in y],
+            "farkas_y": _vec_json(std.farkas_y),
         })
         if args.json:
             _emit_json(obj, out)
@@ -213,7 +215,7 @@ def cmd_check(args, out) -> int:
         if oracle_result is not None:
             out.write(f"oracle: {oracle_result.status}\n")
             if oracle_result.witness is not None:
-                wit = std.provenance.original_point(oracle_result.witness)
+                wit = std.original_point(oracle_result.witness)
                 out.write("witness (original variables): "
                           + " ".join(_vec_json(wit)) + "\n")
     return EXIT_EMPTY if report.is_empty else EXIT_NOT_PROVEN_EMPTY
@@ -235,7 +237,7 @@ def cmd_oracle(args, out) -> int:
     res = fm_feasible(std.A, std.b)
     wit = None
     if res.witness is not None:
-        wit = _vec_json(std.provenance.original_point(res.witness))
+        wit = _vec_json(std.original_point(res.witness))
     obj = {"status": res.status, "witness": wit}
     if args.json:
         _emit_json(obj, out)

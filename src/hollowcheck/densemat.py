@@ -141,6 +141,9 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
+    def neg(self) -> "Matrix":
+        return Matrix(self.rows, self.cols, tuple(-e for e in self.entries))
+
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if A.cols != B.rows:
@@ -171,10 +174,6 @@ def vec_mat(x: Vector, A: Matrix) -> Vector:
                         for j in range(A.cols)))
 
 
-def _pivot_row(rows, col, start):
-    return next((i for i in range(start, len(rows)) if rows[i][col] != 0), None)
-
-
 def _forward_eliminate(rows):
     """In-place row echelon reduction; returns list of pivot columns."""
     if not rows:
@@ -185,7 +184,7 @@ def _forward_eliminate(rows):
     for c in range(ncols):
         if r == len(rows):
             break
-        p = _pivot_row(rows, c, r)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
@@ -224,27 +223,15 @@ def rref(M: Matrix):
 
 
 def invert(M: Matrix) -> Matrix:
+    """M^-1, read off rref([M | I]); Singular unless M's columns all pivot."""
     if M.rows != M.cols:
         raise DimensionMismatch("invert needs a square matrix")
     n = M.rows
-    ident = Matrix.identity(n)
-    aug = [list(M.entries[i * n:(i + 1) * n]) + list(ident.entries[i * n:(i + 1) * n])
-           for i in range(n)]
-    for c in range(n):
-        p = _pivot_row(aug, c, c)
-        if p is None:
-            raise Singular(f"matrix is singular (pivot search failed at column {c})")
-        aug[c], aug[p] = aug[p], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i == c:
-                continue
-            f = aug[i][c]
-            if f == 0:
-                continue
-            aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return Matrix(n, n, tuple(aug[i][n + j] for i in range(n) for j in range(n)))
+    rows, piv_cols = rref(M.hstack(Matrix.identity(n)))
+    if piv_cols != list(range(n)):
+        r = sum(1 for c in piv_cols if c < n)
+        raise Singular(f"matrix is singular (rank {r} < {n})")
+    return Matrix(n, n, tuple(x for row in rows for x in row[n:]))
 
 
 def pinv_full_col_rank(A: Matrix) -> Matrix:

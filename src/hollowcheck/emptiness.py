@@ -100,7 +100,6 @@ class EmptinessReport:
     tests_run: int
     family_counts: dict
     mode: str
-    claimed_nonempty: bool          # the source's completeness claim
 
     @property
     def is_empty(self) -> bool:
@@ -139,8 +138,7 @@ def decompose(sys: StandardSystem) -> Decomposition:
 
 def build_U(dec: Decomposition) -> Matrix:
     """The m x m matrix [[I, -R], [0, 0]]; G = [I | -R] is its top block."""
-    negR = Matrix(dec.R.rows, dec.R.cols, tuple(-e for e in dec.R.entries))
-    G = Matrix.identity(dec.m - dec.n).hstack(negR)
+    G = Matrix.identity(dec.m - dec.n).hstack(dec.R.neg())
     return G.vstack(Matrix.zeros(dec.n, dec.m))
 
 
@@ -238,5 +236,5 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
                 raise SoundnessViolation(
                     f"Farkas vector from test {tv.label()} fails the exact check")
             cert = Certificate(tv, result, y)
-            return EmptinessReport(EMPTY, cert, tests_run, counts, mode, False)
-    return EmptinessReport(NOT_PROVEN_EMPTY, None, tests_run, counts, mode, True)
+            return EmptinessReport(EMPTY, cert, tests_run, counts, mode)
+    return EmptinessReport(NOT_PROVEN_EMPTY, None, tests_run, counts, mode)

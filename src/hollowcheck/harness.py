@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .densemat import (Matrix, Vector, mat_mul, mat_vec, pinv_append_row,
                        pinv_full_col_rank, rank, rref)
@@ -18,7 +17,7 @@ from .emptiness import (EMPTY, MODE_ALGORITHM, SoundnessViolation, build_U,
                         decide, decompose, image, run_test)
 from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
                      validate_certificate, validate_witness)
-from .standardize import Provenance, StandardSystem, check_assumptions
+from .standardize import StandardSystem, check_assumptions
 
 DEFAULT_INSTANCES = 100
 DEFAULT_TRIALS = 20
@@ -85,14 +84,10 @@ class AgreementStats:
         }
 
 
-def _trivial_provenance(m: int, n: int) -> Provenance:
-    return Provenance("ineq", n, False, tuple(("orig", i) for i in range(m)))
-
-
 def system_from_rows(rows, bounds) -> StandardSystem:
     A = Matrix.from_rows(rows)
     b = Vector.from_list(bounds)
-    return StandardSystem(A, b, _trivial_provenance(A.rows, A.cols))
+    return StandardSystem(A, b)
 
 
 def gen_random_system(spec: GenSpec, max_rejects: int = 1000) -> StandardSystem:
@@ -108,7 +103,7 @@ def gen_random_system(spec: GenSpec, max_rejects: int = 1000) -> StandardSystem:
             continue
         b = Vector.from_list([rng.randint(-spec.b_range, spec.b_range)
                               for _ in range(spec.m)])
-        return StandardSystem(A, b, _trivial_provenance(spec.m, spec.n))
+        return StandardSystem(A, b)
     raise GenerationExhausted(f"no admissible system after {max_rejects} draws")
 
 
@@ -214,16 +209,13 @@ def probe_lemma2(n: int, k: int, trials: int = DEFAULT_TRIALS,
     return {"checked": checked, "ok": True, "k": k, "n": n}
 
 
-def probe_theorem1(sys: StandardSystem, i: Optional[int] = None) -> dict:
+def probe_theorem1(sys: StandardSystem) -> dict:
     """Row-wise interval test vs oracle feasibility of the touched subsystem."""
     dec = decompose(sys)
     A_rows = dec.permuted_A().row_lists()
     d = dec.m - dec.n
-    indices = range(1, d + 1) if i is None else [i]
     results = []
-    for idx in indices:
-        if not 1 <= idx <= d:
-            raise ValueError(f"row index {idx} out of range [1, {d}]")
+    for idx in range(1, d + 1):
         # z = t(e_i)G is row i of U; its support B_i is the touched rows
         z = image(Vector.unit(d, idx - 1), dec)
         passed, _ = run_test(z, dec)
@@ -253,7 +245,7 @@ def _discrepancy_holds(rows, bounds) -> bool:
     b = Vector.from_list(bounds)
     if check_assumptions(A, b):
         return False
-    sys = StandardSystem(A, b, _trivial_provenance(A.rows, A.cols))
+    sys = StandardSystem(A, b)
     if decide(sys).verdict == EMPTY:
         return False
     try:
@@ -301,13 +293,13 @@ def shrink_discrepancy(rows, bounds):
     return rows, bounds
 
 
-def agreement_run(specs, mode: str = MODE_ALGORITHM,
-                  shrink: bool = True) -> AgreementStats:
+def agreement_run(specs, mode: str = MODE_ALGORITHM) -> AgreementStats:
     """decide vs oracle across generated instances.
 
     Empty verdicts are hard-asserted sound (oracle-infeasible plus an
     exactly validating Farkas certificate); the NotProvenEmpty tallies
-    are the empirical completeness measurement.
+    are the empirical completeness measurement.  A discrepancy counts
+    only when the oracle's infeasibility certificate checks exactly.
     """
     stats = AgreementStats()
     for spec in specs:
@@ -332,9 +324,10 @@ def agreement_run(specs, mode: str = MODE_ALGORITHM,
                     f"oracle witness fails its own system (seed={spec.seed})")
             stats.notproven_and_feasible += 1
         else:
-            rows, bounds = _rows_bounds(sys)
-            if shrink:
-                rows, bounds = shrink_discrepancy(rows, bounds)
+            if not validate_certificate(sys.A, sys.b, res.certificate):
+                raise SoundnessViolation(
+                    f"oracle certificate fails its own system (seed={spec.seed})")
+            rows, bounds = shrink_discrepancy(*_rows_bounds(sys))
             stats.discrepancies.append(Discrepancy(
                 rows, bounds, report.verdict, res.status, spec.seed))
     stats.discrepancies.sort(key=lambda d: (len(d.rows), d.seed))

@@ -69,6 +69,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_system("2 1\n1 1\n")
 
+    def test_exponent_rejected(self):
+        # Fraction would spend practically forever expanding "1e1000000000"
+        for tok in ("1e5", "1E5", "2.5e-1"):
+            with pytest.raises(ParseError, match="bad number"):
+                parse_system(f"1 1\n1 {tok}\n")
+
 
 class TestGolden:
     def test_empty_instance_bytes_and_exit(self, tmp_path):

@@ -155,7 +155,7 @@ class TestDecide:
         report = decide(sys_of(*OK_1D))
         assert report.verdict == NOT_PROVEN_EMPTY
         assert report.certificate is None
-        assert report.claimed_nonempty
+        assert not report.is_empty
 
     def test_determinism(self):
         a = decide(sys_of(*EMPTY_1D))

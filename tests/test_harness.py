@@ -8,7 +8,7 @@ from hollowcheck.harness import (AgreementStats, GenSpec, GenerationExhausted,
                                  gen_random_system, pinv_rank_factorization,
                                  probe_lemma1, probe_lemma2, probe_theorem1,
                                  shrink_discrepancy, system_from_rows)
-from hollowcheck.oracle import FEASIBLE, INFEASIBLE, fm_feasible
+from hollowcheck.oracle import FEASIBLE, INFEASIBLE, FMResult, fm_feasible
 from hollowcheck.standardize import check_assumptions
 
 
@@ -97,6 +97,14 @@ class TestAgreement:
         specs = [GenSpec(seed=i, m=5, n=2) for i in range(10)]
         stats = agreement_run(specs, mode=MODE_THEOREM)
         assert stats.total == 10
+
+    def test_unchecked_oracle_infeasible_raises(self, monkeypatch):
+        # a discrepancy needs the oracle's certificate to check exactly
+        spec = GenSpec(seed=3, m=5, n=2)        # NOT_PROVEN_EMPTY
+        monkeypatch.setattr(harness, "fm_feasible", lambda A, b: FMResult(
+            INFEASIBLE, certificate=Vector.zero(A.rows)))
+        with pytest.raises(SoundnessViolation, match="oracle certificate"):
+            agreement_run([spec])
 
 
 class TestShrink:

@@ -5,10 +5,9 @@ import pytest
 
 from hollowcheck.densemat import Matrix, Vector
 from hollowcheck.oracle import FEASIBLE, fm_feasible, validate_witness
-from hollowcheck.standardize import (AllRowsRemoved, EarlyEmpty, RawSystem,
-                                     StandardSystem, TriviallyNonEmpty,
-                                     check_assumptions,
-                                     drop_or_decide_zero_rows, standardize)
+from hollowcheck.standardize import (EarlyEmpty, RawSystem, StandardSystem,
+                                     TriviallyNonEmpty, check_assumptions,
+                                     standardize)
 
 
 def M(rows):
@@ -21,22 +20,40 @@ def V(xs):
 
 class TestZeroRows:
     def test_early_empty(self):
-        res = drop_or_decide_zero_rows(M([[0, 0], [1, 0]]), V([-1, 5]))
+        # the first contradictory zero row is the one reported
+        res = standardize(RawSystem("ineq", M([[1, 0], [0, 0], [0, 0]]),
+                                    V([5, -1, -2])))
         assert isinstance(res, EarlyEmpty)
-        assert res.row == 0
+        assert res.row == 1
+        assert res.detail == "zero row 1 with negative bound -1"
 
     def test_removal(self):
-        A, b, kept = drop_or_decide_zero_rows(M([[0, 0], [1, 0]]), V([3, 5]))
-        assert A == M([[1, 0]]) and b == V([5]) and kept == [1]
+        res = standardize(RawSystem("ineq", M([[0], [1], [0], [-1]]),
+                                    V([3, 5, 0, 1])))
+        assert isinstance(res, StandardSystem)
+        assert res.A == M([[1], [-1]]) and res.b == V([5, 1])
 
     def test_no_zero_rows_unchanged(self):
-        A0, b0 = M([[1, 0], [0, 1]]), V([1, 2])
-        A, b, kept = drop_or_decide_zero_rows(A0, b0)
-        assert A == A0 and b == b0
+        raw = RawSystem("ineq", M([[1], [1], [-1]]), V([1, 2, 0]))
+        res = standardize(raw)
+        assert res.A is raw.Atilde and res.b is raw.btilde
 
     def test_all_rows_removed(self):
-        with pytest.raises(AllRowsRemoved):
-            drop_or_decide_zero_rows(M([[0, 0]]), V([1]))
+        for form, bounds in (("ineq", [1, 0]), ("ineq_nonneg", [1, 0]),
+                             ("eq_nonneg", [0, 0])):
+            res = standardize(RawSystem(form, M([[0, 0], [0, 0]]), V(bounds)))
+            assert isinstance(res, TriviallyNonEmpty)
+
+    @pytest.mark.parametrize("form, bound, sign", [
+        ("ineq", -2, 1), ("ineq_nonneg", -2, 1),
+        ("eq_nonneg", 2, -1), ("eq_nonneg", -2, 1)])
+    def test_farkas_y_sign(self, form, bound, sign):
+        A, b = M([[1], [0], [0]]), V([1, 0, bound])
+        res = standardize(RawSystem(form, A, b))
+        assert isinstance(res, EarlyEmpty) and res.row == 2
+        # an equality row's multiplier is free in sign; t(y)b < 0 always
+        assert res.farkas_y == V([0, 0, sign])
+        assert res.farkas_y.dot(b) < 0
 
 
 class TestCheckAssumptions:
@@ -58,14 +75,14 @@ class TestStandardize:
         assert isinstance(res, StandardSystem)
         assert res.A == M([[1, -1], [-1, 0], [0, -1]])
         assert res.b == V([5, 0, 0])
-        assert res.provenance.sign_split
+        assert res.sign_split
 
     def test_ineq_already_standard_bypasses(self):
         A = M([[1], [1], [-1]])
         res = standardize(RawSystem("ineq", A, V([1, 2, 0])))
         assert isinstance(res, StandardSystem)
         assert res.A == A
-        assert not res.provenance.sign_split
+        assert not res.sign_split
 
     def test_ineq_nonneg(self):
         res = standardize(RawSystem("ineq_nonneg", M([[1, 1]]), V([1])))
@@ -80,6 +97,7 @@ class TestStandardize:
     def test_eq_nonneg_zero_row_contradiction(self):
         res = standardize(RawSystem("eq_nonneg", M([[0], [1]]), V([3, 1])))
         assert isinstance(res, EarlyEmpty)
+        assert res.detail == "zero row 0 with nonzero equality bound"
 
     def test_trivially_nonempty(self):
         res = standardize(RawSystem("ineq", M([[0, 0]]), V([7])))
@@ -139,6 +157,6 @@ class TestFeasibilityPreserved:
                     assert std.status == direct.status
                     if std.status == FEASIBLE:
                         # the standardized witness maps back to a raw point
-                        x = res.provenance.original_point(std.witness)
+                        x = res.original_point(std.witness)
                         assert validate_witness(At, bt, x) \
                             if raw.form == "ineq" else True
