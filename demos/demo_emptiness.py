@@ -5,9 +5,10 @@ System B: {x <= 1, x <= 2, -x <= 0}   (0 <= x <= 1: nonempty)
 
 Run: python3 demos/demo_emptiness.py
 """
-from hollowcheck import (GenSpec, decide, decompose, family_tests,
-                         fm_feasible, gen_random_system, run_test,
+from hollowcheck import (GenSpec, contains_zero, decide, decompose,
+                         family_tests, fm_feasible, gen_random_system, iv_dot,
                          system_from_rows)
+from hollowcheck.emptiness import image
 
 
 def show(name, rows, bounds):
@@ -19,8 +20,11 @@ def show(name, rows, bounds):
           f"{dec.row_perm[dec.m - dec.n:]}")
     print(f"R = A1 A2^-1 = {dec.R.row_lists()}")
 
-    for tv, z in family_tests(dec):
-        passed, interval = run_test(z, dec)
+    for tv, _ in family_tests(dec):
+        # family_tests yields a scaled integer z; show the exact t(k')G
+        z = image(tv.kprime, dec)
+        interval = iv_dot(z, dec.b_perm)
+        passed = contains_zero(interval)
         print(f"  test {tv.label():<16} t(k')G={tuple(z.entries)} "
               f"image=[{interval.lo}, {interval.hi}] "
               f"{'contains 0' if passed else 'MISSES 0 -> empty'}")

@@ -370,9 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None, out=None) -> int:
     out = out or _sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # hold no reference to the parser: its reference cycles become
+        # garbage while still young, before the command runs, instead of
+        # after it, when the collector has moved them to its oldest generation
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code not in (0,) else 0

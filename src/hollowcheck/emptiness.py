@@ -4,25 +4,31 @@ Pipeline: split A into (A1; A2) with A2 invertible, form R = A1 A2^-1 and
 G = [I | -R], then test whether 0 lies in {t(k')G a : a <= b} for each
 vector k' of a finite family (canonical basis, left kernel of R,
 orthogonal complements of b1 and R b2, and the pairwise elimination
-vectors).  The verdict for k' depends on z = t(k')G alone, so
-`family_tests` evaluates z once per candidate (once per +-v, as
-t(-v)G = -t(v)G) and yields it with the test vector; the algorithm-mode
-filter, the test and the certificate all read that z.  `image` evaluates
-t(k')G as [k' | -t(k')R]; only it relies on G's shape.  A test fails only
-when z has a single sign, and the Farkas vector is then +-z, which decide
-checks exactly before it returns Empty, so the Empty verdict is
-unconditionally sound; the converse rests on the enumeration being
-sufficient and is only measured (see harness).
+vectors).  The verdict for k' reads only the signs of z = t(k')G and of
+t(z)b, which a positive scaling of z or b leaves alone, so the battery
+runs in Python ints: `decompose` keeps Rz = D R (D > 0 the lcm of R's
+denominators) and bz, a positive integer multiple of b, and
+`family_tests` yields each candidate once (once per +-v, as t(-v)G =
+-t(v)G) with an integer z, a positive multiple of t(k')G built from rows
+of Rz.  The algorithm-mode filter and the test read that z.  Fraction
+products are left to the certificate: at the first failing test, `image`
+rebuilds the exact t(k')G = [k' | -t(k')R], and the interval and the
+Farkas vector +-z come from it.  decide checks that vector exactly before
+it returns Empty, so the Empty verdict is unconditionally sound; the
+converse rests on the enumeration being sufficient and is only measured
+(see harness).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Optional
 
 from .densemat import (Matrix, Vector, invert, left_nullspace_basis, mat_mul,
                        mat_vec, orth_complement_basis, rref, vec_mat)
-from .interval import Interval, contains_zero, iv_dot
+from .interval import Interval, iv_dot
 from .oracle import validate_certificate
 from .standardize import StandardSystem
 
@@ -59,6 +65,9 @@ class Decomposition:
     b1: Vector
     b2: Vector
     b_perm: Vector       # (b1; b2)
+    D: int               # lcm of R's denominators
+    Rz: tuple            # D R, one tuple of ints per row
+    bz: tuple            # a positive integer multiple of b_perm
 
     @property
     def m(self) -> int:
@@ -133,7 +142,21 @@ def decompose(sys: StandardSystem) -> Decomposition:
     b1 = Vector.from_list([b[i] for i in unselected])
     b2 = Vector.from_list([b[i] for i in selected])
     b_perm = Vector(m, b1.entries + b2.entries)
-    return Decomposition(perm, A1, A2, R, b1, b2, b_perm)
+    # for integer A, D divides |det A2|: Rz is no larger than A1 adj(A2)
+    D = _lcm_denominators(R.entries)
+    Rz = tuple(_scaled_ints(R.entries[i * n:(i + 1) * n], D)
+               for i in range(m - n))
+    bz = _scaled_ints(b_perm.entries, _lcm_denominators(b_perm.entries))
+    return Decomposition(perm, A1, A2, R, b1, b2, b_perm, D, Rz, bz)
+
+
+def _lcm_denominators(xs) -> int:
+    return math.lcm(*(x.denominator for x in xs))
+
+
+def _scaled_ints(xs, scale: int) -> tuple:
+    """The Fractions xs times scale, a multiple of each denominator."""
+    return tuple(x.numerator * (scale // x.denominator) for x in xs)
 
 
 def build_U(dec: Decomposition) -> Matrix:
@@ -143,22 +166,29 @@ def build_U(dec: Decomposition) -> Matrix:
 
 
 def image(k: Vector, dec: Decomposition) -> Vector:
-    """t(k) G = [k | -t(k) R], without multiplying through G's identity block."""
+    """The exact t(k) G = [k | -t(k) R], for the certificate only."""
     return Vector(dec.m, k.entries
                   + tuple(-e for e in vec_mat(k, dec.R).entries))
 
 
-def in_cone_G(z: Vector) -> bool:
-    """True iff z = t(k) G has every component >= 0."""
-    return all(e >= 0 for e in z.entries)
+def in_cone_G(z: tuple) -> bool:
+    """True iff z, a positive multiple of t(k) G, has every component >= 0."""
+    return min(z) >= 0
+
+
+def _scaled_image(v: Vector, dec: Decomposition) -> tuple:
+    """(L D) t(v) G in ints, with L the lcm of v's denominators."""
+    vz = _scaled_ints(v.entries, _lcm_denominators(v.entries))
+    return (tuple(x * dec.D for x in vz)
+            + tuple(-sum(map(mul, vz, col)) for col in zip(*dec.Rz)))
 
 
 def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
     for idx, v in enumerate(basis):
-        z = image(v, dec)
+        z = _scaled_image(v, dec)
         candidates = [(v, z, 1)]
         if not v.is_zero():
-            candidates.append((v.neg(), z.neg(), -1))
+            candidates.append((v.neg(), tuple(-e for e in z), -1))
         for vec, zs, sign in candidates:
             if mode == MODE_ALGORITHM and not in_cone_G(zs):
                 continue
@@ -167,13 +197,20 @@ def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
 
 def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
                  order: tuple = DEFAULT_ORDER) -> Iterator[tuple]:
-    """Deterministic enumeration of (test vector, t(k')G), family by family."""
+    """Deterministic enumeration of (test vector, z), family by family.
+
+    z is a tuple of ints, a positive multiple of t(k')G.
+    """
     d = dec.m - dec.n
+    Rz, D = dec.Rz, dec.D
     for family in order:
         if family == FAMILY_CANONICAL:
             for i in range(d):
-                k = Vector.unit(d, i)
-                yield TestVector(k, FAMILY_CANONICAL, (i + 1,)), image(k, dec)
+                # D t(e_i)G = [D e_i | -Rz_i]
+                z = ((0,) * i + (D,) + (0,) * (d - 1 - i)
+                     + tuple(-x for x in Rz[i]))
+                yield TestVector(Vector.unit(d, i), FAMILY_CANONICAL,
+                                 (i + 1,)), z
         elif family == FAMILY_KERNEL:
             yield from _signed_filtered(left_nullspace_basis(dec.R),
                                         FAMILY_KERNEL, dec, mode)
@@ -192,18 +229,29 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
                         ents[i] = -dec.R.at(i2, j)
                         ents[i2] = dec.R.at(i, j)
                         k = Vector(d, tuple(ents))
+                        # D^2 t(k)G = [-a D e_i + c D e_i' | a Rz_i - c Rz_i']
+                        a, c = Rz[i2][j], Rz[i][j]
+                        head = [0] * d
+                        head[i], head[i2] = -a * D, c * D
+                        z = tuple(head) + tuple(a * x - c * y for x, y
+                                                in zip(Rz[i], Rz[i2]))
                         yield (TestVector(k, FAMILY_PAIR, (j + 1, i + 1, i2 + 1)),
-                               image(k, dec))
+                               z)
 
 
-def run_test(z: Vector, dec: Decomposition):
-    """Whether 0 lies in {t(z) a : a <= b_perm}; returns (passed, interval)."""
-    result = iv_dot(z, dec.b_perm)
-    return contains_zero(result), result
+def run_test(z: tuple, dec: Decomposition) -> bool:
+    """Whether 0 lies in {t(z) a : a <= b_perm}, for z a positive multiple
+    of t(k')G: read off the signs of z and of t(z) bz, as in `iv_dot`."""
+    nonneg = min(z) >= 0
+    if not (nonneg or max(z) <= 0):
+        return True
+    zb = sum(map(mul, z, dec.bz))
+    return zb >= 0 if nonneg else zb <= 0
 
 
 def farkas_from(z: Vector, dec: Decomposition) -> Vector:
-    """Farkas vector +-z for a failing test, in original row order.
+    """Farkas vector +-z, for z the exact t(k')G of a failing test, in
+    original row order.
 
     A failing z has a single sign; were it mixed, y would have a negative
     entry and decide's exact check would reject it.
@@ -229,12 +277,12 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
     for tv, z in family_tests(dec, mode, order):
         tests_run += 1
         counts[tv.family] += 1
-        passed, result = run_test(z, dec)
-        if not passed:
-            y = farkas_from(z, dec)
+        if not run_test(z, dec):
+            exact = image(tv.kprime, dec)
+            y = farkas_from(exact, dec)
             if not validate_certificate(sys.A, sys.b, y):
                 raise SoundnessViolation(
                     f"Farkas vector from test {tv.label()} fails the exact check")
-            cert = Certificate(tv, result, y)
+            cert = Certificate(tv, iv_dot(exact, dec.b_perm), y)
             return EmptinessReport(EMPTY, cert, tests_run, counts, mode)
     return EmptinessReport(NOT_PROVEN_EMPTY, None, tests_run, counts, mode)

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .densemat import (Matrix, Vector, mat_mul, mat_vec, pinv_append_row,
                        pinv_full_col_rank, rank, rref)
-from .emptiness import (EMPTY, MODE_ALGORITHM, SoundnessViolation, build_U,
-                        decide, decompose, image, run_test)
+from .emptiness import (EMPTY, FAMILY_CANONICAL, MODE_ALGORITHM,
+                        SoundnessViolation, build_U, decide, decompose,
+                        family_tests, run_test)
 from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
                      validate_certificate, validate_witness)
 from .standardize import StandardSystem, check_assumptions
@@ -213,12 +214,12 @@ def probe_theorem1(sys: StandardSystem) -> dict:
     """Row-wise interval test vs oracle feasibility of the touched subsystem."""
     dec = decompose(sys)
     A_rows = dec.permuted_A().row_lists()
-    d = dec.m - dec.n
     results = []
-    for idx in range(1, d + 1):
-        # z = t(e_i)G is row i of U; its support B_i is the touched rows
-        z = image(Vector.unit(d, idx - 1), dec)
-        passed, _ = run_test(z, dec)
+    for tv, z in family_tests(dec, order=(FAMILY_CANONICAL,)):
+        # z is a positive multiple of t(e_i)G, row i of U; its support
+        # B_i is the touched rows
+        (idx,) = tv.params
+        passed = run_test(z, dec)
         B_i = [j for j in range(dec.m) if z[j] != 0]
         sub_rows = [A_rows[j] for j in B_i]
         sub_b = [dec.b_perm[j] for j in B_i]
@@ -254,6 +255,15 @@ def _discrepancy_holds(rows, bounds) -> bool:
         return False
 
 
+def _toward_zero(x):
+    """One step toward zero that never crosses it: x - 1, x + 1 or 0."""
+    if x >= 1:
+        return x - 1
+    if x <= -1:
+        return x + 1
+    return 0
+
+
 def shrink_discrepancy(rows, bounds):
     """Greedy row removal, then entry magnitudes pulled toward zero."""
     rows = [list(r) for r in rows]
@@ -276,17 +286,15 @@ def shrink_discrepancy(rows, bounds):
                 x = rows[i][j]
                 if x == 0:
                     continue
-                smaller = x - 1 if x > 0 else x + 1
                 cand = [list(r) for r in rows]
-                cand[i][j] = smaller
+                cand[i][j] = _toward_zero(x)
                 if _discrepancy_holds(cand, bounds):
                     rows = cand
                     changed = True
             x = bounds[i]
             if x != 0:
-                smaller = x - 1 if x > 0 else x + 1
                 cand_b = list(bounds)
-                cand_b[i] = smaller
+                cand_b[i] = _toward_zero(x)
                 if _discrepancy_holds(rows, cand_b):
                     bounds = cand_b
                     changed = True

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,16 +6,19 @@ import pytest
 
 from hollowcheck import emptiness
 from hollowcheck.densemat import Matrix, Vector, mat_mul, vec_mat
-from hollowcheck.emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM,
-                                   NOT_PROVEN_EMPTY, build_U,
+from hollowcheck.emptiness import (EMPTY, FAMILY_CANONICAL, MODE_ALGORITHM,
+                                   MODE_THEOREM, NOT_PROVEN_EMPTY, build_U,
                                    decide, decompose, family_tests,
                                    farkas_from, image, in_cone_G, run_test)
+from hollowcheck.interval import contains_zero, iv_dot
 from hollowcheck.harness import gen_random_system, GenSpec, system_from_rows
 from hollowcheck.oracle import INFEASIBLE, fm_feasible, validate_certificate
 
 
 EMPTY_1D = ([[1], [1], [-1]], [1, 2, -3])
 OK_1D = ([[1], [1], [-1]], [1, 2, 0])
+RATIONAL_1D = ([[3], [2], [Fraction(-3, 2)]],
+               [Fraction(-5, 6), Fraction(1, 2), Fraction(3, 4)])
 
 
 def sys_of(rows, b):
@@ -24,6 +28,21 @@ def sys_of(rows, b):
 def G_of(dec):
     """G = [I | -R], the top m - n rows of U."""
     return Matrix.from_rows(build_U(dec).row_lists()[:dec.m - dec.n])
+
+
+def canonical_tests(dec):
+    return family_tests(dec, order=(FAMILY_CANONICAL,))
+
+
+def positive_multiple(z, exact):
+    """c > 0 with z = c * exact, or None."""
+    nonzero = [(zi, ei) for zi, ei in zip(z, exact.entries) if ei != 0]
+    if not nonzero:
+        return 1 if not any(z) else None
+    c = Fraction(nonzero[0][0]) / nonzero[0][1]
+    if c > 0 and all(zi == c * ei for zi, ei in zip(z, exact.entries)):
+        return c
+    return None
 
 
 class TestDecompose:
@@ -45,6 +64,15 @@ class TestDecompose:
         assert dec.A2 == Matrix.identity(2)
         assert dec.A1 == Matrix.from_rows(A1)
         assert dec.R == Matrix.from_rows(A1)
+
+    def test_integer_data(self):
+        # R = (2/3, -1/2) after A2 = (3); b_perm = (1/2, 3/4, -5/6)
+        dec = decompose(sys_of(*RATIONAL_1D))
+        assert dec.R == Matrix.from_rows([[Fraction(2, 3)],
+                                          [Fraction(-1, 2)]])
+        assert dec.D == 6
+        assert dec.Rz == ((4,), (-3,))
+        assert dec.bz == (6, 9, -10)
 
     def test_G_annihilates_A(self):
         rng = random.Random(4)
@@ -70,24 +98,19 @@ class TestBuildU:
 
 class TestConeAndTests:
     def test_zero_vector_in_cone(self):
-        dec = decompose(sys_of(*OK_1D))
-        assert in_cone_G(image(Vector.zero(2), dec))
+        assert in_cone_G((0, 0, 0))
 
     def test_mixed_not_in_cone(self):
         dec = decompose(sys_of(*OK_1D))
         # t(k)G = (1,-1)[I | -R] has mixed signs here
-        assert not in_cone_G(image(Vector.from_list([1, -1]), dec))
+        assert not in_cone_G(image(Vector.from_list([1, -1]), dec).entries)
 
     def test_run_test_fail_on_empty_instance(self):
         dec = decompose(sys_of(*EMPTY_1D))
-        d = dec.m - dec.n
-        failing = None
-        for i in range(d):
-            passed, interval = run_test(image(Vector.unit(d, i), dec), dec)
-            if not passed:
-                failing = interval
-        assert failing is not None
-        assert failing.hi == Fraction(-2)
+        failing = [tv for tv, z in canonical_tests(dec) if not run_test(z, dec)]
+        assert [tv.params for tv in failing] == [(2,)]
+        interval = iv_dot(image(failing[0].kprime, dec), dec.b_perm)
+        assert interval.hi == Fraction(-2)
 
     def test_image_matches_product_through_G(self):
         shapes = [(4, 2), (5, 2), (6, 2), (5, 3), (7, 3)]
@@ -98,16 +121,28 @@ class TestConeAndTests:
             G = G_of(dec)
             for mode in (MODE_ALGORITHM, MODE_THEOREM):
                 for tv, z in family_tests(dec, mode):
-                    assert z == image(tv.kprime, dec)
-                    assert z == vec_mat(tv.kprime, G)
+                    exact = image(tv.kprime, dec)
+                    assert exact == vec_mat(tv.kprime, G)
+                    assert all(type(e) is int for e in z)
+                    assert positive_multiple(z, exact) is not None, tv
                     seen_zero |= tv.kprime.is_zero()
                     seen_pair |= tv.family == "pair"
         assert seen_zero and seen_pair
 
     def test_kernel_sentinel_passes(self):
         dec = decompose(sys_of(*OK_1D))
-        passed, interval = run_test(image(Vector.zero(2), dec), dec)
-        assert passed and interval.lo == interval.hi == 0
+        assert run_test((0, 0, 0), dec)
+        interval = iv_dot(image(Vector.zero(2), dec), dec.b_perm)
+        assert interval.lo == interval.hi == 0
+
+    def test_run_test_reads_signs_of_scaled_z(self):
+        # run_test on c z with the integer bz agrees with the exact image
+        # of z over the rational b_perm = (1/2, 3/4, -5/6), for every c > 0
+        dec = decompose(sys_of(*RATIONAL_1D))
+        for z in itertools.product((-1, 0, 1), repeat=3):
+            exact = contains_zero(iv_dot(Vector.from_list(z), dec.b_perm))
+            for c in (1, 7):
+                assert run_test(tuple(c * e for e in z), dec) == exact, z
 
 
 class TestFamilies:
@@ -179,42 +214,37 @@ class TestDecide:
             assert a.verdict == b.verdict
 
     def test_one_product_per_candidate(self, monkeypatch):
-        # 2 canonical, 1 pair and 3 signed basis vectors (kernel, b1_perp,
-        # rb2_perp): one t(k')R each, whatever the filter keeps
+        # the battery runs in ints: no Fraction t(k')R when nothing fails,
+        # and one for an EMPTY verdict, the exact z of its certificate
         calls = []
 
         def counting(x, A):
             calls.append(x)
             return vec_mat(x, A)
         monkeypatch.setattr(emptiness, "vec_mat", counting)
-        for mode in (MODE_ALGORITHM, MODE_THEOREM):
-            calls.clear()
-            report = decide(sys_of(*OK_1D), mode=mode)
-            assert report.verdict == NOT_PROVEN_EMPTY
-            assert len(calls) == 6, mode
+        for fixture, verdict, products in ((OK_1D, NOT_PROVEN_EMPTY, 0),
+                                           (EMPTY_1D, EMPTY, 1)):
+            for mode in (MODE_ALGORITHM, MODE_THEOREM):
+                calls.clear()
+                report = decide(sys_of(*fixture), mode=mode)
+                assert report.verdict == verdict
+                assert len(calls) == products, (verdict, mode)
 
 
 class TestFarkas:
     def test_hand_certificate(self):
         dec = decompose(sys_of(*EMPTY_1D))
-        d = dec.m - dec.n
-        for i in range(d):
-            z = image(Vector.unit(d, i), dec)
-            passed, _ = run_test(z, dec)
-            if not passed:
-                y = farkas_from(z, dec)
+        for tv, z in canonical_tests(dec):
+            if not run_test(z, dec):
+                y = farkas_from(image(tv.kprime, dec), dec)
                 assert y == Vector.from_list([1, 0, 1])
 
     def test_negated_case(self):
         dec = decompose(sys_of(*EMPTY_1D))
-        d = dec.m - dec.n
-        for i in range(d):
-            k = Vector.unit(d, i)
-            passed, _ = run_test(image(k, dec), dec)
-            if not passed:
-                zn = image(k.neg(), dec)
-                assert not run_test(zn, dec)[0]
-                y = farkas_from(zn, dec)
+        for tv, z in canonical_tests(dec):
+            if not run_test(z, dec):
+                assert not run_test(tuple(-e for e in z), dec)
+                y = farkas_from(image(tv.kprime.neg(), dec), dec)
                 assert y == Vector.from_list([1, 0, 1])
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hollowcheck import harness
@@ -123,3 +125,18 @@ class TestShrink:
         monkeypatch.setattr(harness, "decide", broken)
         with pytest.raises(SoundnessViolation):
             shrink_discrepancy([[1], [1], [-1]], [1, 2, -3])
+
+    def test_entry_pull_stops_at_zero(self, monkeypatch):
+        # a predicate that keeps every row and accepts every entry pull:
+        # a step that jumps over zero (1/2 -> -1/2 -> 1/2) never ends
+        calls = []
+
+        def keeps_rows(rows, bounds):
+            calls.append(1)
+            if len(calls) > 2000:
+                raise AssertionError("shrink does not terminate")
+            return len(rows) == 2
+        monkeypatch.setattr(harness, "_discrepancy_holds", keeps_rows)
+        rows, bounds = shrink_discrepancy([[Fraction(1, 2)], [1]],
+                                          [Fraction(-3, 2), Fraction(1, 3)])
+        assert rows == [[0], [0]] and bounds == [0, 0]

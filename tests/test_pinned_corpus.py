@@ -1,13 +1,20 @@
-"""Pin `check --json` on a fixed generated corpus.
+"""Pin `check --json` on fixed generated corpora.
 
 Every instance runs in three configurations; a sha256 over (exit code,
 report bytes) must match the recorded value, and the per-configuration
 tallies say what moved when it does not.  Refactors of the arithmetic
 or the test enumeration must keep all of it identical.
+
+The first corpus is all-integer, in the default `ineq` form.  The second
+mixes integers, fractions `p/q` and decimals in both A and b, in all
+three input forms, so denominator clearing and the sign-split, orthant
+and equality embeddings are pinned too.
 """
 import hashlib
 import io
 import json
+import random
+from fractions import Fraction
 
 from hollowcheck.cli import run
 from hollowcheck.harness import GenSpec, gen_random_system
@@ -29,6 +36,19 @@ EXPECTED_TALLIES = {
     "stated_order": {"empty": 27, "tests_run": 609},
 }
 
+# (form, raw m, raw n); ("ineq", 2, 3) has m <= n, so it is sign-split
+RATIONAL_SHAPES = (("ineq", 8, 2), ("ineq", 10, 3), ("ineq", 2, 3),
+                   ("ineq-nonneg", 6, 2), ("ineq-nonneg", 8, 3),
+                   ("eq-nonneg", 2, 3), ("eq-nonneg", 3, 3))
+RATIONAL_SEEDS = range(6)
+EXPECTED_RATIONAL_DIGEST = \
+    "b083024813f606f27e2ebd92a0ada8453332bdc40082e405007bb7bff9a3f1ca"
+EXPECTED_RATIONAL_TALLIES = {
+    "default": {"empty": 24, "tests_run": 851},
+    "theorem": {"empty": 24, "tests_run": 1389},
+    "stated_order": {"empty": 24, "tests_run": 817},
+}
+
 
 def instance_text(sys) -> str:
     lines = [f"{sys.m} {sys.n}"]
@@ -38,19 +58,58 @@ def instance_text(sys) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_pinned_corpus(tmp_path):
+def rational_token(rng: random.Random) -> str:
+    """An integer, a fraction p/q or a decimal, about a third each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return str(rng.randint(-5, 5))
+    if kind == 1:
+        return str(Fraction(rng.randint(-9, 9), rng.randint(2, 6)))
+    return f"{rng.randint(-500, 500) / 100:.2f}"
+
+
+def rational_text(seed: int, m: int, n: int) -> str:
+    rng = random.Random(seed)
+    rows = [" ".join(rational_token(rng) for _ in range(n + 1))
+            for _ in range(m)]
+    return "\n".join([f"{m} {n}"] + rows) + "\n"
+
+
+def run_corpus(paths_and_flags):
+    """(sha256 hex digest, tallies) over every instance and configuration."""
     digest = hashlib.sha256()
     tallies = {name: {"empty": 0, "tests_run": 0} for name in CONFIGS}
+    for path, form_flags in paths_and_flags:
+        for name, flags in CONFIGS.items():
+            buf = io.StringIO()
+            code = run(["check", str(path), "--json"] + form_flags + flags,
+                       out=buf)
+            digest.update(f"{code}\n{buf.getvalue()}".encode())
+            report = json.loads(buf.getvalue())
+            tallies[name]["empty"] += report["verdict"] == "EMPTY"
+            tallies[name]["tests_run"] += report["tests_run"]
+    return digest.hexdigest(), tallies
+
+
+def test_pinned_corpus(tmp_path):
+    corpus = []
     for m, n in SHAPES:
         for seed in SEEDS:
             path = tmp_path / f"m{m}n{n}s{seed}.txt"
             path.write_text(instance_text(gen_random_system(GenSpec(seed, m, n))))
-            for name, flags in CONFIGS.items():
-                buf = io.StringIO()
-                code = run(["check", str(path), "--json"] + flags, out=buf)
-                digest.update(f"{code}\n{buf.getvalue()}".encode())
-                report = json.loads(buf.getvalue())
-                tallies[name]["empty"] += report["verdict"] == "EMPTY"
-                tallies[name]["tests_run"] += report["tests_run"]
+            corpus.append((path, []))
+    digest, tallies = run_corpus(corpus)
     assert tallies == EXPECTED_TALLIES
-    assert digest.hexdigest() == EXPECTED_DIGEST
+    assert digest == EXPECTED_DIGEST
+
+
+def test_pinned_rational_corpus(tmp_path):
+    corpus = []
+    for form, m, n in RATIONAL_SHAPES:
+        for seed in RATIONAL_SEEDS:
+            path = tmp_path / f"{form}m{m}n{n}s{seed}.txt"
+            path.write_text(rational_text(seed, m, n))
+            corpus.append((path, ["--form", form]))
+    digest, tallies = run_corpus(corpus)
+    assert tallies == EXPECTED_RATIONAL_TALLIES
+    assert digest == EXPECTED_RATIONAL_DIGEST
