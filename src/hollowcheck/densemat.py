@@ -64,11 +64,8 @@ class Vector:
             raise DimensionMismatch(f"dot of dims {self.dim} and {other.dim}")
         return sum(a * b for a, b in zip(self.entries, other.entries))
 
-    def scale(self, z) -> "Vector":
-        return Vector(self.dim, tuple(z * e for e in self.entries))
-
     def neg(self) -> "Vector":
-        return self.scale(Fraction(-1))
+        return Vector(self.dim, tuple(-e for e in self.entries))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)

@@ -304,10 +304,11 @@ def shrink_discrepancy(rows, bounds):
 def agreement_run(specs, mode: str = MODE_ALGORITHM) -> AgreementStats:
     """decide vs oracle across generated instances.
 
-    Empty verdicts are hard-asserted sound (oracle-infeasible plus an
-    exactly validating Farkas certificate); the NotProvenEmpty tallies
-    are the empirical completeness measurement.  A discrepancy counts
-    only when the oracle's infeasibility certificate checks exactly.
+    Empty verdicts are hard-asserted sound: the oracle must find the
+    system infeasible, and decide has already checked the Farkas
+    certificate exactly against the same A and b.  The NotProvenEmpty
+    tallies are the empirical completeness measurement.  A discrepancy
+    counts only when the oracle's infeasibility certificate checks exactly.
     """
     stats = AgreementStats()
     for spec in specs:
@@ -319,9 +320,6 @@ def agreement_run(specs, mode: str = MODE_ALGORITHM) -> AgreementStats:
             if res.status != INFEASIBLE:
                 raise SoundnessViolation(
                     f"Empty verdict on oracle-feasible instance (seed={spec.seed})")
-            if not validate_certificate(sys.A, sys.b, report.certificate.farkas_y):
-                raise SoundnessViolation(
-                    f"invalid Farkas certificate (seed={spec.seed})")
             fam = report.certificate.test.family
             stats.family_failure_histogram[fam] = \
                 stats.family_failure_histogram.get(fam, 0) + 1

@@ -1,5 +1,10 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +13,9 @@ from hollowcheck.cli import (EXIT_EMPTY, EXIT_INTERNAL, EXIT_NOT_PROVEN_EMPTY,
                              EXIT_USAGE, DimensionError, ParseError,
                              parse_system, run)
 from hollowcheck.densemat import DimensionMismatch, RankDeficient, Singular
+from hollowcheck.oracle import FEASIBLE, FMResult
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 EMPTY_1D = "3 1\n1 1\n1 2\n-1 -3\n"
 OK_1D = "3 1\n1 1\n1 2\n-1 0\n"
 
@@ -68,6 +75,22 @@ class TestParse:
     def test_missing_rows(self):
         with pytest.raises(ParseError):
             parse_system("2 1\n1 1\n")
+
+    def test_numerals_outside_format_rejected(self):
+        # Fraction reads "_" separators and any script's decimal digits
+        for tok in ("1_0", "\u0661"):
+            with pytest.raises(ParseError, match="bad number"):
+                parse_system(f"2 1\n1 {tok}\n-1 -2\n")
+        with pytest.raises(ParseError, match="bad header"):
+            parse_system("1_0 1\n" + "1 1\n" * 10)
+
+    def test_documented_numerals_parse(self):
+        from fractions import Fraction
+        raw = parse_system("+2 1\n5. -.5\n+3/4 -0.25\n")
+        assert raw.Atilde.entries == (Fraction(5), Fraction(3, 4))
+        assert raw.btilde.entries == (Fraction(-1, 2), Fraction(-1, 4))
+        with pytest.raises(ParseError, match="bad number"):
+            parse_system("1 1\n1/0 1\n")
 
     def test_exponent_rejected(self):
         # Fraction would spend practically forever expanding "1e1000000000"
@@ -153,6 +176,39 @@ class TestCheck:
         assert json.loads(a[1])["verdict"] == json.loads(b[1])["verdict"]
 
 
+class TestOneParser:
+    def test_no_parser_built_after_first_run(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        run_cli(["check", "@IN@"], tmp_path=tmp_path, text=OK_1D)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path, text=OK_1D)
+        run_cli(["oracle", "@IN@"], tmp_path=tmp_path, text=EMPTY_1D)
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        # in a fresh interpreter, so the import really runs
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *a, **k):\n"
+                "    built.append(1)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "import hollowcheck.cli\n"
+                "assert built == [], built\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestOtherSubcommands:
     def test_oracle_subcommand(self, tmp_path):
         code, out = run_cli(["oracle", "@IN@", "--json"],
@@ -206,6 +262,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "decide", broken)
         code, _ = run_cli(["check", "@IN@"], tmp_path=tmp_path, text=OK_1D)
         assert code == EXIT_INTERNAL
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_oracle_check_contradiction_exit_3(self, tmp_path, monkeypatch,
+                                               capsys, flags):
+        monkeypatch.setattr(cli, "fm_feasible",
+                            lambda A, b: FMResult(FEASIBLE, witness=None))
+        code, out = run_cli(["check", "@IN@", "--oracle-check"] + flags,
+                            tmp_path=tmp_path, text=EMPTY_1D)
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "soundness violation: Empty verdict on an oracle-feasible system\n")
 
     def test_tampered_certificate_exit_3(self, tmp_path, monkeypatch):
         farkas_from = emptiness.farkas_from

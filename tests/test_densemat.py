@@ -30,6 +30,13 @@ def random_full_col_rank(rng, m, n):
             return A
 
 
+class TestVector:
+    def test_neg_exact(self):
+        neg = Vector(3, (Fraction(2, 3), Fraction(0), Fraction(-5, 7))).neg()
+        assert neg.entries == (Fraction(-2, 3), 0, Fraction(5, 7))
+        assert all(isinstance(e, Fraction) for e in neg.entries)
+
+
 class TestMatMul:
     def test_identity(self):
         A = M([[1, 2], [3, 4]])

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hollowcheck import harness
+from hollowcheck import emptiness, harness
 from hollowcheck.densemat import Matrix, Vector, mat_mul, rank
 from hollowcheck.emptiness import EMPTY, MODE_THEOREM, SoundnessViolation
 from hollowcheck.harness import (AgreementStats, GenSpec, GenerationExhausted,
@@ -106,6 +106,15 @@ class TestAgreement:
         monkeypatch.setattr(harness, "fm_feasible", lambda A, b: FMResult(
             INFEASIBLE, certificate=Vector.zero(A.rows)))
         with pytest.raises(SoundnessViolation, match="oracle certificate"):
+            agreement_run([spec])
+
+    def test_tampered_empty_certificate_raises(self, monkeypatch):
+        # decide's exact check is the only check of its Farkas vector
+        spec = GenSpec(seed=0, m=5, n=2)        # EMPTY
+        farkas_from = emptiness.farkas_from
+        monkeypatch.setattr(emptiness, "farkas_from",
+                            lambda *args: farkas_from(*args).neg())
+        with pytest.raises(SoundnessViolation, match="fails the exact check"):
             agreement_run([spec])
 
 

@@ -9,6 +9,11 @@ The first corpus is all-integer, in the default `ineq` form.  The second
 mixes integers, fractions `p/q` and decimals in both A and b, in all
 three input forms, so denominator clearing and the sign-split, orthant
 and equality embeddings are pinned too.
+
+The text corpus pins the human-readable output of `check` and both
+renderings of `oracle` the same way, on rational instances in all three
+forms with some all-zero rows, so the presolve outcomes (`EarlyEmpty`,
+`TriviallyNonEmpty`) are rendered too.
 """
 import hashlib
 import io
@@ -50,6 +55,28 @@ EXPECTED_RATIONAL_TALLIES = {
 }
 
 
+TEXT_CONFIGS = {
+    "check": ["check"],
+    "check_oracle": ["check", "--oracle-check"],
+    "check_theorem": ["check", "--mode", "theorem"],
+    "oracle": ["oracle"],
+    "oracle_json": ["oracle", "--json"],
+}
+TEXT_SEEDS = range(3)
+# every form with only redundant zero rows: the whole space, or the orthant
+TRIVIAL_TEXT = "2 2\n0 0 0\n0 0 0\n"
+EXPECTED_TEXT_DIGEST = \
+    "01f36c2e8b60e46ce17a39f7b78e5421088f00dff85c12abc7ffd0c8d083cc2a"
+# configuration -> [runs exiting 0, runs exiting 1]
+EXPECTED_TEXT_EXITS = {
+    "check": [15, 30],
+    "check_oracle": [15, 30],
+    "check_theorem": [15, 30],
+    "oracle": [10, 35],
+    "oracle_json": [10, 35],
+}
+
+
 def instance_text(sys) -> str:
     lines = [f"{sys.m} {sys.n}"]
     for i in range(sys.m):
@@ -68,10 +95,15 @@ def rational_token(rng: random.Random) -> str:
     return f"{rng.randint(-500, 500) / 100:.2f}"
 
 
-def rational_text(seed: int, m: int, n: int) -> str:
+def rational_text(seed: int, m: int, n: int, zero_frac: float = 0.0) -> str:
+    """Rational rows; with `zero_frac`, that share of rows has A-part 0."""
     rng = random.Random(seed)
-    rows = [" ".join(rational_token(rng) for _ in range(n + 1))
-            for _ in range(m)]
+    rows = []
+    for _ in range(m):
+        if zero_frac and rng.random() < zero_frac:
+            rows.append(" ".join(["0"] * n + [rational_token(rng)]))
+        else:
+            rows.append(" ".join(rational_token(rng) for _ in range(n + 1)))
     return "\n".join([f"{m} {n}"] + rows) + "\n"
 
 
@@ -113,3 +145,28 @@ def test_pinned_rational_corpus(tmp_path):
     digest, tallies = run_corpus(corpus)
     assert tallies == EXPECTED_RATIONAL_TALLIES
     assert digest == EXPECTED_RATIONAL_DIGEST
+
+
+def test_pinned_text_corpus(tmp_path):
+    corpus = []
+    for form, m, n in RATIONAL_SHAPES:
+        for seed in TEXT_SEEDS:
+            for zero_frac in (0.0, 0.3):
+                path = tmp_path / f"{form}m{m}n{n}s{seed}z{zero_frac}.txt"
+                path.write_text(rational_text(seed, m, n, zero_frac))
+                corpus.append((path, form))
+    for form in ("ineq", "ineq-nonneg", "eq-nonneg"):
+        path = tmp_path / f"trivial-{form}.txt"
+        path.write_text(TRIVIAL_TEXT)
+        corpus.append((path, form))
+    digest = hashlib.sha256()
+    exits = {name: [0, 0] for name in TEXT_CONFIGS}
+    for path, form in corpus:
+        for name, cmd in TEXT_CONFIGS.items():
+            buf = io.StringIO()
+            code = run(cmd[:1] + [str(path), "--form", form] + cmd[1:],
+                       out=buf)
+            digest.update(f"{code}\n{buf.getvalue()}".encode())
+            exits[name][code] += 1
+    assert exits == EXPECTED_TEXT_EXITS
+    assert digest.hexdigest() == EXPECTED_TEXT_DIGEST
