@@ -1,10 +1,12 @@
 """Dense linear algebra over exact rationals (fractions.Fraction).
 
 Everything here is a pure function of immutable values, and every zero
-test is exact.
+test is exact.  Elimination (`rank`, `rref` and everything built on it)
+runs fraction-free in Python ints; `Fraction` appears only in its outputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -171,52 +173,52 @@ def vec_mat(x: Vector, A: Matrix) -> Vector:
                         for j in range(A.cols)))
 
 
-def _forward_eliminate(rows):
-    """In-place row echelon reduction; returns list of pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
+def _eliminate(M: Matrix):
+    """Fraction-free Gauss-Jordan elimination of M (Bareiss 1968).
+
+    Each row is first scaled to ints by the lcm of its denominators, which
+    changes neither the pivots nor the RREF.  Each step updates every other
+    row to (pv a - f b) // prev, an exact division.  Returns (rows, pivot
+    columns, d): the first len(pivot columns) rows are d times rref(M),
+    and the rest are zero.
+    """
+    rows = []
+    for i in range(M.rows):
+        row = M.entries[i * M.cols:(i + 1) * M.cols]
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
     piv_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
+    prev = 1
+    for c in range(M.cols):
+        r = len(piv_cols)
+        if r == M.rows:
             break
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, M.rows) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f == 0:
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            # a row with f = 0 still takes the factor pv / prev
+            if i == r or not f and pv == prev:
                 continue
-            f = f / pv
-            for j in range(c, ncols):
-                rows[i][j] -= f * rows[r][j]
-            rows[i][c] = Fraction(0)
+            rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
         piv_cols.append(c)
-        r += 1
-    return piv_cols
+        prev = pv
+    return rows, piv_cols, prev
 
 
 def rank(M: Matrix) -> int:
-    return len(_forward_eliminate(M.row_lists()))
+    return len(_eliminate(M)[1])
 
 
 def rref(M: Matrix):
     """Reduced row echelon form: (nonzero rows as lists, pivot columns)."""
-    rows = M.row_lists()
-    piv_cols = _forward_eliminate(rows)
-    for r in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(r):
-            f = rows[i][c]
-            if f == 0:
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-    return rows[:len(piv_cols)], piv_cols
+    rows, piv_cols, d = _eliminate(M)
+    return ([[Fraction(x, d) for x in row] for row in rows[:len(piv_cols)]],
+            piv_cols)
 
 
 def invert(M: Matrix) -> Matrix:

@@ -1,22 +1,22 @@
 """The algebraic emptiness test.
 
-Pipeline: split A into (A1; A2) with A2 invertible, form R = A1 A2^-1 and
-G = [I | -R], then test whether 0 lies in {t(k')G a : a <= b} for each
-vector k' of a finite family (canonical basis, left kernel of R,
-orthogonal complements of b1 and R b2, and the pairwise elimination
-vectors).  The verdict for k' reads only the signs of z = t(k')G and of
-t(z)b, which a positive scaling of z or b leaves alone, so the battery
-runs in Python ints: `decompose` keeps Rz = D R (D > 0 the lcm of R's
-denominators) and bz, a positive integer multiple of b, and
-`family_tests` yields each candidate once (once per +-v, as t(-v)G =
--t(v)G) with an integer z, a positive multiple of t(k')G built from rows
-of Rz.  The algorithm-mode filter and the test read that z.  Fraction
-products are left to the certificate: at the first failing test, `image`
-rebuilds the exact t(k')G = [k' | -t(k')R], and the interval and the
-Farkas vector +-z come from it.  decide checks that vector exactly before
-it returns Empty, so the Empty verdict is unconditionally sound; the
-converse rests on the enumeration being sufficient and is only measured
-(see harness).
+Pipeline: split A into (A1; A2) with A2 invertible, read R = A1 A2^-1
+off the rref(t(A)) that picks A2, form G = [I | -R], then test whether 0
+lies in {t(k')G a : a <= b} for each vector k' of a finite family
+(canonical basis, left kernel of R, orthogonal complements of b1 and
+R b2, and the pairwise elimination vectors).  The verdict for k' reads
+only the signs of z = t(k')G and of t(z)b, which a positive scaling of z
+or b leaves alone, so the battery runs in Python ints: `decompose` keeps
+Rz = D R (D > 0 the lcm of R's denominators) and bz, a positive integer
+multiple of b, and `family_tests` yields each candidate once (once per
++-v, as t(-v)G = -t(v)G) with an integer z, a positive multiple of
+t(k')G built from rows of Rz.  The algorithm-mode filter and the test
+read that z.  Fraction products are left to the certificate: at the
+first failing test, `image` rebuilds the exact t(k')G = [k' | -t(k')R],
+and the interval and the Farkas vector +-z come from it.  decide checks
+that vector exactly before it returns Empty, so the Empty verdict is
+unconditionally sound; the converse rests on the enumeration being
+sufficient and is only measured (see harness).
 """
 from __future__ import annotations
 
@@ -26,8 +26,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from .densemat import (Matrix, Vector, invert, left_nullspace_basis, mat_mul,
-                       mat_vec, orth_complement_basis, rref, vec_mat)
+from .densemat import (Matrix, Vector, left_nullspace_basis, mat_vec,
+                       orth_complement_basis, rref, vec_mat)
+# unused here, but bench/tracer.py patches them by these names in this module
+from .densemat import invert, mat_mul  # noqa: F401
 from .interval import Interval, iv_dot
 from .oracle import validate_certificate
 from .standardize import StandardSystem
@@ -128,7 +130,7 @@ def decompose(sys: StandardSystem) -> Decomposition:
     A, b = sys.A, sys.b
     m, n = A.rows, A.cols
     # the pivot columns of t(A) are the first n independent rows of A
-    _, selected = rref(A.transpose())
+    basis_rows, selected = rref(A.transpose())
     if len(selected) < n:
         raise NoInvertibleSubmatrix(
             f"only {len(selected)} independent rows in a rank-{n} system")
@@ -138,7 +140,10 @@ def decompose(sys: StandardSystem) -> Decomposition:
     rowlists = A.row_lists()
     A1 = Matrix.from_rows([rowlists[i] for i in unselected])
     A2 = Matrix.from_rows([rowlists[i] for i in selected])
-    R = mat_mul(A1, invert(A2))
+    # column u of rref(t(A)) writes row u of A in the rows of A2, so row i
+    # of R = A1 A2^-1 is column unselected[i]
+    R = Matrix(m - n, n,
+               tuple(row[u] for u in unselected for row in basis_rows))
     b1 = Vector.from_list([b[i] for i in unselected])
     b2 = Vector.from_list([b[i] for i in selected])
     b_perm = Vector(m, b1.entries + b2.entries)
@@ -186,13 +191,13 @@ def _scaled_image(v: Vector, dec: Decomposition) -> tuple:
 def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
     for idx, v in enumerate(basis):
         z = _scaled_image(v, dec)
-        candidates = [(v, z, 1)]
-        if not v.is_zero():
-            candidates.append((v.neg(), tuple(-e for e in z), -1))
-        for vec, zs, sign in candidates:
-            if mode == MODE_ALGORITHM and not in_cone_G(zs):
-                continue
-            yield TestVector(vec, family, (idx, sign)), zs
+        if mode != MODE_ALGORITHM or in_cone_G(z):
+            yield TestVector(v, family, (idx, 1)), z
+        if v.is_zero():
+            continue
+        zneg = tuple(-e for e in z)
+        if mode != MODE_ALGORITHM or in_cone_G(zneg):
+            yield TestVector(v.neg(), family, (idx, -1)), zneg
 
 
 def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
@@ -222,11 +227,13 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
             yield from _signed_filtered(orth_complement_basis(rb2),
                                         FAMILY_RB2_PERP, dec, mode)
         elif family == FAMILY_PAIR:
+            zero = Fraction(0)
             for j in range(dec.n):
+                negcol = [-dec.R.at(i, j) for i in range(d)]
                 for i in range(d - 1):
                     for i2 in range(i + 1, d):
-                        ents = [Fraction(0)] * d
-                        ents[i] = -dec.R.at(i2, j)
+                        ents = [zero] * d
+                        ents[i] = negcol[i2]
                         ents[i2] = dec.R.at(i, j)
                         k = Vector(d, tuple(ents))
                         # D^2 t(k)G = [-a D e_i + c D e_i' | a Rz_i - c Rz_i']

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hollowcheck.densemat import (DimensionMismatch, Matrix, NotRightInverse,
                                   RankDeficient, Singular, Vector, invert,
                                   left_nullspace_basis, mat_mul, mat_vec,
                                   mp_axioms_check, orth_complement_basis,
                                   pinv_append_row, pinv_full_col_rank, rank,
-                                  vec_mat)
+                                  rref, vec_mat)
 
 
 def M(rows):
@@ -86,6 +88,90 @@ class TestRank:
 
     def test_zero_matrix(self):
         assert rank(Matrix.zeros(3, 2)) == 0
+
+
+def reference_rref(rows):
+    """Gauss-Jordan in Fraction arithmetic, the reference for `rref`:
+    forward elimination to echelon form, then back-substitution."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0])
+    piv_cols = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f == 0:
+                continue
+            f = f / pv
+            for j in range(c, ncols):
+                rows[i][j] -= f * rows[r][j]
+            rows[i][c] = Fraction(0)
+        piv_cols.append(c)
+        r += 1
+    for r in range(len(piv_cols) - 1, -1, -1):
+        c = piv_cols[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(r):
+            f = rows[i][c]
+            if f != 0:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+    return rows[:len(piv_cols)], piv_cols
+
+
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+SHAPES = st.one_of(st.tuples(st.just(1), st.integers(1, 6)),
+                   st.tuples(st.integers(1, 6), st.just(1)),
+                   st.tuples(st.integers(1, 5), st.integers(1, 5)))
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Rational matrices: p/q entries, or a rank-deficient product C B,
+    with some rows and columns then zeroed."""
+    m, n = draw(SHAPES)
+    if draw(st.booleans()):
+        rows = [[draw(RATIONALS) for _ in range(n)] for _ in range(m)]
+    else:
+        k = draw(st.integers(1, max(1, min(m, n) - 1)))
+        C = [[draw(RATIONALS) for _ in range(k)] for _ in range(m)]
+        B = [[draw(RATIONALS) for _ in range(n)] for _ in range(k)]
+        rows = [[sum(C[i][t] * B[t][j] for t in range(k)) for j in range(n)]
+                for i in range(m)]
+    zero_rows = draw(st.sets(st.integers(0, m - 1), max_size=m))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+class TestEliminationAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_inputs())
+    def test_rref_and_rank_match_reference(self, rows):
+        A = M(rows)
+        ref_rows, ref_pivots = reference_rref(A.row_lists())
+        assert rref(A) == (ref_rows, ref_pivots)
+        assert rank(A) == len(ref_pivots)
+        assert all(type(x) is Fraction for row in rref(A)[0] for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(RATIONALS, min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_invert_round_trip_on_rationals(self, rows):
+        A = M(rows)
+        if rank(A) < A.rows:
+            with pytest.raises(Singular):
+                invert(A)
+        else:
+            assert mat_mul(invert(A), A) == Matrix.identity(A.rows)
 
 
 class TestPinvFullColRank:

@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 
 from hollowcheck import emptiness
-from hollowcheck.densemat import Matrix, Vector, mat_mul, vec_mat
-from hollowcheck.emptiness import (EMPTY, FAMILY_CANONICAL, MODE_ALGORITHM,
-                                   MODE_THEOREM, NOT_PROVEN_EMPTY, build_U,
-                                   decide, decompose, family_tests,
-                                   farkas_from, image, in_cone_G, run_test)
+from hollowcheck.densemat import Matrix, Vector, invert, mat_mul, vec_mat
+from hollowcheck.emptiness import (EMPTY, FAMILY_B1_PERP, FAMILY_CANONICAL,
+                                   FAMILY_KERNEL, FAMILY_RB2_PERP,
+                                   MODE_ALGORITHM, MODE_THEOREM,
+                                   NOT_PROVEN_EMPTY, build_U, decide,
+                                   decompose, family_tests, farkas_from,
+                                   image, in_cone_G, run_test)
 from hollowcheck.interval import contains_zero, iv_dot
 from hollowcheck.harness import gen_random_system, GenSpec, system_from_rows
 from hollowcheck.oracle import INFEASIBLE, fm_feasible, validate_certificate
+from hollowcheck.standardize import RawSystem, StandardSystem, standardize
 
 
 EMPTY_1D = ([[1], [1], [-1]], [1, 2, -3])
@@ -80,6 +83,47 @@ class TestDecompose:
             sysr = gen_random_system(GenSpec(seed=seed, m=6, n=2))
             dec = decompose(sysr)
             assert mat_mul(G_of(dec), dec.permuted_A()).is_zero()
+
+
+def decompose_corpus():
+    """About 50 standard systems: integer `gen_random_system` instances, and
+    p/q entries standardized through all three input forms."""
+    systems = [gen_random_system(GenSpec(seed=seed, m=m, n=n))
+               for seed in range(20)
+               for m, n in [((5, 2), (8, 3), (12, 3), (6, 4))[seed % 4]]]
+    rng = random.Random(17)
+    # ("ineq", 2, 3) has m <= n, so it is sign-split
+    shapes = (("ineq", 7, 3), ("ineq", 2, 3), ("ineq_nonneg", 4, 3),
+              ("eq_nonneg", 2, 3))
+    for _ in range(8):
+        for form, m, n in shapes:
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                     for _ in range(n)] for _ in range(m)]
+            bounds = [Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                      for _ in range(m)]
+            res = standardize(RawSystem(form, Matrix.from_rows(rows),
+                                        Vector.from_list(bounds)))
+            if isinstance(res, StandardSystem):
+                systems.append(res)
+    return systems
+
+
+class TestDecomposeReadsR:
+    def test_R_without_invert_or_mat_mul(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("decompose must read R off rref(t(A))")
+        monkeypatch.setattr(emptiness, "invert", forbidden)
+        monkeypatch.setattr(emptiness, "mat_mul", forbidden)
+        systems = decompose_corpus()
+        assert len(systems) >= 48
+        assert any(s.sign_split for s in systems)
+        for sysr in systems:
+            dec = decompose(sysr)
+            assert dec.R == mat_mul(dec.A1, invert(dec.A2))
+            assert dec.Rz == tuple(
+                tuple(dec.D * dec.R.at(i, j) for j in range(dec.n))
+                for i in range(dec.m - dec.n))
+            assert all(type(x) is int for row in dec.Rz for x in row)
 
 
 class TestBuildU:
@@ -178,6 +222,42 @@ class TestFamilies:
         alg = list(family_tests(dec, MODE_ALGORITHM))
         thm = list(family_tests(dec, MODE_THEOREM))
         assert len(thm) >= len(alg)
+
+
+def feasible_system(seed, m, n):
+    """b = A x0 + s with s >= 0: feasible by construction."""
+    rng = random.Random(seed)
+    A = gen_random_system(GenSpec(seed=seed, m=m, n=n)).A
+    x0 = [rng.randint(-3, 3) for _ in range(n)]
+    b = [sum(A.at(i, j) * x0[j] for j in range(n)) + rng.randint(0, 3)
+         for i in range(m)]
+    return system_from_rows(A.row_lists(), b)
+
+
+class TestNegationCost:
+    def test_rejected_candidates_are_not_negated(self, monkeypatch):
+        # algorithm mode negates v only for a -v candidate it yields
+        calls = []
+        real_neg = Vector.neg
+
+        def counting(v):
+            calls.append(v)
+            return real_neg(v)
+        signed = (FAMILY_KERNEL, FAMILY_B1_PERP, FAMILY_RB2_PERP)
+        rejected = 0
+        for seed, (m, n) in enumerate(((6, 2), (8, 2), (12, 3), (13, 3))):
+            dec = decompose(feasible_system(seed, m, n))
+            thm = sum(1 for tv, _ in family_tests(dec, MODE_THEOREM)
+                      if tv.family in signed and tv.params[1] == -1)
+            monkeypatch.setattr(Vector, "neg", counting)
+            calls.clear()
+            tests = list(family_tests(dec, MODE_ALGORITHM))
+            monkeypatch.setattr(Vector, "neg", real_neg)
+            yielded = sum(1 for tv, _ in tests
+                          if tv.family in signed and tv.params[1] == -1)
+            assert len(calls) == yielded, (seed, m, n)
+            rejected += thm - yielded
+        assert rejected > 0
 
 
 class TestDecide:
