@@ -5,10 +5,11 @@ System B: {x <= 1, x <= 2, -x <= 0}   (0 <= x <= 1: nonempty)
 
 Run: python3 demos/demo_emptiness.py
 """
-from hollowcheck import (GenSpec, contains_zero, decide, decompose,
+from fractions import Fraction
+
+from hollowcheck import (GenSpec, Vector, contains_zero, decide, decompose,
                          family_tests, fm_feasible, gen_random_system, iv_dot,
                          system_from_rows)
-from hollowcheck.emptiness import image
 
 
 def show(name, rows, bounds):
@@ -20,12 +21,13 @@ def show(name, rows, bounds):
           f"{dec.row_perm[dec.m - dec.n:]}")
     print(f"R = A1 A2^-1 = {dec.R.row_lists()}")
 
-    for tv, _ in family_tests(dec):
-        # family_tests yields a scaled integer z; show the exact t(k')G
-        z = image(tv.kprime, dec)
-        interval = iv_dot(z, dec.b_perm)
+    for family, params, z, s in family_tests(dec):
+        # family_tests yields integers z = s t(k')G; show the exact t(k')G
+        exact = Vector(dec.m, tuple(Fraction(x, s) for x in z))
+        interval = iv_dot(exact, dec.b_perm)
         passed = contains_zero(interval)
-        print(f"  test {tv.label():<16} t(k')G={tuple(z.entries)} "
+        label = f"{family}{list(params)}"
+        print(f"  test {label:<16} t(k')G={exact.entries} "
               f"image=[{interval.lo}, {interval.hi}] "
               f"{'contains 0' if passed else 'MISSES 0 -> empty'}")
         if not passed:

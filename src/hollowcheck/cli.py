@@ -134,8 +134,8 @@ def report_to_jsonable(report, oracle_result=None) -> dict:
     if report.certificate is not None:
         c = report.certificate
         cert = {
-            "family": c.test.family,
-            "k_prime": _vec_json(c.test.kprime),
+            "family": c.family,
+            "k_prime": _vec_json(c.kprime),
             "interval": [_endpoint_str(c.interval.lo),
                          _endpoint_str(c.interval.hi)],
             "farkas_y": _vec_json(c.farkas_y),
@@ -201,7 +201,7 @@ def cmd_check(args, out) -> int:
             lines = ["NOT-PROVEN-EMPTY (claimed nonempty)"]
         else:
             lines = ["EMPTY",
-                     "failing family: " + report.certificate.test.label(),
+                     "failing family: " + report.certificate.label(),
                      "k_prime  = " + " ".join(cert["k_prime"]),
                      "interval = [" + ", ".join(cert["interval"]) + "]",
                      "farkas_y = " + " ".join(cert["farkas_y"])]

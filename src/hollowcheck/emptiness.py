@@ -9,14 +9,14 @@ only the signs of z = t(k')G and of t(z)b, which a positive scaling of z
 or b leaves alone, so the battery runs in Python ints: `decompose` keeps
 Rz = D R (D > 0 the lcm of R's denominators) and bz, a positive integer
 multiple of b, and `family_tests` yields each candidate once (once per
-+-v, as t(-v)G = -t(v)G) with an integer z, a positive multiple of
-t(k')G built from rows of Rz.  The algorithm-mode filter and the test
-read that z.  Fraction products are left to the certificate: at the
-first failing test, `image` rebuilds the exact t(k')G = [k' | -t(k')R],
-and the interval and the Farkas vector +-z come from it.  decide checks
-that vector exactly before it returns Empty, so the Empty verdict is
-unconditionally sound; the converse rests on the enumeration being
-sufficient and is only measured (see harness).
++-v, as t(-v)G = -t(v)G) as (family, params, z, s): z a tuple of ints
+built from rows of Rz and s > 0 an int with z = s t(k')G exactly.  The
+algorithm-mode filter and the test read z.  Fraction is left to the
+certificate: as G = [I | -R], the first failing test has k' = z[:m-n]/s
+and t(k')G = z/s, and the interval and the Farkas vector +-z/s come from
+it.  decide checks that vector exactly before it returns Empty, so the
+Empty verdict is unconditionally sound; the converse rests on the
+enumeration being sufficient and is only measured (see harness).
 """
 from __future__ import annotations
 
@@ -26,10 +26,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from .densemat import (Matrix, Vector, left_nullspace_basis, mat_vec,
-                       orth_complement_basis, rref, vec_mat)
+from .densemat import (Matrix, Vector, left_nullspace_basis,
+                       orth_complement_basis, rref)
 # unused here, but bench/tracer.py patches them by these names in this module
-from .densemat import invert, mat_mul  # noqa: F401
+from .densemat import invert, mat_mul, vec_mat  # noqa: F401
 from .interval import Interval, iv_dot
 from .oracle import validate_certificate
 from .standardize import StandardSystem
@@ -63,11 +63,8 @@ class Decomposition:
     row_perm: tuple      # permuted position -> original row index
     A1: Matrix
     A2: Matrix
-    R: Matrix            # A1 A2^-1
-    b1: Vector
-    b2: Vector
     b_perm: Vector       # (b1; b2)
-    D: int               # lcm of R's denominators
+    D: int               # lcm of the denominators of R = A1 A2^-1
     Rz: tuple            # D R, one tuple of ints per row
     bz: tuple            # a positive integer multiple of b_perm
 
@@ -79,29 +76,26 @@ class Decomposition:
     def n(self) -> int:
         return self.A2.rows
 
+    @property
+    def R(self) -> Matrix:
+        """The exact A1 A2^-1, rebuilt from Rz / D."""
+        return Matrix(self.m - self.n, self.n,
+                      tuple(Fraction(x, self.D) for row in self.Rz for x in row))
+
     def permuted_A(self) -> Matrix:
         return self.A1.vstack(self.A2)
 
 
 @dataclass(frozen=True)
-class TestVector:
-    __test__ = False  # not a pytest class despite the name
-
-    kprime: Vector
-    family: str
-    params: tuple = ()
-
-    def label(self) -> str:
-        if self.params:
-            return f"{self.family}{list(self.params)}"
-        return self.family
-
-
-@dataclass(frozen=True)
 class Certificate:
-    test: TestVector
+    family: str
+    params: tuple
+    kprime: Vector
     interval: Interval
     farkas_y: Vector     # original row order; y >= 0, t(y)A = 0, t(y)b < 0
+
+    def label(self) -> str:
+        return f"{self.family}{list(self.params)}"
 
 
 @dataclass(frozen=True)
@@ -142,17 +136,13 @@ def decompose(sys: StandardSystem) -> Decomposition:
     A2 = Matrix.from_rows([rowlists[i] for i in selected])
     # column u of rref(t(A)) writes row u of A in the rows of A2, so row i
     # of R = A1 A2^-1 is column unselected[i]
-    R = Matrix(m - n, n,
-               tuple(row[u] for u in unselected for row in basis_rows))
-    b1 = Vector.from_list([b[i] for i in unselected])
-    b2 = Vector.from_list([b[i] for i in selected])
-    b_perm = Vector(m, b1.entries + b2.entries)
+    R = [[row[u] for row in basis_rows] for u in unselected]
+    b_perm = Vector(m, tuple(b[i] for i in perm))
     # for integer A, D divides |det A2|: Rz is no larger than A1 adj(A2)
-    D = _lcm_denominators(R.entries)
-    Rz = tuple(_scaled_ints(R.entries[i * n:(i + 1) * n], D)
-               for i in range(m - n))
+    D = _lcm_denominators(x for row in R for x in row)
+    Rz = tuple(_scaled_ints(row, D) for row in R)
     bz = _scaled_ints(b_perm.entries, _lcm_denominators(b_perm.entries))
-    return Decomposition(perm, A1, A2, R, b1, b2, b_perm, D, Rz, bz)
+    return Decomposition(perm, A1, A2, b_perm, D, Rz, bz)
 
 
 def _lcm_denominators(xs) -> int:
@@ -170,41 +160,40 @@ def build_U(dec: Decomposition) -> Matrix:
     return G.vstack(Matrix.zeros(dec.n, dec.m))
 
 
-def image(k: Vector, dec: Decomposition) -> Vector:
-    """The exact t(k) G = [k | -t(k) R], for the certificate only."""
-    return Vector(dec.m, k.entries
-                  + tuple(-e for e in vec_mat(k, dec.R).entries))
-
-
 def in_cone_G(z: tuple) -> bool:
     """True iff z, a positive multiple of t(k) G, has every component >= 0."""
     return min(z) >= 0
 
 
 def _scaled_image(v: Vector, dec: Decomposition) -> tuple:
-    """(L D) t(v) G in ints, with L the lcm of v's denominators."""
-    vz = _scaled_ints(v.entries, _lcm_denominators(v.entries))
-    return (tuple(x * dec.D for x in vz)
-            + tuple(-sum(map(mul, vz, col)) for col in zip(*dec.Rz)))
+    """(z, s) with z = s t(v)G in ints and s = L D, L the lcm of v's
+    denominators."""
+    L = _lcm_denominators(v.entries)
+    vz = _scaled_ints(v.entries, L)
+    z = (tuple(x * dec.D for x in vz)
+         + tuple(-sum(map(mul, vz, col)) for col in zip(*dec.Rz)))
+    return z, L * dec.D
 
 
 def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
     for idx, v in enumerate(basis):
-        z = _scaled_image(v, dec)
+        z, s = _scaled_image(v, dec)
         if mode != MODE_ALGORITHM or in_cone_G(z):
-            yield TestVector(v, family, (idx, 1)), z
+            yield family, (idx, 1), z, s
         if v.is_zero():
             continue
         zneg = tuple(-e for e in z)
         if mode != MODE_ALGORITHM or in_cone_G(zneg):
-            yield TestVector(v.neg(), family, (idx, -1)), zneg
+            yield family, (idx, -1), zneg, s
 
 
 def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
                  order: tuple = DEFAULT_ORDER) -> Iterator[tuple]:
-    """Deterministic enumeration of (test vector, z), family by family.
+    """Deterministic enumeration of (family, params, z, s), family by family.
 
-    z is a tuple of ints, a positive multiple of t(k')G.
+    z is a tuple of ints and s > 0 an int with z = s t(k')G exactly, so
+    k' = z[:m-n] / s.  The bases are read off Rz and bz: a positive
+    scaling changes neither an RREF nor the bases built from it.
     """
     d = dec.m - dec.n
     Rz, D = dec.Rz, dec.D
@@ -214,36 +203,33 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
                 # D t(e_i)G = [D e_i | -Rz_i]
                 z = ((0,) * i + (D,) + (0,) * (d - 1 - i)
                      + tuple(-x for x in Rz[i]))
-                yield TestVector(Vector.unit(d, i), FAMILY_CANONICAL,
-                                 (i + 1,)), z
+                yield FAMILY_CANONICAL, (i + 1,), z, D
         elif family == FAMILY_KERNEL:
-            yield from _signed_filtered(left_nullspace_basis(dec.R),
+            Rz_mat = Matrix(d, dec.n, tuple(x for row in Rz for x in row))
+            yield from _signed_filtered(left_nullspace_basis(Rz_mat),
                                         FAMILY_KERNEL, dec, mode)
         elif family == FAMILY_B1_PERP:
-            yield from _signed_filtered(orth_complement_basis(dec.b1),
+            # bz = L (b1; b2), L > 0
+            b1z = Vector(d, dec.bz[:d])
+            yield from _signed_filtered(orth_complement_basis(b1z),
                                         FAMILY_B1_PERP, dec, mode)
         elif family == FAMILY_RB2_PERP:
-            rb2 = mat_vec(dec.R, dec.b2)
-            yield from _signed_filtered(orth_complement_basis(rb2),
+            rb2z = Vector(d, tuple(sum(map(mul, row, dec.bz[d:]))
+                                   for row in Rz))
+            yield from _signed_filtered(orth_complement_basis(rb2z),
                                         FAMILY_RB2_PERP, dec, mode)
         elif family == FAMILY_PAIR:
-            zero = Fraction(0)
             for j in range(dec.n):
-                negcol = [-dec.R.at(i, j) for i in range(d)]
                 for i in range(d - 1):
                     for i2 in range(i + 1, d):
-                        ents = [zero] * d
-                        ents[i] = negcol[i2]
-                        ents[i2] = dec.R.at(i, j)
-                        k = Vector(d, tuple(ents))
-                        # D^2 t(k)G = [-a D e_i + c D e_i' | a Rz_i - c Rz_i']
+                        # k' = -r_i'j e_i + r_ij e_i' kills column j of R;
+                        # D^2 t(k')G = [-a D e_i + c D e_i' | a Rz_i - c Rz_i']
                         a, c = Rz[i2][j], Rz[i][j]
                         head = [0] * d
                         head[i], head[i2] = -a * D, c * D
                         z = tuple(head) + tuple(a * x - c * y for x, y
                                                 in zip(Rz[i], Rz[i2]))
-                        yield (TestVector(k, FAMILY_PAIR, (j + 1, i + 1, i2 + 1)),
-                               z)
+                        yield FAMILY_PAIR, (j + 1, i + 1, i2 + 1), z, D * D
 
 
 def run_test(z: tuple, dec: Decomposition) -> bool:
@@ -281,15 +267,18 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
     order = STATED_ORDER if stated_order else DEFAULT_ORDER
     counts = {f: 0 for f in order}
     tests_run = 0
-    for tv, z in family_tests(dec, mode, order):
+    for family, params, z, s in family_tests(dec, mode, order):
         tests_run += 1
-        counts[tv.family] += 1
+        counts[family] += 1
         if not run_test(z, dec):
-            exact = image(tv.kprime, dec)
-            y = farkas_from(exact, dec)
-            if not validate_certificate(sys.A, sys.b, y):
+            # G = [I | -R]: t(k')G = z / s begins with k'
+            exact = Vector(dec.m, tuple(Fraction(x, s) for x in z))
+            kprime = Vector(dec.m - dec.n, exact.entries[:dec.m - dec.n])
+            cert = Certificate(family, params, kprime,
+                               iv_dot(exact, dec.b_perm),
+                               farkas_from(exact, dec))
+            if not validate_certificate(sys.A, sys.b, cert.farkas_y):
                 raise SoundnessViolation(
-                    f"Farkas vector from test {tv.label()} fails the exact check")
-            cert = Certificate(tv, iv_dot(exact, dec.b_perm), y)
+                    f"Farkas vector from test {cert.label()} fails the exact check")
             return EmptinessReport(EMPTY, cert, tests_run, counts, mode)
     return EmptinessReport(NOT_PROVEN_EMPTY, None, tests_run, counts, mode)

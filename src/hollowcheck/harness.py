@@ -215,10 +215,9 @@ def probe_theorem1(sys: StandardSystem) -> dict:
     dec = decompose(sys)
     A_rows = dec.permuted_A().row_lists()
     results = []
-    for tv, z in family_tests(dec, order=(FAMILY_CANONICAL,)):
+    for _, (idx,), z, _ in family_tests(dec, order=(FAMILY_CANONICAL,)):
         # z is a positive multiple of t(e_i)G, row i of U; its support
         # B_i is the touched rows
-        (idx,) = tv.params
         passed = run_test(z, dec)
         B_i = [j for j in range(dec.m) if z[j] != 0]
         sub_rows = [A_rows[j] for j in B_i]
@@ -320,7 +319,7 @@ def agreement_run(specs, mode: str = MODE_ALGORITHM) -> AgreementStats:
             if res.status != INFEASIBLE:
                 raise SoundnessViolation(
                     f"Empty verdict on oracle-feasible instance (seed={spec.seed})")
-            fam = report.certificate.test.family
+            fam = report.certificate.family
             stats.family_failure_histogram[fam] = \
                 stats.family_failure_histogram.get(fam, 0) + 1
             stats.empty_agree += 1

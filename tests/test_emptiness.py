@@ -1,17 +1,19 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hollowcheck import emptiness
-from hollowcheck.densemat import Matrix, Vector, invert, mat_mul, vec_mat
-from hollowcheck.emptiness import (EMPTY, FAMILY_B1_PERP, FAMILY_CANONICAL,
-                                   FAMILY_KERNEL, FAMILY_RB2_PERP,
+from hollowcheck.densemat import (Matrix, Vector, invert, left_nullspace_basis,
+                                  mat_mul, mat_vec, orth_complement_basis,
+                                  vec_mat)
+from hollowcheck.emptiness import (EMPTY, FAMILY_CANONICAL, FAMILY_PAIR,
                                    MODE_ALGORITHM, MODE_THEOREM,
                                    NOT_PROVEN_EMPTY, build_U, decide,
                                    decompose, family_tests, farkas_from,
-                                   image, in_cone_G, run_test)
+                                   in_cone_G, run_test)
 from hollowcheck.interval import contains_zero, iv_dot
 from hollowcheck.harness import gen_random_system, GenSpec, system_from_rows
 from hollowcheck.oracle import INFEASIBLE, fm_feasible, validate_certificate
@@ -37,15 +39,34 @@ def canonical_tests(dec):
     return family_tests(dec, order=(FAMILY_CANONICAL,))
 
 
-def positive_multiple(z, exact):
-    """c > 0 with z = c * exact, or None."""
-    nonzero = [(zi, ei) for zi, ei in zip(z, exact.entries) if ei != 0]
-    if not nonzero:
-        return 1 if not any(z) else None
-    c = Fraction(nonzero[0][0]) / nonzero[0][1]
-    if c > 0 and all(zi == c * ei for zi, ei in zip(z, exact.entries)):
-        return c
-    return None
+def exact_image(z, s):
+    """t(k')G = z / s as an exact Vector."""
+    return Vector(len(z), tuple(Fraction(x, s) for x in z))
+
+
+def kprime_of(dec, z, s):
+    """k' = z[:m-n] / s, as G = [I | -R]."""
+    return Vector(dec.m - dec.n, exact_image(z, s).entries[:dec.m - dec.n])
+
+
+def reference_kprimes(dec):
+    """(family, params) -> k', built in Fraction from R, b1 and b2."""
+    d, R = dec.m - dec.n, dec.R
+    b1 = Vector(d, dec.b_perm.entries[:d])
+    b2 = Vector(dec.n, dec.b_perm.entries[d:])
+    out = {("canonical", (i + 1,)): Vector.unit(d, i) for i in range(d)}
+    for family, basis in (("kernel", left_nullspace_basis(R)),
+                          ("b1_perp", orth_complement_basis(b1)),
+                          ("rb2_perp", orth_complement_basis(mat_vec(R, b2)))):
+        for idx, v in enumerate(basis):
+            out[family, (idx, 1)] = v
+            out[family, (idx, -1)] = v.neg()
+    for j, i, i2 in itertools.product(range(dec.n), range(d), range(d)):
+        if i < i2:
+            ents = [Fraction(0)] * d
+            ents[i], ents[i2] = -R.at(i2, j), R.at(i, j)
+            out["pair", (j + 1, i + 1, i2 + 1)] = Vector(d, tuple(ents))
+    return out
 
 
 class TestDecompose:
@@ -56,8 +77,7 @@ class TestDecompose:
         assert dec.A1 == Matrix.from_rows([[1], [-1]])
         assert dec.R == Matrix.from_rows([[1], [-1]])
         assert dec.row_perm == (1, 2, 0)
-        assert dec.b1 == Vector.from_list([2, 0])
-        assert dec.b2 == Vector.from_list([1])
+        assert dec.b_perm == Vector.from_list([2, 0, 1])
 
     def test_identity_bottom_block(self):
         A1 = [[2, 3], [4, 5], [7, 1]]
@@ -120,9 +140,7 @@ class TestDecomposeReadsR:
         for sysr in systems:
             dec = decompose(sysr)
             assert dec.R == mat_mul(dec.A1, invert(dec.A2))
-            assert dec.Rz == tuple(
-                tuple(dec.D * dec.R.at(i, j) for j in range(dec.n))
-                for i in range(dec.m - dec.n))
+            assert dec.D == math.lcm(*(x.denominator for x in dec.R.entries))
             assert all(type(x) is int for row in dec.Rz for x in row)
 
 
@@ -147,36 +165,43 @@ class TestConeAndTests:
     def test_mixed_not_in_cone(self):
         dec = decompose(sys_of(*OK_1D))
         # t(k)G = (1,-1)[I | -R] has mixed signs here
-        assert not in_cone_G(image(Vector.from_list([1, -1]), dec).entries)
+        assert not in_cone_G(vec_mat(Vector.from_list([1, -1]),
+                                     G_of(dec)).entries)
 
     def test_run_test_fail_on_empty_instance(self):
         dec = decompose(sys_of(*EMPTY_1D))
-        failing = [tv for tv, z in canonical_tests(dec) if not run_test(z, dec)]
-        assert [tv.params for tv in failing] == [(2,)]
-        interval = iv_dot(image(failing[0].kprime, dec), dec.b_perm)
+        failing = [(params, z, s) for _, params, z, s in canonical_tests(dec)
+                   if not run_test(z, dec)]
+        assert [params for params, _, _ in failing] == [(2,)]
+        _, z, s = failing[0]
+        interval = iv_dot(exact_image(z, s), dec.b_perm)
         assert interval.hi == Fraction(-2)
 
-    def test_image_matches_product_through_G(self):
-        shapes = [(4, 2), (5, 2), (6, 2), (5, 3), (7, 3)]
+    def test_z_over_s_is_product_through_G(self):
+        # z = s t(k')G exactly, with k' = z[:m-n] / s the k' that the
+        # family and params name
         seen_zero = seen_pair = False
-        for seed in range(20):
-            m, n = shapes[seed % len(shapes)]
-            dec = decompose(gen_random_system(GenSpec(seed=seed, m=m, n=n)))
+        for sysr in decompose_corpus():
+            dec = decompose(sysr)
             G = G_of(dec)
+            reference = reference_kprimes(dec)
             for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                for tv, z in family_tests(dec, mode):
-                    exact = image(tv.kprime, dec)
-                    assert exact == vec_mat(tv.kprime, G)
+                for family, params, z, s in family_tests(dec, mode):
                     assert all(type(e) is int for e in z)
-                    assert positive_multiple(z, exact) is not None, tv
-                    seen_zero |= tv.kprime.is_zero()
-                    seen_pair |= tv.family == "pair"
+                    assert type(s) is int and s > 0
+                    kprime = kprime_of(dec, z, s)
+                    assert kprime == reference[family, params]
+                    assert ([Fraction(x, s) for x in z]
+                            == list(vec_mat(kprime, G).entries)), \
+                        (family, params)
+                    seen_zero |= kprime.is_zero()
+                    seen_pair |= family == "pair"
         assert seen_zero and seen_pair
 
     def test_kernel_sentinel_passes(self):
         dec = decompose(sys_of(*OK_1D))
         assert run_test((0, 0, 0), dec)
-        interval = iv_dot(image(Vector.zero(2), dec), dec.b_perm)
+        interval = iv_dot(Vector.zero(3), dec.b_perm)
         assert interval.lo == interval.hi == 0
 
     def test_run_test_reads_signs_of_scaled_z(self):
@@ -192,27 +217,26 @@ class TestConeAndTests:
 class TestFamilies:
     def test_pair_vector_construction(self):
         dec = decompose(sys_of(*OK_1D))
-        pairs = [tv for tv, _ in family_tests(dec) if tv.family == "pair"]
-        assert len(pairs) == 1
-        (tv,) = pairs
+        pairs = [(params, kprime_of(dec, z, s))
+                 for family, params, z, s in family_tests(dec)
+                 if family == "pair"]
         # k'(j=1,i=1,i'=2) = -r_21 e1 + r_11 e2 with R = (1, -1)
-        assert tv.kprime == Vector.from_list([1, 1])
+        assert pairs == [((1, 1, 2), Vector.from_list([1, 1]))]
 
     def test_pair_vector_kills_R_column(self):
         for seed in range(10):
             sysr = gen_random_system(GenSpec(seed=seed, m=6, n=2))
             dec = decompose(sysr)
-            for tv, _ in family_tests(dec):
-                if tv.family != "pair":
+            for family, (j, *_), z, s in family_tests(dec):
+                if family != "pair":
                     continue
-                j = tv.params[0]
-                prod = vec_mat(tv.kprime, dec.R)
+                prod = vec_mat(kprime_of(dec, z, s), dec.R)
                 assert prod[j - 1] == 0
 
     def test_m_minus_n_one_has_no_pairs(self):
         sysr = sys_of([[1, 0], [0, 1], [1, 1]], [1, 1, 1])
         dec = decompose(sysr)
-        fams = [tv.family for tv, _ in family_tests(dec)]
+        fams = [family for family, *_ in family_tests(dec)]
         assert "pair" not in fams
         assert fams.count("canonical") == 1
 
@@ -234,30 +258,25 @@ def feasible_system(seed, m, n):
     return system_from_rows(A.row_lists(), b)
 
 
-class TestNegationCost:
-    def test_rejected_candidates_are_not_negated(self, monkeypatch):
-        # algorithm mode negates v only for a -v candidate it yields
+class TestCandidateCost:
+    def test_no_vector_per_candidate(self, monkeypatch):
+        # a canonical or pair candidate is its integer z alone: k' is
+        # built only for a certificate
         calls = []
-        real_neg = Vector.neg
+        real_init = Vector.__post_init__
 
         def counting(v):
             calls.append(v)
-            return real_neg(v)
-        signed = (FAMILY_KERNEL, FAMILY_B1_PERP, FAMILY_RB2_PERP)
-        rejected = 0
+            real_init(v)
+        monkeypatch.setattr(Vector, "__post_init__", counting)
+        candidates = 0
         for seed, (m, n) in enumerate(((6, 2), (8, 2), (12, 3), (13, 3))):
             dec = decompose(feasible_system(seed, m, n))
-            thm = sum(1 for tv, _ in family_tests(dec, MODE_THEOREM)
-                      if tv.family in signed and tv.params[1] == -1)
-            monkeypatch.setattr(Vector, "neg", counting)
             calls.clear()
-            tests = list(family_tests(dec, MODE_ALGORITHM))
-            monkeypatch.setattr(Vector, "neg", real_neg)
-            yielded = sum(1 for tv, _ in tests
-                          if tv.family in signed and tv.params[1] == -1)
-            assert len(calls) == yielded, (seed, m, n)
-            rejected += thm - yielded
-        assert rejected > 0
+            candidates += sum(1 for _ in family_tests(
+                dec, order=(FAMILY_CANONICAL, FAMILY_PAIR)))
+            assert calls == [], (seed, m, n)
+        assert candidates > 100
 
 
 class TestDecide:
@@ -294,8 +313,8 @@ class TestDecide:
             assert a.verdict == b.verdict
 
     def test_one_product_per_candidate(self, monkeypatch):
-        # the battery runs in ints: no Fraction t(k')R when nothing fails,
-        # and one for an EMPTY verdict, the exact z of its certificate
+        # the battery runs in ints, and an EMPTY verdict reads its
+        # certificate off z / s: no Fraction t(k')R either way
         calls = []
 
         def counting(x, A):
@@ -303,7 +322,7 @@ class TestDecide:
             return vec_mat(x, A)
         monkeypatch.setattr(emptiness, "vec_mat", counting)
         for fixture, verdict, products in ((OK_1D, NOT_PROVEN_EMPTY, 0),
-                                           (EMPTY_1D, EMPTY, 1)):
+                                           (EMPTY_1D, EMPTY, 0)):
             for mode in (MODE_ALGORITHM, MODE_THEOREM):
                 calls.clear()
                 report = decide(sys_of(*fixture), mode=mode)
@@ -314,23 +333,23 @@ class TestDecide:
 class TestFarkas:
     def test_hand_certificate(self):
         dec = decompose(sys_of(*EMPTY_1D))
-        for tv, z in canonical_tests(dec):
+        for _, _, z, s in canonical_tests(dec):
             if not run_test(z, dec):
-                y = farkas_from(image(tv.kprime, dec), dec)
+                y = farkas_from(exact_image(z, s), dec)
                 assert y == Vector.from_list([1, 0, 1])
 
     def test_negated_case(self):
         dec = decompose(sys_of(*EMPTY_1D))
-        for tv, z in canonical_tests(dec):
+        for _, _, z, s in canonical_tests(dec):
             if not run_test(z, dec):
                 assert not run_test(tuple(-e for e in z), dec)
-                y = farkas_from(image(tv.kprime.neg(), dec), dec)
+                y = farkas_from(exact_image(z, s).neg(), dec)
                 assert y == Vector.from_list([1, 0, 1])
 
 
 class TestLemma1Identity:
     def test_projection_fixed_iff_in_kernel_of_U(self):
-        from hollowcheck.densemat import mat_vec, pinv_full_col_rank
+        from hollowcheck.densemat import pinv_full_col_rank
         rng = random.Random(31)
         for seed in range(10):
             sysr = gen_random_system(GenSpec(seed=seed, m=5, n=2))

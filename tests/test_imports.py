@@ -1,0 +1,67 @@
+"""Every name a hollowcheck module imports is used in that module, unless
+the benchmark tracer patches the name there (bench/tracer.py SITES)."""
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hollowcheck"
+TRACER_PATH = ROOT / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _traced_names():
+    """(module, name) for each lookup site the tracer patches."""
+    return {(site, attr)
+            for _, attr, lookups in _load_tracer().SITES.values()
+            for site in lookups}
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a package re-exports what it lists in __all__
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str, module: str, traced) -> list:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [name for name in _imported_names(tree)
+            if name not in used and (module, name) not in traced]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(), path.stem, _traced_names()) == []
+
+
+def test_stale_import_is_caught():
+    source = "from .densemat import invert, mat_vec\n"
+    traced = _traced_names()
+    # the tracer patches `invert` in emptiness, and nowhere in cli
+    assert unused_imports(source, "emptiness", traced) == ["mat_vec"]
+    assert unused_imports(source, "cli", traced) == ["invert", "mat_vec"]
+    assert unused_imports(source + "mat_vec\n", "emptiness", traced) == []
