@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from . import harness
 from .densemat import Matrix, Vector
-from .emptiness import (EMPTY, MODE_ALGORITHM, MODE_THEOREM,
-                        SoundnessViolation, decide)
+from .emptiness import EMPTY, MODE_ALGORITHM, MODES, SoundnessViolation, decide
 from .interval import is_neg_inf, is_pos_inf
 from .oracle import FEASIBLE, INFEASIBLE, fm_feasible
 from .standardize import (EarlyEmpty, FORMS, RawSystem, TriviallyNonEmpty,
@@ -326,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run the emptiness test")
     common_io(sp)
-    sp.add_argument("--mode", choices=[MODE_ALGORITHM, MODE_THEOREM],
-                    default=MODE_ALGORITHM)
+    sp.add_argument("--mode", choices=MODES, default=MODE_ALGORITHM)
     sp.add_argument("--stated-order", action="store_true", dest="stated_order",
                     help="test families in the originally stated order")
     sp.add_argument("--oracle-check", action="store_true", dest="oracle_check")
@@ -344,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--instances", type=int, default=harness.DEFAULT_INSTANCES)
     sp.add_argument("--trials", type=int, default=harness.DEFAULT_TRIALS)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", choices=[MODE_ALGORITHM, MODE_THEOREM],
-                    default=MODE_ALGORITHM)
+    sp.add_argument("--mode", choices=MODES, default=MODE_ALGORITHM)
     sp.set_defaults(fn=cmd_probe)
 
     sp = sub.add_parser("gen", help="write a random admissible instance")

@@ -1,8 +1,10 @@
 """Dense linear algebra over exact rationals (fractions.Fraction).
 
 Everything here is a pure function of immutable values, and every zero
-test is exact.  Elimination (`rank`, `rref` and everything built on it)
-runs fraction-free in Python ints; `Fraction` appears only in its outputs.
+test is exact.  Elimination (`eliminate` and all built on it) runs
+fraction-free in Python ints.  `rref` returns Fractions; the nullspace
+bases are (w, s) pairs, w a tuple of ints and s > 0 an int, w / s in
+lowest terms.
 """
 from __future__ import annotations
 
@@ -173,20 +175,29 @@ def vec_mat(x: Vector, A: Matrix) -> Vector:
                         for j in range(A.cols)))
 
 
-def _eliminate(M: Matrix):
+def int_scaled(xs) -> tuple:
+    """The rationals xs times the lcm of their denominators, as ints."""
+    scale = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (scale // x.denominator) for x in xs)
+
+
+def lowest_terms(w, d: int) -> tuple:
+    """(w / g, d / g) for g = gcd(d, *w), signed so that d / g > 0."""
+    g = math.gcd(d, *w) * (-1 if d < 0 else 1)
+    return tuple(x // g for x in w), d // g
+
+
+def eliminate(M: Matrix):
     """Fraction-free Gauss-Jordan elimination of M (Bareiss 1968).
 
-    Each row is first scaled to ints by the lcm of its denominators, which
-    changes neither the pivots nor the RREF.  Each step updates every other
-    row to (pv a - f b) // prev, an exact division.  Returns (rows, pivot
+    Each row is first scaled to ints by `int_scaled`, which changes neither
+    the pivots nor the RREF.  Each step updates every other row to
+    (pv a - f b) // prev, an exact division.  Returns (rows, pivot
     columns, d): the first len(pivot columns) rows are d times rref(M),
     and the rest are zero.
     """
-    rows = []
-    for i in range(M.rows):
-        row = M.entries[i * M.cols:(i + 1) * M.cols]
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    rows = [list(int_scaled(M.entries[i * M.cols:(i + 1) * M.cols]))
+            for i in range(M.rows)]
     piv_cols = []
     prev = 1
     for c in range(M.cols):
@@ -211,12 +222,12 @@ def _eliminate(M: Matrix):
 
 
 def rank(M: Matrix) -> int:
-    return len(_eliminate(M)[1])
+    return len(eliminate(M)[1])
 
 
 def rref(M: Matrix):
     """Reduced row echelon form: (nonzero rows as lists, pivot columns)."""
-    rows, piv_cols, d = _eliminate(M)
+    rows, piv_cols, d = eliminate(M)
     return ([[Fraction(x, d) for x in row] for row in rows[:len(piv_cols)]],
             piv_cols)
 
@@ -270,29 +281,30 @@ def pinv_append_row(A2t_pinv: Matrix, A2t: Matrix, a: Vector) -> Matrix:
 
 
 def _nullspace_basis(M: Matrix) -> list:
-    """Basis of {x : M x = 0}, one vector per free column of rref(M)."""
-    rows, piv_cols = rref(M)
+    """Basis of {x : M x = 0}, one (w, s) pair per free column of rref(M)."""
+    rows, piv_cols, d = eliminate(M)
     basis = []
     for fc in range(M.cols):
         if fc in piv_cols:
             continue
-        vec = [Fraction(0)] * M.cols
-        vec[fc] = Fraction(1)
+        w = [0] * M.cols
+        w[fc] = d
         for r, pc in enumerate(piv_cols):
-            vec[pc] = -rows[r][fc]
-        basis.append(Vector(M.cols, tuple(vec)))
+            w[pc] = -rows[r][fc]
+        basis.append(lowest_terms(w, d))
     return basis
 
 
 def left_nullspace_basis(R: Matrix) -> list:
-    """Basis of {k : t(k) R = 0}; the single zero vector when trivial."""
-    return _nullspace_basis(R.transpose()) or [Vector.zero(R.rows)]
+    """Basis of {k : t(k) R = 0} as (w, s) pairs; the zero vector if trivial."""
+    return _nullspace_basis(R.transpose()) or [((0,) * R.rows, 1)]
 
 
 def orth_complement_basis(v: Vector) -> list:
-    """dim-1 independent vectors orthogonal to v; canonical basis for v = 0."""
+    """dim-1 independent (w, s) pairs orthogonal to v; canonical for v = 0."""
     if v.is_zero():
-        return [Vector.unit(v.dim, i) for i in range(v.dim)]
+        return [(tuple(int(i == j) for j in range(v.dim)), 1)
+                for i in range(v.dim)]
     return _nullspace_basis(Matrix(1, v.dim, v.entries))
 
 

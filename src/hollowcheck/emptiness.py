@@ -1,33 +1,35 @@
 """The algebraic emptiness test.
 
 Pipeline: split A into (A1; A2) with A2 invertible, read R = A1 A2^-1
-off the rref(t(A)) that picks A2, form G = [I | -R], then test whether 0
-lies in {t(k')G a : a <= b} for each vector k' of a finite family
-(canonical basis, left kernel of R, orthogonal complements of b1 and
-R b2, and the pairwise elimination vectors).  The verdict for k' reads
-only the signs of z = t(k')G and of t(z)b, which a positive scaling of z
-or b leaves alone, so the battery runs in Python ints: `decompose` keeps
-Rz = D R (D > 0 the lcm of R's denominators) and bz, a positive integer
-multiple of b, and `family_tests` yields each candidate once (once per
-+-v, as t(-v)G = -t(v)G) as (family, params, z, s): z a tuple of ints
-built from rows of Rz and s > 0 an int with z = s t(k')G exactly.  The
-algorithm-mode filter and the test read z.  Fraction is left to the
-certificate: as G = [I | -R], the first failing test has k' = z[:m-n]/s
-and t(k')G = z/s, and the interval and the Farkas vector +-z/s come from
-it.  decide checks that vector exactly before it returns Empty, so the
-Empty verdict is unconditionally sound; the converse rests on the
-enumeration being sufficient and is only measured (see harness).
+off the elimination of t(A) that picks A2, form G = [I | -R], then test
+whether 0 lies in {t(k')G a : a <= b} for each vector k' of a finite
+family (canonical basis, left kernel of R, orthogonal complements of b1
+and R b2, and the pairwise elimination vectors).  The verdict for k'
+reads only the signs of z = t(k')G and of t(z)b, which a positive
+scaling of z or b leaves alone, so the battery runs in Python ints:
+`decompose` reads Rz = D R (D > 0 the lcm of R's denominators) off the
+integer rows of `densemat.eliminate` and keeps bz, a positive integer
+multiple of b; a kernel or complement basis vector comes as an int pair
+(w, s), and gives z = [D w | -w Rz] and s D.  `family_tests` yields each
+candidate once (once per +-v, as t(-v)G = -t(v)G) as (family, params,
+z, s), with z = s t(k')G exactly.  The filter and the test read z.
+Fraction is left to the certificate: as G = [I | -R], the first failing
+test has k' = z[:m-n]/s and t(k')G = z/s, and the interval and the
+Farkas vector +-z/s come from it.  decide checks that vector exactly
+before it returns Empty, so the Empty verdict is unconditionally sound;
+the converse rests on the enumeration being sufficient and is only
+measured (see harness).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from .densemat import (Matrix, Vector, left_nullspace_basis,
-                       orth_complement_basis, rref)
+from .densemat import (Matrix, Vector, eliminate, int_scaled,
+                       left_nullspace_basis, lowest_terms,
+                       orth_complement_basis)
 # unused here, but bench/tracer.py patches them by these names in this module
 from .densemat import invert, mat_mul, vec_mat  # noqa: F401
 from .interval import Interval, iv_dot
@@ -36,6 +38,7 @@ from .standardize import StandardSystem
 
 MODE_ALGORITHM = "algorithm"
 MODE_THEOREM = "theorem"
+MODES = (MODE_ALGORITHM, MODE_THEOREM)
 
 FAMILY_CANONICAL = "canonical"
 FAMILY_KERNEL = "kernel"
@@ -61,8 +64,7 @@ class SoundnessViolation(AssertionError):
 @dataclass(frozen=True)
 class Decomposition:
     row_perm: tuple      # permuted position -> original row index
-    A1: Matrix
-    A2: Matrix
+    A: Matrix            # the system's A, in original row order
     b_perm: Vector       # (b1; b2)
     D: int               # lcm of the denominators of R = A1 A2^-1
     Rz: tuple            # D R, one tuple of ints per row
@@ -70,11 +72,11 @@ class Decomposition:
 
     @property
     def m(self) -> int:
-        return self.A1.rows + self.A2.rows
+        return self.A.rows
 
     @property
     def n(self) -> int:
-        return self.A2.rows
+        return self.A.cols
 
     @property
     def R(self) -> Matrix:
@@ -83,7 +85,8 @@ class Decomposition:
                       tuple(Fraction(x, self.D) for row in self.Rz for x in row))
 
     def permuted_A(self) -> Matrix:
-        return self.A1.vstack(self.A2)
+        rows = self.A.row_lists()
+        return Matrix.from_rows([rows[i] for i in self.row_perm])
 
 
 @dataclass(frozen=True)
@@ -124,34 +127,22 @@ def decompose(sys: StandardSystem) -> Decomposition:
     A, b = sys.A, sys.b
     m, n = A.rows, A.cols
     # the pivot columns of t(A) are the first n independent rows of A
-    basis_rows, selected = rref(A.transpose())
+    basis_rows, selected, d = eliminate(A.transpose())
     if len(selected) < n:
         raise NoInvertibleSubmatrix(
             f"only {len(selected)} independent rows in a rank-{n} system")
     sel = set(selected)
     unselected = [i for i in range(m) if i not in sel]
     perm = tuple(unselected + selected)
-    rowlists = A.row_lists()
-    A1 = Matrix.from_rows([rowlists[i] for i in unselected])
-    A2 = Matrix.from_rows([rowlists[i] for i in selected])
-    # column u of rref(t(A)) writes row u of A in the rows of A2, so row i
-    # of R = A1 A2^-1 is column unselected[i]
-    R = [[row[u] for row in basis_rows] for u in unselected]
+    # column u of rref(t(A)) = basis_rows / d writes row u of A in the rows
+    # of A2, so row i of R = A1 A2^-1 is column unselected[i]; in lowest
+    # terms, D is the lcm of R's denominators.  For integer A, D divides
+    # |det A2|: Rz is no larger than A1 adj(A2)
+    flat, D = lowest_terms([row[u] for u in unselected
+                            for row in basis_rows], d)
+    Rz = tuple(flat[i * n:(i + 1) * n] for i in range(m - n))
     b_perm = Vector(m, tuple(b[i] for i in perm))
-    # for integer A, D divides |det A2|: Rz is no larger than A1 adj(A2)
-    D = _lcm_denominators(x for row in R for x in row)
-    Rz = tuple(_scaled_ints(row, D) for row in R)
-    bz = _scaled_ints(b_perm.entries, _lcm_denominators(b_perm.entries))
-    return Decomposition(perm, A1, A2, b_perm, D, Rz, bz)
-
-
-def _lcm_denominators(xs) -> int:
-    return math.lcm(*(x.denominator for x in xs))
-
-
-def _scaled_ints(xs, scale: int) -> tuple:
-    """The Fractions xs times scale, a multiple of each denominator."""
-    return tuple(x.numerator * (scale // x.denominator) for x in xs)
+    return Decomposition(perm, A, b_perm, D, Rz, int_scaled(b_perm.entries))
 
 
 def build_U(dec: Decomposition) -> Matrix:
@@ -165,22 +156,15 @@ def in_cone_G(z: tuple) -> bool:
     return min(z) >= 0
 
 
-def _scaled_image(v: Vector, dec: Decomposition) -> tuple:
-    """(z, s) with z = s t(v)G in ints and s = L D, L the lcm of v's
-    denominators."""
-    L = _lcm_denominators(v.entries)
-    vz = _scaled_ints(v.entries, L)
-    z = (tuple(x * dec.D for x in vz)
-         + tuple(-sum(map(mul, vz, col)) for col in zip(*dec.Rz)))
-    return z, L * dec.D
-
-
 def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
-    for idx, v in enumerate(basis):
-        z, s = _scaled_image(v, dec)
+    for idx, (w, s) in enumerate(basis):
+        # k' = w / s, so s D t(k')G = [D w | -w Rz]
+        z = (tuple(x * dec.D for x in w)
+             + tuple(-sum(map(mul, w, col)) for col in zip(*dec.Rz)))
+        s *= dec.D
         if mode != MODE_ALGORITHM or in_cone_G(z):
             yield family, (idx, 1), z, s
-        if v.is_zero():
+        if not any(w):
             continue
         zneg = tuple(-e for e in z)
         if mode != MODE_ALGORITHM or in_cone_G(zneg):
@@ -194,7 +178,13 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
     z is a tuple of ints and s > 0 an int with z = s t(k')G exactly, so
     k' = z[:m-n] / s.  The bases are read off Rz and bz: a positive
     scaling changes neither an RREF nor the bases built from it.
+    Raises ValueError for a mode or a family it does not know.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if not set(order) <= set(DEFAULT_ORDER):
+        raise ValueError(f"unknown family in {order}; expected families "
+                         f"from {DEFAULT_ORDER}")
     d = dec.m - dec.n
     Rz, D = dec.Rz, dec.D
     for family in order:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -126,6 +127,22 @@ def reference_rref(rows):
     return rows[:len(piv_cols)], piv_cols
 
 
+def reference_nullspace(rows):
+    """Basis of {x : M x = 0} from `reference_rref`: x[fc] = 1 for one free
+    column fc, x[pc] = -rref[r][fc] at each pivot column pc."""
+    ref_rows, piv_cols = reference_rref(rows)
+    basis = []
+    for fc in range(len(rows[0])):
+        if fc in piv_cols:
+            continue
+        vec = [Fraction(0)] * len(rows[0])
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(piv_cols):
+            vec[pc] = -ref_rows[r][fc]
+        basis.append(vec)
+    return basis
+
+
 RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 SHAPES = st.one_of(st.tuples(st.just(1), st.integers(1, 6)),
                    st.tuples(st.integers(1, 6), st.just(1)),
@@ -160,6 +177,24 @@ class TestEliminationAgainstReference:
         assert rref(A) == (ref_rows, ref_pivots)
         assert rank(A) == len(ref_pivots)
         assert all(type(x) is Fraction for row in rref(A)[0] for x in row)
+
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_inputs())
+    def test_nullspace_pairs_match_reference(self, rows):
+        # both bases, as (w, s) int pairs, against one vector per free
+        # column of the reference RREF, in lowest terms with s > 0
+        A = M(rows)
+        # left_nullspace_basis stands in the zero vector for a trivial kernel
+        cases = [(left_nullspace_basis(A.transpose()),
+                  reference_nullspace(rows) or [[Fraction(0)] * A.cols]),
+                 (orth_complement_basis(A.row(0)),
+                  reference_nullspace(rows[:1]))]
+        for basis, expected in cases:
+            assert len(basis) == len(expected)
+            for (w, s), vec in zip(basis, expected):
+                assert all(type(x) is int for x in (*w, s))
+                assert [Fraction(x, s) for x in w] == vec
+                assert s > 0 and math.gcd(s, *w) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5).flatmap(
@@ -230,16 +265,22 @@ class TestPinvAppendRow:
             pinv_append_row(bad, I2, V([1, 1]))
 
 
+def pair_vector(pair):
+    """The exact vector w / s of a (w, s) basis pair."""
+    w, s = pair
+    return Vector(len(w), tuple(Fraction(x, s) for x in w))
+
+
 class TestLeftNullspace:
     def test_one_column(self):
         basis = left_nullspace_basis(M([[-1], [-1]]))
         assert len(basis) == 1
-        k = basis[0]
-        assert k[0] * -1 + k[1] * -1 == 0 and not k.is_zero()
+        (w, s), = basis
+        assert w[0] * -1 + w[1] * -1 == 0 and any(w) and s > 0
 
     def test_trivial_kernel_sentinel(self):
         basis = left_nullspace_basis(Matrix.identity(2))
-        assert basis == [Vector.zero(2)]
+        assert basis == [((0, 0), 1)]
 
     def test_zero_matrix_whole_space(self):
         basis = left_nullspace_basis(Matrix.zeros(2, 1))
@@ -253,26 +294,26 @@ class TestLeftNullspace:
             r = rank(R.transpose())
             expected = R.rows - r
             if expected == 0:
-                assert basis == [Vector.zero(R.rows)]
+                assert basis == [((0,) * R.rows, 1)]
             else:
                 assert len(basis) == expected
                 for k in basis:
-                    assert vec_mat(k, R).is_zero()
+                    assert vec_mat(pair_vector(k), R).is_zero()
 
 
 class TestOrthComplement:
     def test_2d(self):
-        (w,) = orth_complement_basis(V([1, 2]))
-        assert w.dot(V([1, 2])) == 0 and not w.is_zero()
+        (w, s), = orth_complement_basis(V([1, 2]))
+        assert w[0] * 1 + w[1] * 2 == 0 and any(w) and s > 0
 
     def test_zero_vector_convention(self):
         basis = orth_complement_basis(V([0, 0]))
-        assert basis == [Vector.unit(2, 0), Vector.unit(2, 1)]
+        assert basis == [((1, 0), 1), ((0, 1), 1)]
 
     def test_e1_in_3d(self):
         basis = orth_complement_basis(V([1, 0, 0]))
         assert len(basis) == 2
-        for w in basis:
+        for w, _ in basis:
             assert w[0] == 0
 
     def test_independent(self):
@@ -280,12 +321,12 @@ class TestOrthComplement:
         for _ in range(20):
             v = V([rng.randint(-4, 4) for _ in range(4)])
             basis = orth_complement_basis(v)
-            B = M([list(w.entries) for w in basis])
+            B = M([list(w) for w, _ in basis])
             assert rank(B) == len(basis)
             if not v.is_zero():
                 assert len(basis) == 3
-                for w in basis:
-                    assert w.dot(v) == 0
+                for k in basis:
+                    assert pair_vector(k).dot(v) == 0
 
 
 class TestMPAxiomsCheck:

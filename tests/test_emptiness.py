@@ -15,7 +15,8 @@ from hollowcheck.emptiness import (EMPTY, FAMILY_CANONICAL, FAMILY_PAIR,
                                    decompose, family_tests, farkas_from,
                                    in_cone_G, run_test)
 from hollowcheck.interval import contains_zero, iv_dot
-from hollowcheck.harness import gen_random_system, GenSpec, system_from_rows
+from hollowcheck.harness import (GenSpec, agreement_run, gen_random_system,
+                                system_from_rows)
 from hollowcheck.oracle import INFEASIBLE, fm_feasible, validate_certificate
 from hollowcheck.standardize import RawSystem, StandardSystem, standardize
 
@@ -49,6 +50,14 @@ def kprime_of(dec, z, s):
     return Vector(dec.m - dec.n, exact_image(z, s).entries[:dec.m - dec.n])
 
 
+def blocks(dec):
+    """(A1, A2), the unselected and the selected rows of A, read off
+    permuted_A()."""
+    rows = dec.permuted_A().row_lists()
+    d = dec.m - dec.n
+    return Matrix.from_rows(rows[:d]), Matrix.from_rows(rows[d:])
+
+
 def reference_kprimes(dec):
     """(family, params) -> k', built in Fraction from R, b1 and b2."""
     d, R = dec.m - dec.n, dec.R
@@ -58,7 +67,8 @@ def reference_kprimes(dec):
     for family, basis in (("kernel", left_nullspace_basis(R)),
                           ("b1_perp", orth_complement_basis(b1)),
                           ("rb2_perp", orth_complement_basis(mat_vec(R, b2)))):
-        for idx, v in enumerate(basis):
+        for idx, (w, s) in enumerate(basis):
+            v = exact_image(w, s)
             out[family, (idx, 1)] = v
             out[family, (idx, -1)] = v.neg()
     for j, i, i2 in itertools.product(range(dec.n), range(d), range(d)):
@@ -73,8 +83,8 @@ class TestDecompose:
     def test_1d_instance(self):
         dec = decompose(sys_of(*OK_1D))
         # top-to-bottom scan selects row 0 as the invertible 1x1 block
-        assert dec.A2 == Matrix.from_rows([[1]])
-        assert dec.A1 == Matrix.from_rows([[1], [-1]])
+        assert blocks(dec) == (Matrix.from_rows([[1], [-1]]),
+                               Matrix.from_rows([[1]]))
         assert dec.R == Matrix.from_rows([[1], [-1]])
         assert dec.row_perm == (1, 2, 0)
         assert dec.b_perm == Vector.from_list([2, 0, 1])
@@ -84,8 +94,7 @@ class TestDecompose:
         rows = [[1, 0], [0, 1]] + A1
         # identity rows come first in the scan, so they become A2
         dec = decompose(sys_of(rows, [0] * 5))
-        assert dec.A2 == Matrix.identity(2)
-        assert dec.A1 == Matrix.from_rows(A1)
+        assert blocks(dec) == (Matrix.from_rows(A1), Matrix.identity(2))
         assert dec.R == Matrix.from_rows(A1)
 
     def test_integer_data(self):
@@ -139,7 +148,8 @@ class TestDecomposeReadsR:
         assert any(s.sign_split for s in systems)
         for sysr in systems:
             dec = decompose(sysr)
-            assert dec.R == mat_mul(dec.A1, invert(dec.A2))
+            A1, A2 = blocks(dec)
+            assert dec.R == mat_mul(A1, invert(A2))
             assert dec.D == math.lcm(*(x.denominator for x in dec.R.entries))
             assert all(type(x) is int for row in dec.Rz for x in row)
 
@@ -278,6 +288,25 @@ class TestCandidateCost:
             assert calls == [], (seed, m, n)
         assert candidates > 100
 
+    def test_no_fraction_before_certificate(self, monkeypatch):
+        # a NOT_PROVEN_EMPTY verdict runs every family in ints, from the
+        # elimination that picks A2 to the last test
+        calls = []
+        real_new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real_new(cls, *args, **kwargs)
+        fixtures = [feasible_system(seed, m, n) for seed, (m, n)
+                    in enumerate(((6, 2), (8, 2), (12, 3), (13, 3)))]
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for sysr in fixtures:
+            for mode in (MODE_ALGORITHM, MODE_THEOREM):
+                calls.clear()
+                report = decide(sysr, mode=mode)
+                assert report.verdict == NOT_PROVEN_EMPTY
+                assert calls == [], (sysr.A.rows, mode)
+
 
 class TestDecide:
     def test_empty_instance(self):
@@ -311,6 +340,15 @@ class TestDecide:
             a = decide(sysr, stated_order=False)
             b = decide(sysr, stated_order=True)
             assert a.verdict == b.verdict
+
+    def test_unknown_mode_or_family_raises(self):
+        with pytest.raises(ValueError, match="'algorithm', 'theorem'"):
+            decide(sys_of(*OK_1D), mode="Algorithm")
+        with pytest.raises(ValueError, match="'canonical', 'kernel'"):
+            list(family_tests(decompose(sys_of(*OK_1D)),
+                              order=(FAMILY_CANONICAL, "pairs")))
+        with pytest.raises(ValueError, match="unknown mode 'thm'"):
+            agreement_run([GenSpec(seed=0, m=5, n=2)], mode="thm")
 
     def test_one_product_per_candidate(self, monkeypatch):
         # the battery runs in ints, and an EMPTY verdict reads its

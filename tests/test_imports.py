@@ -1,5 +1,6 @@
 """Every name a hollowcheck module imports is used in that module, unless
-the benchmark tracer patches the name there (bench/tracer.py SITES)."""
+the benchmark tracer patches the name there (bench/tracer.py SITES), and
+no module imports another package module's private (`_name`) names."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -65,3 +66,27 @@ def test_stale_import_is_caught():
     assert unused_imports(source, "emptiness", traced) == ["mat_vec"]
     assert unused_imports(source, "cli", traced) == ["invert", "mat_vec"]
     assert unused_imports(source + "mat_vec\n", "emptiness", traced) == []
+
+
+def private_imports(source: str) -> list:
+    """The `_name`s a module imports from another hollowcheck module."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("hollowcheck"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_private_import_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_is_caught():
+    assert private_imports("from .densemat import _eliminate\n") == [
+        "_eliminate"]
+    assert private_imports(
+        "from hollowcheck.emptiness import _signed_filtered, decide\n") == [
+        "_signed_filtered"]
+    assert private_imports("from __future__ import annotations\n"
+                           "from .densemat import eliminate\n") == []
