@@ -6,16 +6,25 @@ whether 0 lies in {t(k')G a : a <= b} for each vector k' of a finite
 family (canonical basis, left kernel of R, orthogonal complements of b1
 and R b2, and the pairwise elimination vectors).  The verdict for k'
 reads only the signs of z = t(k')G and of t(z)b, which a positive
-scaling of z or b leaves alone, so the battery runs in Python ints:
-`decompose` reads Rz = D R (D > 0 the lcm of R's denominators) off the
-integer rows of `densemat.eliminate` and keeps bz, a positive integer
-multiple of b; a kernel or complement basis vector comes as an int pair
-(w, s), and gives z = [D w | -w Rz] and s D.  `family_tests` yields each
-candidate once (once per +-v, as t(-v)G = -t(v)G) as (family, params,
-z, s), with z = s t(k')G exactly.  The filter and the test read z.
-Fraction is left to the certificate: as G = [I | -R], the first failing
-test has k' = z[:m-n]/s and t(k')G = z/s, and the interval and the
-Farkas vector +-z/s come from it.  decide checks that vector exactly
+scaling leaves alone, so the battery runs in Python ints: `decompose`
+keeps Rz = D R (D > 0 the lcm of R's denominators) and bz, a positive
+integer multiple of b.  For k' = w / s with w an int vector,
+z = [D w | -w Rz] is s D t(k')G, and t(z)bz = w r for the residual
+r = D bz[:m-n] - Rz bz[m-n:]: r_i is a positive multiple of the slack
+of row i at the vertex x_B = A2^-1 b2.
+
+`decide` computes r once and decides each candidate from its head w and
+r (the `_scan_*` functions).  Canonical test i fails iff Rz_i <= 0 and
+r_i < 0; a pair test costs O(1) unless its residual says it can fail,
+and only then scans its tail; a kernel or complement vector w of mixed
+signs is settled by that sign screen, without its tail -w Rz.  Each
+family reports its count and its first failing params, and z, s and the
+first Fraction are built for that failure alone, by `_z_of`.
+`family_tests` is the z form of the same battery, read by `in_cone_G`
+and `run_test`: the reference for the harness, the demo and the tests.
+
+As G = [I | -R], the failing test has t(k')G = z/s, and the interval and
+the Farkas vector +-z/s come from it.  decide checks that vector exactly
 before it returns Empty, so the Empty verdict is unconditionally sound;
 the converse rests on the enumeration being sufficient and is only
 measured (see harness).
@@ -156,12 +165,55 @@ def in_cone_G(z: tuple) -> bool:
     return min(z) >= 0
 
 
+def _check_battery(mode: str, order: tuple) -> None:
+    """Raise ValueError for a mode or a family the battery does not know."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if not set(order) <= set(DEFAULT_ORDER):
+        raise ValueError(f"unknown family in {order}; expected families "
+                         f"from {DEFAULT_ORDER}")
+
+
+def _z_of(w: tuple, s: int, dec: Decomposition) -> tuple:
+    """(z, s D) with z = s D t(k')G = [D w | -w Rz], for k' = w / s."""
+    support = [(x, row) for x, row in zip(w, dec.Rz) if x]
+    return (tuple(x * dec.D for x in w)
+            + tuple(-sum(x * row[k] for x, row in support)
+                    for k in range(dec.n)), s * dec.D)
+
+
+def _unit(d: int, i: int) -> tuple:
+    return (0,) * i + (1,) + (0,) * (d - 1 - i)
+
+
+def _pair_w(dec: Decomposition, j: int, i: int, i2: int) -> tuple:
+    """D k' for k' = -R_i'j e_i + R_ij e_i', which kills column j of R."""
+    w = [0] * (dec.m - dec.n)
+    w[i], w[i2] = -dec.Rz[i2][j], dec.Rz[i][j]
+    return tuple(w)
+
+
+def _rb2(dec: Decomposition) -> tuple:
+    """Rz bz[m-n:], a positive multiple of R b2."""
+    b2z = dec.bz[dec.m - dec.n:]
+    return tuple(sum(map(mul, row, b2z)) for row in dec.Rz)
+
+
+def _basis(dec: Decomposition, family: str, rb2: tuple) -> list:
+    """The (w, s) basis of a kernel or complement family, read off Rz and
+    bz: a positive scaling changes neither an RREF nor its bases."""
+    d = dec.m - dec.n
+    if family == FAMILY_KERNEL:
+        return left_nullspace_basis(
+            Matrix(d, dec.n, tuple(x for row in dec.Rz for x in row)))
+    # bz = L (b1; b2) and rb2 = L D R b2, L > 0
+    return orth_complement_basis(
+        Vector(d, dec.bz[:d] if family == FAMILY_B1_PERP else rb2))
+
+
 def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
     for idx, (w, s) in enumerate(basis):
-        # k' = w / s, so s D t(k')G = [D w | -w Rz]
-        z = (tuple(x * dec.D for x in w)
-             + tuple(-sum(map(mul, w, col)) for col in zip(*dec.Rz)))
-        s *= dec.D
+        z, s = _z_of(w, s, dec)
         if mode != MODE_ALGORITHM or in_cone_G(z):
             yield family, (idx, 1), z, s
         if not any(w):
@@ -176,50 +228,26 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
     """Deterministic enumeration of (family, params, z, s), family by family.
 
     z is a tuple of ints and s > 0 an int with z = s t(k')G exactly, so
-    k' = z[:m-n] / s.  The bases are read off Rz and bz: a positive
-    scaling changes neither an RREF nor the bases built from it.
+    k' = z[:m-n] / s.  This is the z form of the battery that `decide`
+    runs in residual form: `decide` gives the verdict, the tests run and
+    the family counts of this enumeration read through `run_test`.
     Raises ValueError for a mode or a family it does not know.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not set(order) <= set(DEFAULT_ORDER):
-        raise ValueError(f"unknown family in {order}; expected families "
-                         f"from {DEFAULT_ORDER}")
+    _check_battery(mode, order)
     d = dec.m - dec.n
-    Rz, D = dec.Rz, dec.D
     for family in order:
         if family == FAMILY_CANONICAL:
             for i in range(d):
-                # D t(e_i)G = [D e_i | -Rz_i]
-                z = ((0,) * i + (D,) + (0,) * (d - 1 - i)
-                     + tuple(-x for x in Rz[i]))
-                yield FAMILY_CANONICAL, (i + 1,), z, D
-        elif family == FAMILY_KERNEL:
-            Rz_mat = Matrix(d, dec.n, tuple(x for row in Rz for x in row))
-            yield from _signed_filtered(left_nullspace_basis(Rz_mat),
-                                        FAMILY_KERNEL, dec, mode)
-        elif family == FAMILY_B1_PERP:
-            # bz = L (b1; b2), L > 0
-            b1z = Vector(d, dec.bz[:d])
-            yield from _signed_filtered(orth_complement_basis(b1z),
-                                        FAMILY_B1_PERP, dec, mode)
-        elif family == FAMILY_RB2_PERP:
-            rb2z = Vector(d, tuple(sum(map(mul, row, dec.bz[d:]))
-                                   for row in Rz))
-            yield from _signed_filtered(orth_complement_basis(rb2z),
-                                        FAMILY_RB2_PERP, dec, mode)
+                yield (FAMILY_CANONICAL, (i + 1,), *_z_of(_unit(d, i), 1, dec))
         elif family == FAMILY_PAIR:
             for j in range(dec.n):
                 for i in range(d - 1):
                     for i2 in range(i + 1, d):
-                        # k' = -r_i'j e_i + r_ij e_i' kills column j of R;
-                        # D^2 t(k')G = [-a D e_i + c D e_i' | a Rz_i - c Rz_i']
-                        a, c = Rz[i2][j], Rz[i][j]
-                        head = [0] * d
-                        head[i], head[i2] = -a * D, c * D
-                        z = tuple(head) + tuple(a * x - c * y for x, y
-                                                in zip(Rz[i], Rz[i2]))
-                        yield FAMILY_PAIR, (j + 1, i + 1, i2 + 1), z, D * D
+                        yield (FAMILY_PAIR, (j + 1, i + 1, i2 + 1),
+                               *_z_of(_pair_w(dec, j, i, i2), dec.D, dec))
+        else:
+            yield from _signed_filtered(_basis(dec, family, _rb2(dec)),
+                                        family, dec, mode)
 
 
 def run_test(z: tuple, dec: Decomposition) -> bool:
@@ -230,6 +258,113 @@ def run_test(z: tuple, dec: Decomposition) -> bool:
         return True
     zb = sum(map(mul, z, dec.bz))
     return zb >= 0 if nonneg else zb <= 0
+
+
+def _scan_canonical(stuck: tuple) -> tuple:
+    """(tests run, first failure) of the canonical family."""
+    for i, fails in enumerate(stuck):
+        if fails:
+            return i + 1, ((i + 1,), _unit(len(stuck), i), 1)
+    return len(stuck), None
+
+
+def _scan_pairs(dec: Decomposition, r: tuple, stuck: tuple) -> tuple:
+    """(tests run, first failure) of the pair family.
+
+    Test (j, i, i') has head -a D at i and c D at i', for a = Rz_i'j and
+    c = Rz_ij, and t(z)bz = c r_i' - a r_i.
+    """
+    d, Rz = len(r), dec.Rz
+    per_j = d * (d - 1) // 2
+    for j in range(dec.n):
+        col = [row[j] for row in Rz]
+        for i in range(d - 1):
+            c, ri = col[i], r[i]
+            for i2 in range(i + 1, d):
+                a = col[i2]
+                if a * c > 0:
+                    continue        # a head of mixed signs
+                if a == 0 or c == 0:
+                    # z is c z_i' or -a z_i for canonical z, or z = 0;
+                    # -z has the verdict of z
+                    if not (stuck[i2] if c else a != 0 and stuck[i]):
+                        continue
+                else:
+                    # the head has the sign of c
+                    zb = c * r[i2] - a * ri
+                    if zb * c >= 0 or any(c * (a * x - c * y) < 0 for x, y
+                                           in zip(Rz[i], Rz[i2])):
+                        continue
+                run = j * per_j + i * (d - 1) - i * (i - 1) // 2 + i2 - i
+                return run, ((j + 1, i + 1, i2 + 1),
+                             _pair_w(dec, j, i, i2), dec.D)
+    return dec.n * per_j, None
+
+
+def _scan_basis(basis: list, dec: Decomposition, r: tuple,
+                mode: str) -> tuple:
+    """(tests run, first failure) of a kernel or complement family.
+
+    Candidate (idx, +-1) is k' = +-w / s, with head +-D w.  A w of mixed
+    signs makes z and -z mixed: both pass, and algorithm mode filters both
+    out.  Otherwise u = +-w >= 0 gives z = [D u | -u Rz], which is in the
+    cone of G iff u Rz <= 0, and t(z)bz = u r.
+    """
+    count = 0
+    for idx, (w, s) in enumerate(basis):
+        support = [(x, i) for i, x in enumerate(w) if x]
+        if not support:
+            count += 1      # the zero-kernel sentinel: z = 0 passes
+            continue
+        sign = 1 if support[0][0] > 0 else -1
+        if any(x * sign < 0 for x, _ in support):
+            count += 2 if mode == MODE_THEOREM else 0
+            continue
+        fails = sign * sum(x * r[i] for x, i in support) < 0
+        if mode == MODE_THEOREM and not fails:
+            count += 2
+            continue
+        in_cone = all(sign * sum(x * dec.Rz[i][k] for x, i in support) <= 0
+                      for k in range(dec.n))
+        if mode == MODE_THEOREM:
+            # (idx, 1) fails iff its z is in the cone; (idx, -1), with -z,
+            # has the same verdict
+            count += 1
+            if in_cone:
+                return count, ((idx, 1), w, s)
+            count += 1
+        elif in_cone:
+            count += 1
+            if fails:
+                return count, ((idx, sign), tuple(sign * x for x in w), s)
+    return count, None
+
+
+def _residual(dec: Decomposition) -> tuple:
+    """(Rz bz[m-n:], r, stuck), computed once per decomposition.
+
+    r = D bz[:m-n] - Rz bz[m-n:]: r_i = t(z)bz for the canonical z of row
+    i, a positive multiple of the slack b_i - R_i b2 at the vertex
+    x_B = A2^-1 b2.  stuck[i] says canonical test i fails: row i is
+    violated at x_B, and Rz_i <= 0.
+    """
+    rb2 = _rb2(dec)
+    r = tuple(dec.D * x - y for x, y in zip(dec.bz[:len(rb2)], rb2))
+    stuck = tuple(ri < 0 and all(x <= 0 for x in row)
+                  for ri, row in zip(r, dec.Rz))
+    return rb2, r, stuck
+
+
+def _scan(dec: Decomposition, family: str, mode: str,
+          residual: tuple) -> tuple:
+    """(tests run, first failure) of one family, as `family_tests` with
+    `run_test` would find them; a failure is (params, w, s), k' = w / s."""
+    rb2, r, stuck = residual
+    if family == FAMILY_CANONICAL:
+        return _scan_canonical(stuck)
+    if family == FAMILY_PAIR:
+        return _scan_pairs(dec, r, stuck)
+    return _scan_basis(_basis(dec, family, rb2), dec, r, mode)
 
 
 def farkas_from(z: Vector, dec: Decomposition) -> Vector:
@@ -250,25 +385,33 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
            stated_order: bool = False) -> EmptinessReport:
     """Run the full test battery; Empty at the first failing test vector.
 
-    The Farkas vector is checked exactly against sys before Empty is
-    returned; a vector that fails raises SoundnessViolation.
+    Each family is decided in residual form; z is built for the first
+    failing test alone.  The Farkas vector is checked exactly against sys
+    before Empty is returned; a vector that fails raises
+    SoundnessViolation.
     """
-    dec = decompose(sys)
     order = STATED_ORDER if stated_order else DEFAULT_ORDER
+    _check_battery(mode, order)
+    dec = decompose(sys)
+    residual = _residual(dec)
     counts = {f: 0 for f in order}
     tests_run = 0
-    for family, params, z, s in family_tests(dec, mode, order):
-        tests_run += 1
-        counts[family] += 1
-        if not run_test(z, dec):
-            # G = [I | -R]: t(k')G = z / s begins with k'
-            exact = Vector(dec.m, tuple(Fraction(x, s) for x in z))
-            kprime = Vector(dec.m - dec.n, exact.entries[:dec.m - dec.n])
-            cert = Certificate(family, params, kprime,
-                               iv_dot(exact, dec.b_perm),
-                               farkas_from(exact, dec))
-            if not validate_certificate(sys.A, sys.b, cert.farkas_y):
-                raise SoundnessViolation(
-                    f"Farkas vector from test {cert.label()} fails the exact check")
-            return EmptinessReport(EMPTY, cert, tests_run, counts, mode)
+    for family in order:
+        run, failure = _scan(dec, family, mode, residual)
+        counts[family] = run
+        tests_run += run
+        if failure is None:
+            continue
+        params, w, s = failure
+        z, s = _z_of(w, s, dec)
+        # G = [I | -R]: t(k')G = z / s begins with k'
+        exact = Vector(dec.m, tuple(Fraction(x, s) for x in z))
+        kprime = Vector(dec.m - dec.n, exact.entries[:dec.m - dec.n])
+        cert = Certificate(family, params, kprime,
+                           iv_dot(exact, dec.b_perm),
+                           farkas_from(exact, dec))
+        if not validate_certificate(sys.A, sys.b, cert.farkas_y):
+            raise SoundnessViolation(
+                f"Farkas vector from test {cert.label()} fails the exact check")
+        return EmptinessReport(EMPTY, cert, tests_run, counts, mode)
     return EmptinessReport(NOT_PROVEN_EMPTY, None, tests_run, counts, mode)

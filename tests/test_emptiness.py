@@ -4,16 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hollowcheck import emptiness
 from hollowcheck.densemat import (Matrix, Vector, invert, left_nullspace_basis,
                                   mat_mul, mat_vec, orth_complement_basis,
-                                  vec_mat)
-from hollowcheck.emptiness import (EMPTY, FAMILY_CANONICAL, FAMILY_PAIR,
-                                   MODE_ALGORITHM, MODE_THEOREM,
-                                   NOT_PROVEN_EMPTY, build_U, decide,
-                                   decompose, family_tests, farkas_from,
-                                   in_cone_G, run_test)
+                                  rank, vec_mat)
+from hollowcheck.emptiness import (DEFAULT_ORDER, EMPTY, FAMILY_CANONICAL,
+                                   FAMILY_PAIR, MODE_ALGORITHM, MODE_THEOREM,
+                                   NOT_PROVEN_EMPTY, STATED_ORDER, build_U,
+                                   decide, decompose, family_tests,
+                                   farkas_from, in_cone_G, run_test)
 from hollowcheck.interval import contains_zero, iv_dot
 from hollowcheck.harness import (GenSpec, agreement_run, gen_random_system,
                                 system_from_rows)
@@ -258,34 +260,162 @@ class TestFamilies:
         assert len(thm) >= len(alg)
 
 
-def feasible_system(seed, m, n):
-    """b = A x0 + s with s >= 0: feasible by construction."""
+def feasible_system(seed, m, n, x0_range=3, lower=0):
+    """b = A x0 + s with s >= 0: feasible by construction.  With lower > 0,
+    each b_i is then lowered by a random 0..lower, which makes most
+    systems infeasible."""
     rng = random.Random(seed)
     A = gen_random_system(GenSpec(seed=seed, m=m, n=n)).A
-    x0 = [rng.randint(-3, 3) for _ in range(n)]
+    x0 = [rng.randint(-x0_range, x0_range) for _ in range(n)]
     b = [sum(A.at(i, j) * x0[j] for j in range(n)) + rng.randint(0, 3)
          for i in range(m)]
+    if lower:
+        b = [x - rng.randint(0, lower) for x in b]
     return system_from_rows(A.row_lists(), b)
 
 
-class TestCandidateCost:
-    def test_no_vector_per_candidate(self, monkeypatch):
-        # a canonical or pair candidate is its integer z alone: k' is
-        # built only for a certificate
-        calls = []
-        real_init = Vector.__post_init__
+def reference_run(dec, mode, order):
+    """The z-form battery: (tests run, family counts, first failure as
+    (family, params, z, s) or None), read through family_tests and
+    run_test, one candidate at a time."""
+    counts = dict.fromkeys(order, 0)
+    run = 0
+    for family, params, z, s in family_tests(dec, mode, order):
+        run += 1
+        counts[family] += 1
+        if not run_test(z, dec):
+            return run, counts, (family, params, z, s)
+    return run, counts, None
 
-        def counting(v):
-            calls.append(v)
-            real_init(v)
-        monkeypatch.setattr(Vector, "__post_init__", counting)
+
+def assert_decide_matches_reference(sysr, mode, stated_order):
+    report = decide(sysr, mode=mode, stated_order=stated_order)
+    dec = decompose(sysr)
+    run, counts, failure = reference_run(
+        dec, mode, STATED_ORDER if stated_order else DEFAULT_ORDER)
+    assert (report.tests_run, report.family_counts) == (run, counts)
+    if failure is None:
+        assert report.verdict == NOT_PROVEN_EMPTY
+        return report
+    family, params, z, s = failure
+    cert = report.certificate
+    assert report.verdict == EMPTY
+    assert (cert.family, cert.params) == (family, params)
+    assert cert.farkas_y == farkas_from(exact_image(z, s), dec)
+    return report
+
+
+def assert_families_match_reference(dec, mode):
+    """Each family alone, so that a pair family runs beside a failing
+    canonical test, which decide's orders never reach."""
+    residual = emptiness._residual(dec)
+    for family in DEFAULT_ORDER:
+        run, _, failure = reference_run(dec, mode, (family,))
+        got_run, got = emptiness._scan(dec, family, mode, residual)
+        assert got_run == run, family
+        if failure is None:
+            assert got is None, family
+        else:
+            params, w, s = got
+            assert params == failure[1], family
+            assert emptiness._z_of(w, s, dec) == failure[2:], family
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def battery_systems(draw):
+    """Full-column-rank systems without a zero row, n = 1-4 and m - n = 1-5,
+    with entries in -2..2 (many zeros in R) or small p/q."""
+    n = draw(st.integers(1, 4))
+    m = n + draw(st.integers(1, 5))
+    entries = draw(st.sampled_from((st.integers(-2, 2), SMALL_RATIONALS)))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    bounds = draw(st.lists(entries, min_size=m, max_size=m))
+    assume(all(any(row) for row in rows))
+    assume(rank(Matrix.from_rows(rows)) == n)
+    return system_from_rows(rows, bounds)
+
+
+class TestResidualForm:
+    """decide's residual form against the z-form reference loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(battery_systems())
+    # m - n = 1: no pairs
+    @example(sys_of([[1, 0], [0, 1], [1, 1]], [1, 1, -3]))
+    # R = A2^-1 has full row rank: the zero-kernel sentinel
+    @example(sys_of([[1, 2], [3, 1], [1, 0], [0, 1]], [1, 2, -1, 3]))
+    # pair (1, 1, 2) with a = 0 and canonical 2 failing
+    @example(sys_of([[1, 0], [0, 1], [1, 1], [0, -1]], [0, 0, 5, -1]))
+    # pair (1, 1, 2) with c = 0 and canonical 1 failing
+    @example(sys_of([[1, 0], [0, 1], [0, -1], [1, 1]], [0, 0, -1, 5]))
+    # a = c = 0 in column 1
+    @example(sys_of([[1, 0], [0, 1], [0, -1], [0, -1]], [0, 0, -1, -1]))
+    @example(sys_of(*RATIONAL_1D))
+    def test_same_as_z_form(self, sysr):
+        dec = decompose(sysr)
+        for mode in (MODE_ALGORITHM, MODE_THEOREM):
+            for stated_order in (False, True):
+                assert_decide_matches_reference(sysr, mode, stated_order)
+            assert_families_match_reference(dec, mode)
+
+    def test_examples_cover_the_special_cases(self):
+        pair_a0 = decompose(sys_of([[1, 0], [0, 1], [1, 1], [0, -1]],
+                                   [0, 0, 5, -1]))
+        pair_c0 = decompose(sys_of([[1, 0], [0, 1], [0, -1], [1, 1]],
+                                   [0, 0, -1, 5]))
+        for dec, (a, c) in ((pair_a0, (0, 1)), (pair_c0, (1, 0))):
+            assert (dec.Rz[1][0], dec.Rz[0][0]) == (a, c)
+            _, _, failure = reference_run(dec, MODE_ALGORITHM, (FAMILY_PAIR,))
+            assert failure[:2] == (FAMILY_PAIR, (1, 1, 2))
+        sentinel = decompose(sys_of([[1, 2], [3, 1], [1, 0], [0, 1]],
+                                    [1, 2, -1, 3]))
+        assert [p for f, p, *_ in family_tests(sentinel)
+                if f == "kernel"] == [(0, 1)]
+
+    @pytest.mark.parametrize("kind, m, n, lower", [
+        ("feasible", 40, 6, 0), ("near", 20, 4, 2), ("near", 40, 6, 2)])
+    def test_large_m(self, kind, m, n, lower):
+        # sizes past the pinned corpus, built as the ROADMAP baseline's
+        # `feasible` and `near` instances
+        verdicts = []
+        for seed in range(3):
+            sysr = feasible_system(seed, m, n, x0_range=5, lower=lower)
+            report = assert_decide_matches_reference(sysr, MODE_ALGORITHM,
+                                                     False)
+            verdicts.append(report.verdict)
+        if kind == "feasible":
+            assert verdicts == [NOT_PROVEN_EMPTY] * 3
+        else:
+            assert EMPTY in verdicts
+
+
+class TestCandidateCost:
+    def test_no_z_per_candidate(self, monkeypatch):
+        # a NOT_PROVEN_EMPTY verdict decides every candidate in residual
+        # form: no z, no z-form test, no cone filter, no enumeration
+        fixtures = [feasible_system(seed, m, n) for seed, (m, n)
+                    in enumerate(((6, 2), (8, 2), (12, 3), (13, 3)))]
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+        for name in ("run_test", "in_cone_G", "family_tests", "_z_of"):
+            monkeypatch.setattr(emptiness, name,
+                                counting(name, getattr(emptiness, name)))
         candidates = 0
-        for seed, (m, n) in enumerate(((6, 2), (8, 2), (12, 3), (13, 3))):
-            dec = decompose(feasible_system(seed, m, n))
-            calls.clear()
-            candidates += sum(1 for _ in family_tests(
-                dec, order=(FAMILY_CANONICAL, FAMILY_PAIR)))
-            assert calls == [], (seed, m, n)
+        for sysr in fixtures:
+            for mode in (MODE_ALGORITHM, MODE_THEOREM):
+                report = decide(sysr, mode=mode)
+                assert report.verdict == NOT_PROVEN_EMPTY
+                candidates += report.tests_run
+        assert calls == []
         assert candidates > 100
 
     def test_no_fraction_before_certificate(self, monkeypatch):
@@ -352,20 +482,31 @@ class TestDecide:
 
     def test_one_product_per_candidate(self, monkeypatch):
         # the battery runs in ints, and an EMPTY verdict reads its
-        # certificate off z / s: no Fraction t(k')R either way
-        calls = []
+        # certificate off z / s: no Fraction t(k')R either way, and one z,
+        # for the failing test alone
+        calls, built = [], []
 
         def counting(x, A):
             calls.append(x)
             return vec_mat(x, A)
+        z_of = emptiness._z_of
+
+        def counting_z(*args):
+            built.append(args)
+            return z_of(*args)
         monkeypatch.setattr(emptiness, "vec_mat", counting)
-        for fixture, verdict, products in ((OK_1D, NOT_PROVEN_EMPTY, 0),
-                                           (EMPTY_1D, EMPTY, 0)):
+        monkeypatch.setattr(emptiness, "_z_of", counting_z)
+        for fixture, verdict, products, zs in (
+                (OK_1D, NOT_PROVEN_EMPTY, 0, 0), (EMPTY_1D, EMPTY, 0, 1),
+                (([[1, 0], [0, 1], [1, 1], [-1, -1]], [1, 1, 2, -3]),
+                 EMPTY, 0, 1)):
             for mode in (MODE_ALGORITHM, MODE_THEOREM):
                 calls.clear()
+                built.clear()
                 report = decide(sys_of(*fixture), mode=mode)
                 assert report.verdict == verdict
                 assert len(calls) == products, (verdict, mode)
+                assert len(built) == zs, (verdict, mode)
 
 
 class TestFarkas:
