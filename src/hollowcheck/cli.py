@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import harness
 from .densemat import Matrix, Vector
 from .emptiness import EMPTY, MODE_ALGORITHM, MODES, SoundnessViolation, decide
-from .interval import is_neg_inf, is_pos_inf
+from .interval import NEG_INF, POS_INF
 from .oracle import FEASIBLE, INFEASIBLE, fm_feasible
 from .standardize import (EarlyEmpty, FORMS, RawSystem, TriviallyNonEmpty,
                           standardize)
@@ -105,9 +105,9 @@ def _frac_str(x) -> str:
 
 
 def _endpoint_str(x) -> str:
-    if is_neg_inf(x):
+    if x == NEG_INF:
         return "-inf"
-    if is_pos_inf(x):
+    if x == POS_INF:
         return "+inf"
     return _frac_str(x)
 
@@ -184,8 +184,9 @@ def cmd_check(args, out) -> int:
                  "farkas_y = " + " ".join(farkas_y)]
     elif isinstance(std, TriviallyNonEmpty):
         obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
-        obj["note"] = "all constraints redundant; polyhedron is the whole space"
-        lines = ["NOT-PROVEN-EMPTY (trivial: whole space)"]
+        obj["note"] = ("all constraints redundant; polyhedron is the "
+                       + std.detail)
+        lines = [f"NOT-PROVEN-EMPTY (trivial: {std.detail})"]
     else:
         report = decide(std, mode=args.mode, stated_order=args.stated_order)
         oracle_result = None

@@ -14,9 +14,12 @@ r = D bz[:m-n] - Rz bz[m-n:]: r_i is a positive multiple of the slack
 of row i at the vertex x_B = A2^-1 b2.
 
 `decide` computes r once and decides each candidate from its head w and
-r (the `_scan_*` functions).  Canonical test i fails iff Rz_i <= 0 and
-r_i < 0; a pair test costs O(1) unless its residual says it can fail,
-and only then scans its tail; a kernel or complement vector w of mixed
+r (the `_scan_*` functions), by the paper's rule: a test fails iff z has
+one sign and t(z)bz the other.  Canonical test i fails iff Rz_i <= 0 and
+r_i < 0.  A pair test, with head entries -a D and c D, passes if they
+have mixed signs; otherwise the head has the sign of h = c or -a (h = 0
+when z = 0, a pass).  It costs O(1) unless t(z)bz has the sign of -h,
+and only then scans its tail.  A kernel or complement vector w of mixed
 signs is settled by that sign screen, without its tail -w Rz.  Each
 family reports its count and its first failing params, and z, s and the
 first Fraction are built for that failure alone, by `_z_of`.
@@ -260,19 +263,20 @@ def run_test(z: tuple, dec: Decomposition) -> bool:
     return zb >= 0 if nonneg else zb <= 0
 
 
-def _scan_canonical(stuck: tuple) -> tuple:
-    """(tests run, first failure) of the canonical family."""
-    for i, fails in enumerate(stuck):
-        if fails:
-            return i + 1, ((i + 1,), _unit(len(stuck), i), 1)
-    return len(stuck), None
+def _scan_canonical(dec: Decomposition, r: tuple) -> tuple:
+    """(tests run, first failure) of the canonical family: test i fails
+    iff row i is violated at x_B and Rz_i <= 0."""
+    for i, (ri, row) in enumerate(zip(r, dec.Rz)):
+        if ri < 0 and max(row) <= 0:
+            return i + 1, ((i + 1,), _unit(len(r), i), 1)
+    return len(r), None
 
 
-def _scan_pairs(dec: Decomposition, r: tuple, stuck: tuple) -> tuple:
+def _scan_pairs(dec: Decomposition, r: tuple) -> tuple:
     """(tests run, first failure) of the pair family.
 
     Test (j, i, i') has head -a D at i and c D at i', for a = Rz_i'j and
-    c = Rz_ij, and t(z)bz = c r_i' - a r_i.
+    c = Rz_ij, tail a Rz_i - c Rz_i' and t(z)bz = c r_i' - a r_i.
     """
     d, Rz = len(r), dec.Rz
     per_j = d * (d - 1) // 2
@@ -284,17 +288,11 @@ def _scan_pairs(dec: Decomposition, r: tuple, stuck: tuple) -> tuple:
                 a = col[i2]
                 if a * c > 0:
                     continue        # a head of mixed signs
-                if a == 0 or c == 0:
-                    # z is c z_i' or -a z_i for canonical z, or z = 0;
-                    # -z has the verdict of z
-                    if not (stuck[i2] if c else a != 0 and stuck[i]):
-                        continue
-                else:
-                    # the head has the sign of c
-                    zb = c * r[i2] - a * ri
-                    if zb * c >= 0 or any(c * (a * x - c * y) < 0 for x, y
-                                           in zip(Rz[i], Rz[i2])):
-                        continue
+                h = c or -a         # the head's sign; 0 for z = 0, a pass
+                if (c * r[i2] - a * ri) * h >= 0 or any(
+                        h * (a * x - c * y) < 0
+                        for x, y in zip(Rz[i], Rz[i2])):
+                    continue
                 run = j * per_j + i * (d - 1) - i * (i - 1) // 2 + i2 - i
                 return run, ((j + 1, i + 1, i2 + 1),
                              _pair_w(dec, j, i, i2), dec.D)
@@ -341,29 +339,25 @@ def _scan_basis(basis: list, dec: Decomposition, r: tuple,
 
 
 def _residual(dec: Decomposition) -> tuple:
-    """(Rz bz[m-n:], r, stuck), computed once per decomposition.
+    """(Rz bz[m-n:], r), computed once per decomposition.
 
     r = D bz[:m-n] - Rz bz[m-n:]: r_i = t(z)bz for the canonical z of row
     i, a positive multiple of the slack b_i - R_i b2 at the vertex
-    x_B = A2^-1 b2.  stuck[i] says canonical test i fails: row i is
-    violated at x_B, and Rz_i <= 0.
+    x_B = A2^-1 b2.
     """
     rb2 = _rb2(dec)
-    r = tuple(dec.D * x - y for x, y in zip(dec.bz[:len(rb2)], rb2))
-    stuck = tuple(ri < 0 and all(x <= 0 for x in row)
-                  for ri, row in zip(r, dec.Rz))
-    return rb2, r, stuck
+    return rb2, tuple(dec.D * x - y for x, y in zip(dec.bz[:len(rb2)], rb2))
 
 
 def _scan(dec: Decomposition, family: str, mode: str,
           residual: tuple) -> tuple:
     """(tests run, first failure) of one family, as `family_tests` with
     `run_test` would find them; a failure is (params, w, s), k' = w / s."""
-    rb2, r, stuck = residual
+    rb2, r = residual
     if family == FAMILY_CANONICAL:
-        return _scan_canonical(stuck)
+        return _scan_canonical(dec, r)
     if family == FAMILY_PAIR:
-        return _scan_pairs(dec, r, stuck)
+        return _scan_pairs(dec, r)
     return _scan_basis(_basis(dec, family, rb2), dec, r, mode)
 
 

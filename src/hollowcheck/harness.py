@@ -22,6 +22,7 @@ from .standardize import StandardSystem, check_assumptions
 
 DEFAULT_INSTANCES = 100
 DEFAULT_TRIALS = 20
+MAX_REJECTS = 1000      # draws before a rejection sampler gives up
 
 
 class GenerationExhausted(Exception):
@@ -91,21 +92,18 @@ def system_from_rows(rows, bounds) -> StandardSystem:
     return StandardSystem(A, b)
 
 
-def gen_random_system(spec: GenSpec, max_rejects: int = 1000) -> StandardSystem:
-    """Integer system satisfying both standing assumptions; seed-deterministic."""
+def gen_random_system(spec: GenSpec) -> StandardSystem:
+    """Integer system satisfying the standing assumptions; seed-deterministic."""
     rng = random.Random(spec.seed)
-    for _ in range(max_rejects):
-        rows = [[rng.randint(-spec.entry_range, spec.entry_range)
-                 for _ in range(spec.n)] for _ in range(spec.m)]
-        if any(all(x == 0 for x in r) for r in rows):
-            continue
-        A = Matrix.from_rows(rows)
-        if rank(A) != spec.n:
+    for _ in range(MAX_REJECTS):
+        A = Matrix.from_rows([[rng.randint(-spec.entry_range, spec.entry_range)
+                               for _ in range(spec.n)] for _ in range(spec.m)])
+        if check_assumptions(A):
             continue
         b = Vector.from_list([rng.randint(-spec.b_range, spec.b_range)
                               for _ in range(spec.m)])
         return StandardSystem(A, b)
-    raise GenerationExhausted(f"no admissible system after {max_rejects} draws")
+    raise GenerationExhausted(f"no admissible system after {MAX_REJECTS} draws")
 
 
 def _random_rational(rng: random.Random, mag: int = 9) -> Fraction:
@@ -148,7 +146,7 @@ def probe_lemma1(sys: StandardSystem, trials: int = DEFAULT_TRIALS,
 
 def _random_full_row_rank(rng: random.Random, k: int, n: int,
                           mag: int = 4) -> Matrix:
-    for _ in range(1000):
+    for _ in range(MAX_REJECTS):
         rows = [[rng.randint(-mag, mag) for _ in range(n)] for _ in range(k)]
         M = Matrix.from_rows(rows)
         if rank(M) == k:
@@ -243,7 +241,7 @@ def _discrepancy_holds(rows, bounds) -> bool:
     """
     A = Matrix.from_rows(rows)
     b = Vector.from_list(bounds)
-    if check_assumptions(A, b):
+    if check_assumptions(A):
         return False
     sys = StandardSystem(A, b)
     if decide(sys).verdict == EMPTY:

@@ -3,8 +3,8 @@
 The emptiness test only ever asks whether 0 lies in {t(z) a : a <= b}.
 That set is closed form in the signs of z: [-inf, t(z)b] if z >= 0,
 [t(z)b, +inf] if z <= 0 (the point [0, 0] when z = 0), and the whole
-line otherwise.  Finite endpoints are exact rationals; the infinite ones
-are math.inf / -math.inf.
+line otherwise.  Finite endpoints are exact rationals; the only infinite
+ones are NEG_INF and POS_INF, which a plain == recognises.
 """
 from __future__ import annotations
 
@@ -16,14 +16,6 @@ from .densemat import DimensionMismatch, Vector
 
 NEG_INF = -math.inf
 POS_INF = math.inf
-
-
-def is_neg_inf(x) -> bool:
-    return isinstance(x, float) and x == NEG_INF
-
-
-def is_pos_inf(x) -> bool:
-    return isinstance(x, float) and x == POS_INF
 
 
 @dataclass(frozen=True)

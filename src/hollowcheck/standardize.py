@@ -50,7 +50,7 @@ class EarlyEmpty:
 
 @dataclass(frozen=True)
 class TriviallyNonEmpty:
-    detail: str
+    detail: str     # the set: "whole space" or "nonnegative orthant"
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class StandardSystem:
         return Vector(nn, tuple(x_std[j] - x_std[nn + j] for j in range(nn)))
 
 
-def check_assumptions(A: Matrix, b: Vector) -> list:
+def check_assumptions(A: Matrix) -> list:
     """Empty list when the standard-form assumptions hold."""
     violations = []
     for i in range(A.rows):
@@ -106,14 +106,15 @@ def standardize(raw: RawSystem) -> StandardizeResult:
             return EarlyEmpty(i, f"zero row {i} with {bound}",
                               y.neg() if bt[i] > 0 else y)
     if not kept:
-        # every constraint was redundant: R^n, or the nonnegative orthant
-        return TriviallyNonEmpty("all constraint rows are redundant zero rows")
+        # every constraint was redundant: the set is R^n, or the orthant
+        return TriviallyNonEmpty("whole space" if raw.form == FORM_INEQ
+                                 else "nonnegative orthant")
     if len(kept) < At.rows:
         rows = At.row_lists()
         At = Matrix.from_rows([rows[i] for i in kept])
         bt = Vector.from_list([bt[i] for i in kept])
 
-    if raw.form == FORM_INEQ and not check_assumptions(At, bt):
+    if raw.form == FORM_INEQ and not check_assumptions(At):
         return StandardSystem(At, bt)
     nt = At.cols
     negI = Matrix.identity(nt).neg()
@@ -139,7 +140,7 @@ def standardize(raw: RawSystem) -> StandardizeResult:
 
 def _finish(A: Matrix, b: Vector, sign_split: bool = False) -> StandardSystem:
     # every embedded row is a nonzero input row or a row of -I
-    bad = check_assumptions(A, b)
+    bad = check_assumptions(A)
     if bad:  # embeddings guarantee the assumptions; reaching this is a bug
         raise AssertionError(f"standardized system violates assumptions: {bad}")
     return StandardSystem(A, b, sign_split)

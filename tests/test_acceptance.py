@@ -241,7 +241,7 @@ def test_criterion_8_standardization_preserves_feasibility():
         elif isinstance(std, TriviallyNonEmpty):
             assert direct == FEASIBLE, (i, form)
         else:
-            assert check_assumptions(std.A, std.b) == [], (i, form)
+            assert check_assumptions(std.A) == [], (i, form)
             assert fm_feasible(std.A, std.b).status == direct, (i, form)
         checked += 1
     elapsed = time.monotonic() - t0

@@ -169,6 +169,22 @@ class TestCheck:
         assert code == EXIT_EMPTY
         assert json.loads(out)["certificate"]["farkas_y"] == ["-1/1", "0/1"]
 
+    @pytest.mark.parametrize("form, name", [
+        ("ineq", "whole space"), ("ineq-nonneg", "nonnegative orthant"),
+        ("eq-nonneg", "nonnegative orthant")])
+    def test_trivial_names_the_set(self, tmp_path, form, name):
+        # only redundant zero rows: the set is R^n, or with x >= 0 the orthant
+        text = "2 2\n0 0 0\n0 0 0\n"
+        code, out = run_cli(["check", "@IN@", "--form", form],
+                            tmp_path=tmp_path, text=text)
+        assert (code, out) == (EXIT_NOT_PROVEN_EMPTY,
+                               f"NOT-PROVEN-EMPTY (trivial: {name})\n")
+        code, out = run_cli(["check", "@IN@", "--form", form, "--json"],
+                            tmp_path=tmp_path, text=text)
+        assert code == EXIT_NOT_PROVEN_EMPTY
+        assert json.loads(out)["note"] == (
+            "all constraints redundant; polyhedron is the " + name)
+
     def test_stated_order_flag_same_verdict(self, tmp_path):
         a = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path, text=EMPTY_1D)
         b = run_cli(["check", "@IN@", "--stated-order", "--json"],

@@ -352,6 +352,8 @@ class TestResidualForm:
     @example(sys_of([[1, 0], [0, 1], [1, 1], [0, -1]], [0, 0, 5, -1]))
     # pair (1, 1, 2) with c = 0 and canonical 1 failing
     @example(sys_of([[1, 0], [0, 1], [0, -1], [1, 1]], [0, 0, -1, 5]))
+    # the same with a < 0: the head's sign is -a, not c
+    @example(sys_of([[1, 0], [0, 1], [0, -1], [-1, 1]], [0, 0, -1, 5]))
     # a = c = 0 in column 1
     @example(sys_of([[1, 0], [0, 1], [0, -1], [0, -1]], [0, 0, -1, -1]))
     @example(sys_of(*RATIONAL_1D))
@@ -367,7 +369,10 @@ class TestResidualForm:
                                    [0, 0, 5, -1]))
         pair_c0 = decompose(sys_of([[1, 0], [0, 1], [0, -1], [1, 1]],
                                    [0, 0, -1, 5]))
-        for dec, (a, c) in ((pair_a0, (0, 1)), (pair_c0, (1, 0))):
+        pair_c0_a_neg = decompose(sys_of([[1, 0], [0, 1], [0, -1], [-1, 1]],
+                                         [0, 0, -1, 5]))
+        for dec, (a, c) in ((pair_a0, (0, 1)), (pair_c0, (1, 0)),
+                            (pair_c0_a_neg, (-1, 0))):
             assert (dec.Rz[1][0], dec.Rz[0][0]) == (a, c)
             _, _, failure = reference_run(dec, MODE_ALGORITHM, (FAMILY_PAIR,))
             assert failure[:2] == (FAMILY_PAIR, (1, 1, 2))

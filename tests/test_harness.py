@@ -27,7 +27,7 @@ class TestGen:
     def test_output_passes_assumptions(self):
         for seed in range(20):
             s = gen_random_system(GenSpec(seed=seed, m=5, n=3))
-            assert check_assumptions(s.A, s.b) == []
+            assert check_assumptions(s.A) == []
 
 
 class TestPinvRankFactorization:

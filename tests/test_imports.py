@@ -1,6 +1,7 @@
 """Every name a hollowcheck module imports is used in that module, unless
-the benchmark tracer patches the name there (bench/tracer.py SITES), and
-no module imports another package module's private (`_name`) names."""
+the benchmark tracer patches the name there (bench/tracer.py SITES); no
+module imports another package module's private (`_name`) names; and
+every parameter of a package function or lambda is read in its body."""
 import ast
 import importlib.util
 from pathlib import Path
@@ -90,3 +91,39 @@ def test_private_import_is_caught():
         "_signed_filtered"]
     assert private_imports("from __future__ import annotations\n"
                            "from .densemat import eliminate\n") == []
+
+
+def unread_parameters(source: str) -> list:
+    """`function:parameter` for each parameter its function never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [p for p in (*args.posonlyargs, *args.args, args.vararg,
+                              *args.kwonlyargs, args.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}:{p.arg}" for p in params if p.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_caught():
+    assert unread_parameters("def f(A, b):\n    return A\n") == ["f:b"]
+    assert unread_parameters("g = lambda s, *rest, key=0: s\n") == [
+        "<lambda>:rest", "<lambda>:key"]
+    # a parameter read only by a nested function is read
+    assert unread_parameters("def f(x):\n    def g():\n        return x\n"
+                             "    return g\n") == []
+    # assigning a parameter is not reading it
+    assert unread_parameters("def f(x):\n    x = 1\n    return 0\n") == [
+        "f:x"]

@@ -58,14 +58,14 @@ class TestZeroRows:
 
 class TestCheckAssumptions:
     def test_ok(self):
-        assert check_assumptions(M([[1], [2], [-1]]), V([1, 1, 1])) == []
+        assert check_assumptions(M([[1], [2], [-1]])) == []
 
     def test_square_fails(self):
-        bad = check_assumptions(M([[1, 0], [0, 1]]), V([1, 1]))
+        bad = check_assumptions(M([[1, 0], [0, 1]]))
         assert any("m > n" in v for v in bad)
 
     def test_zero_row_fails(self):
-        bad = check_assumptions(M([[0, 0], [1, 0], [0, 1]]), V([1, 1, 1]))
+        bad = check_assumptions(M([[0, 0], [1, 0], [0, 1]]))
         assert any("zeros" in v for v in bad)
 
 
@@ -114,7 +114,7 @@ class TestStandardize:
                 bt = V([rng.randint(-3, 3) for _ in range(mt)])
                 res = standardize(RawSystem(form, At, bt))
                 if isinstance(res, StandardSystem):
-                    assert check_assumptions(res.A, res.b) == []
+                    assert check_assumptions(res.A) == []
 
 
 def raw_feasible(raw: RawSystem):
