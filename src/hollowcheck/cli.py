@@ -86,9 +86,13 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
         vals = []
         for col, tok in enumerate(tokens, start=1):
             try:
-                if not _NUMERAL.fullmatch(tok):
+                if _INTEGER.fullmatch(tok):
+                    # the common token: int() reads it faster than Fraction
+                    vals.append(Fraction(int(tok)))
+                elif _NUMERAL.fullmatch(tok):
+                    vals.append(Fraction(tok))
+                else:
                     raise ValueError(tok)
-                vals.append(Fraction(tok))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(lineno, f"bad number {tok!r} (column {col})")
         rows.append(vals[:-1])

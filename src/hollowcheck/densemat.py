@@ -175,9 +175,14 @@ def vec_mat(x: Vector, A: Matrix) -> Vector:
                         for j in range(A.cols)))
 
 
+def denominator_lcm(xs) -> int:
+    """The lcm of the denominators of the rationals xs, a positive int."""
+    return math.lcm(*(x.denominator for x in xs))
+
+
 def int_scaled(xs) -> tuple:
-    """The rationals xs times the lcm of their denominators, as ints."""
-    scale = math.lcm(*(x.denominator for x in xs))
+    """The rationals xs times `denominator_lcm(xs)`, as ints."""
+    scale = denominator_lcm(xs)
     return tuple(x.numerator * (scale // x.denominator) for x in xs)
 
 

@@ -26,11 +26,14 @@ first Fraction are built for that failure alone, by `_z_of`.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
 and `run_test`: the reference for the harness, the demo and the tests.
 
-As G = [I | -R], the failing test has t(k')G = z/s, and the interval and
-the Farkas vector +-z/s come from it.  decide checks that vector exactly
-before it returns Empty, so the Empty verdict is unconditionally sound;
-the converse rests on the enumeration being sufficient and is only
-measured (see harness).
+As G = [I | -R], the failing test has t(k')G = z/s: decide makes its m
+Fractions once, and k', the interval and the Farkas vector +-z/s are read
+from them.  The interval's endpoint is summed in ints and made one
+Fraction, and the exact check of the Farkas vector against sys runs in
+ints too (`validate_certificate`).  decide makes that check before it
+returns Empty, so the Empty verdict is unconditionally sound; the
+converse rests on the enumeration being sufficient and is only measured
+(see harness).
 """
 from __future__ import annotations
 

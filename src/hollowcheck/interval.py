@@ -3,16 +3,18 @@
 The emptiness test only ever asks whether 0 lies in {t(z) a : a <= b}.
 That set is closed form in the signs of z: [-inf, t(z)b] if z >= 0,
 [t(z)b, +inf] if z <= 0 (the point [0, 0] when z = 0), and the whole
-line otherwise.  Finite endpoints are exact rationals; the only infinite
-ones are NEG_INF and POS_INF, which a plain == recognises.
+line otherwise.  Finite endpoints are exact rationals, computed in ints
+and made a Fraction once; the only infinite ones are NEG_INF and
+POS_INF, which a plain == recognises.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .densemat import DimensionMismatch, Vector
+from .densemat import DimensionMismatch, Vector, denominator_lcm, int_scaled
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -36,7 +38,10 @@ def iv_dot(z: Vector, b: Vector) -> Interval:
     nonpos = all(e <= 0 for e in z.entries)
     if not (nonneg or nonpos):
         return Interval(NEG_INF, POS_INF)
-    zb = sum((zi * bi for zi, bi in zip(z.entries, b.entries)), Fraction(0))
+    # one Fraction: t(z)b = t(Lz z)(Lb b) / (Lz Lb), Lz and Lb the lcms
+    # of the denominators of z and b
+    zb = Fraction(sum(map(mul, int_scaled(z.entries), int_scaled(b.entries))),
+                  denominator_lcm(z.entries) * denominator_lcm(b.entries))
     return Interval(zb if nonpos else NEG_INF, zb if nonneg else POS_INF)
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
-from .densemat import Matrix, Vector
+from .densemat import DimensionMismatch, Matrix, Vector, int_scaled
 
 DEFAULT_ROW_CAP = 100_000
 
@@ -171,26 +172,41 @@ def fm_feasible_rows(coeff_rows: list, bounds: list, n: int,
     return FMResult(FEASIBLE, witness=witness)
 
 
+def _check_rhs(A: Matrix, b: Vector) -> None:
+    if b.dim != A.rows:
+        raise DimensionMismatch(f"b of dim {b.dim} for {A.rows} rows of A")
+
+
 def fm_feasible(A: Matrix, b: Vector, row_cap: int = DEFAULT_ROW_CAP) -> FMResult:
-    if A.rows != b.dim:
-        raise ValueError("A and b sizes differ")
+    _check_rhs(A, b)
     coeff_rows = A.row_lists()
     return fm_feasible_rows(coeff_rows, list(b.entries), A.cols, row_cap)
 
 
 def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
-    """Exact check of a Farkas certificate against the original system."""
+    """Exact check of a Farkas certificate against the original system.
+
+    A row with y_i = 0 adds nothing to t(y)A or t(y)b.  On the other rows,
+    y, A and b are each scaled to ints by the positive lcm of their own
+    denominators, which leaves the signs of y, t(y)A and t(y)b alone, and
+    the check runs in ints.
+    """
+    _check_rhs(A, b)
     if y.dim != A.rows:
         return False
-    if any(v < 0 for v in y.entries):
+    rows = [i for i, x in enumerate(y.entries) if x]
+    yz = int_scaled([y[i] for i in rows])
+    if any(x < 0 for x in yz):
         return False
-    comb = [sum(y[i] * A.at(i, j) for i in range(A.rows)) for j in range(A.cols)]
-    if any(c != 0 for c in comb):
+    n = A.cols
+    Az = int_scaled([a for i in rows for a in A.entries[i * n:(i + 1) * n]])
+    if any(sum(map(mul, yz, Az[j::n])) for j in range(n)):
         return False
-    return sum(y[i] * b[i] for i in range(A.rows)) < 0
+    return sum(map(mul, yz, int_scaled([b[i] for i in rows]))) < 0
 
 
 def validate_witness(A: Matrix, b: Vector, x: Vector) -> bool:
+    _check_rhs(A, b)
     if x.dim != A.cols:
         return False
     for i in range(A.rows):

@@ -92,6 +92,14 @@ class TestParse:
         with pytest.raises(ParseError, match="bad number"):
             parse_system("1 1\n1/0 1\n")
 
+    def test_integer_tokens_parse_as_fraction(self):
+        from fractions import Fraction
+        toks = ("+3", "-0", "007", "-12", "5")
+        raw = parse_system("1 4\n" + " ".join(toks) + "\n")
+        got = raw.Atilde.entries + raw.btilde.entries
+        assert got == tuple(Fraction(tok) for tok in toks)
+        assert all(type(x) is Fraction for x in got)
+
     def test_exponent_rejected(self):
         # Fraction would spend practically forever expanding "1e1000000000"
         for tok in ("1e5", "1E5", "2.5e-1"):

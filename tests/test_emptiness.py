@@ -274,6 +274,17 @@ def feasible_system(seed, m, n, x0_range=3, lower=0):
     return system_from_rows(A.row_lists(), b)
 
 
+def rational_system(seed, m, n):
+    """feasible_system(seed, m, n, lower=2) with each entry of A and b
+    divided by a random 1..4: rational, and mostly infeasible."""
+    rng = random.Random(seed)
+    base = feasible_system(seed, m, n, lower=2)
+    rows = [[Fraction(x, rng.randint(1, 4)) for x in row]
+            for row in base.A.row_lists()]
+    return system_from_rows(
+        rows, [Fraction(x, rng.randint(1, 4)) for x in base.b.entries])
+
+
 def reference_run(dec, mode, order):
     """The z-form battery: (tests run, family counts, first failure as
     (family, params, z, s) or None), read through family_tests and
@@ -441,6 +452,36 @@ class TestCandidateCost:
                 report = decide(sysr, mode=mode)
                 assert report.verdict == NOT_PROVEN_EMPTY
                 assert calls == [], (sysr.A.rows, mode)
+
+    def test_empty_verdict_fraction_count(self, monkeypatch):
+        # an EMPTY verdict makes the m Fractions of t(k')G = z / s, m more
+        # when the Farkas vector is -z / s, and the interval's endpoint;
+        # the exact check of the certificate runs in ints
+        shapes = ((6, 2), (8, 2), (12, 3), (13, 3))
+        fixtures = {
+            "integer": [feasible_system(seed, m, n, lower=2)
+                        for seed, (m, n) in enumerate(shapes * 2)],
+            "rational": [rational_system(seed, m, n)
+                         for seed, (m, n) in enumerate(shapes * 2)],
+        }
+        calls = []
+        real_new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real_new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        for kind, systems in fixtures.items():
+            empties = 0
+            for sysr in systems:
+                for mode in (MODE_ALGORITHM, MODE_THEOREM):
+                    calls.clear()
+                    report = decide(sysr, mode=mode)
+                    if report.verdict == EMPTY:
+                        empties += 1
+                        assert len(calls) <= 2 * sysr.A.rows + 1, (
+                            kind, sysr.A.rows, mode, len(calls))
+            assert empties >= 8, kind
 
 
 class TestDecide:

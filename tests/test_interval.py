@@ -93,3 +93,36 @@ def test_dot_exactness_against_corner_enumeration(inst):
         assert hi2 > hi1
     else:
         assert result.hi == hi1 == hi2
+
+
+def reference_dot(z, b) -> Interval:
+    """{t(z) a : a <= b} with t(z)b summed in Fraction, entry by entry."""
+    zb = sum((zi * bi for zi, bi in zip(z, b)), Fraction(0))
+    return Interval(zb if all(e <= 0 for e in z) else NEG_INF,
+                    zb if all(e >= 0 for e in z) else POS_INF)
+
+
+@st.composite
+def signed_dot_instances(draw):
+    # z >= 0, z <= 0, z = 0 or free (mostly mixed); entries that are
+    # integers are kept as ints half the time, as Vector allows
+    r = draw(st.integers(min_value=1, max_value=6))
+    sign = draw(st.sampled_from([1, -1, 0, None]))
+    z = [draw(rationals) for _ in range(r)]
+    if sign is not None:
+        z = [sign * abs(x) for x in z]
+    b = [draw(rationals) for _ in range(r)]
+    if draw(st.booleans()):
+        z = [int(x) if x.denominator == 1 else x for x in z]
+        b = [int(x) if x.denominator == 1 else x for x in b]
+    return tuple(z), tuple(b)
+
+
+@given(signed_dot_instances())
+@settings(max_examples=300, deadline=None)
+def test_dot_matches_fraction_reference(inst):
+    z, b = inst
+    result = iv_dot(Vector(len(z), z), Vector(len(b), b))
+    assert result == reference_dot(z, b)
+    for end in (result.lo, result.hi):
+        assert end in (NEG_INF, POS_INF) or type(end) is Fraction

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hollowcheck.densemat import Matrix, Vector
+from hollowcheck.densemat import DimensionMismatch, Matrix, Vector
 from hollowcheck.oracle import (FEASIBLE, INFEASIBLE, SizeExceeded,
                                 fm_feasible, fm_feasible_rows,
                                 validate_certificate, validate_witness)
@@ -97,3 +99,111 @@ class TestProperties:
                 # witness exists but may sit off the coarse grid; verify it
                 assert validate_witness(A, b, res.witness)
         assert checked > 5
+
+
+class TestValidatorDimensions:
+    A = M([[1], [1], [-1]])
+
+    @pytest.mark.parametrize("b", [[1, 2, -3, 99], [1, 2]])
+    def test_b_of_wrong_length_raises(self, b):
+        # a long b was read only up to A.rows, a short one ran off its end
+        with pytest.raises(DimensionMismatch):
+            validate_certificate(self.A, V(b), V([0, 1, 1]))
+        with pytest.raises(DimensionMismatch):
+            validate_witness(self.A, V(b), V([Fraction(1, 2)]))
+
+    def test_y_or_x_of_wrong_length_rejected(self):
+        b = V([1, 2, -3])
+        assert not validate_certificate(self.A, b, V([0, 1]))
+        assert not validate_certificate(self.A, b, V([0, 1, 1, 0]))
+        assert not validate_witness(self.A, V([1, 2, 0]), V([0, 0]))
+
+
+def reference_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
+    """The Farkas check in Fraction arithmetic, entry by entry."""
+    if y.dim != A.rows:
+        return False
+    if any(v < 0 for v in y.entries):
+        return False
+    comb = [sum(y[i] * A.at(i, j) for i in range(A.rows))
+            for j in range(A.cols)]
+    if any(c != 0 for c in comb):
+        return False
+    return sum(y[i] * b[i] for i in range(A.rows)) < 0
+
+
+def raw_matrix(rows):
+    """A Matrix that keeps int entries as ints, as Matrix() allows."""
+    return Matrix(len(rows), len(rows[0]), tuple(x for r in rows for x in r))
+
+
+CERTIFICATE_EXAMPLES = {
+    # t(y)A = 0 but t(y)b = 0
+    "yb_zero": ([[1], [-1]], [1, -1], [1, 1], False),
+    # t(y)A is one unit, 1/6, off in the second column
+    "one_unit_off": ([[Fraction(1, 2), Fraction(1, 3)],
+                      [Fraction(-1, 2), Fraction(-1, 6)]],
+                     [1, -2], [1, 1], False),
+    # t(y)A = 0 and t(y)b < 0, but y has a negative entry
+    "negative_entry": ([[1], [2], [1]], [-1, 0, 0], [2, -1, 0], False),
+    "y_zero": ([[1], [1], [-1]], [1, 2, -3], [0, 0, 0], False),
+    # int entries beside Fractions in y, A and b
+    "int_entries": ([[1], [Fraction(1, 2)], [-1]],
+                    [1, Fraction(2), -3], [1, 0, Fraction(1)], True),
+    "rational_valid": ([[Fraction(2, 3), 1], [Fraction(-1, 3), -2],
+                        [0, Fraction(9, 2)]],
+                       [Fraction(1, 3), Fraction(-1, 2), Fraction(-5, 4)],
+                       [Fraction(1, 2), 1, Fraction(1, 3)], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_EXAMPLES))
+def test_certificate_examples(name):
+    rows, b, y, expected = CERTIFICATE_EXAMPLES[name]
+    args = (raw_matrix(rows), Vector(len(b), tuple(b)),
+            Vector(len(y), tuple(y)))
+    assert reference_certificate(*args) == expected
+    assert validate_certificate(*args) == expected
+
+
+scalars = st.one_of(st.integers(-4, 4).map(Fraction),
+                    st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=6))
+
+
+@st.composite
+def certificate_instances(draw):
+    """(A, b, y), near a valid certificate more often than not: the last
+    row in y's support is solved for t(y)A = 0 and for a chosen t(y)b,
+    then perhaps nudged by one unit."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    A = [[draw(scalars) for _ in range(n)] for _ in range(m)]
+    b = [draw(scalars) for _ in range(m)]
+    y = [abs(draw(scalars)) for _ in range(m)]
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, m - 1))
+        y[i] = -y[i]
+    support = [i for i in range(m) if y[i]]
+    if support and draw(st.integers(0, 4)):
+        k = support[-1]
+        for j in range(n):
+            A[k][j] = -sum(y[i] * A[i][j] for i in range(m) if i != k) / y[k]
+        yb = draw(st.sampled_from([-1, 0, 1])) * abs(draw(scalars))
+        b[k] = (yb - sum(y[i] * b[i] for i in range(m) if i != k)) / y[k]
+        if draw(st.integers(0, 3)) == 0:
+            A[k][draw(st.integers(0, n - 1))] += Fraction(
+                draw(st.sampled_from([-1, 1])), draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        # int entries where the value is an integer
+        A = [[int(x) if x.denominator == 1 else x for x in r] for r in A]
+        b = [int(x) if x.denominator == 1 else x for x in b]
+        y = [int(x) if x.denominator == 1 else x for x in y]
+    return raw_matrix(A), Vector(m, tuple(b)), Vector(m, tuple(y))
+
+
+@given(certificate_instances())
+@settings(max_examples=400, deadline=None)
+def test_certificate_matches_fraction_reference(inst):
+    # the int check after lcm scaling gives the Fraction check's answer
+    assert validate_certificate(*inst) == reference_certificate(*inst)
