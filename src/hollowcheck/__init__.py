@@ -12,7 +12,7 @@ from .harness import (GenSpec, agreement_run, gen_random_system,
                       system_from_rows)
 from .interval import Interval, contains_zero, iv_dot
 from .oracle import FEASIBLE, INFEASIBLE, FMResult, fm_feasible
-from .standardize import (EarlyEmpty, RawSystem, StandardSystem,
+from .standardize import (EarlyEmpty, NotStandard, RawSystem, StandardSystem,
                           TriviallyNonEmpty, check_assumptions, standardize)
 
 __version__ = "0.1.0"
@@ -28,6 +28,6 @@ __all__ = [
     "probe_lemma2", "probe_theorem1", "system_from_rows",
     "Interval", "contains_zero", "iv_dot",
     "FEASIBLE", "INFEASIBLE", "FMResult", "fm_feasible",
-    "EarlyEmpty", "RawSystem", "StandardSystem", "TriviallyNonEmpty",
-    "check_assumptions", "standardize",
+    "EarlyEmpty", "NotStandard", "RawSystem", "StandardSystem",
+    "TriviallyNonEmpty", "check_assumptions", "standardize",
 ]

@@ -146,6 +146,12 @@ class Matrix:
         return Matrix(self.rows, self.cols, tuple(-e for e in self.entries))
 
 
+def check_rhs(A: Matrix, b: Vector) -> None:
+    """Raise DimensionMismatch unless b has one entry per row of A."""
+    if b.dim != A.rows:
+        raise DimensionMismatch(f"b of dim {b.dim} for {A.rows} rows of A")
+
+
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if A.cols != B.rows:
         raise DimensionMismatch(

@@ -1,17 +1,17 @@
 """The algebraic emptiness test.
 
 Pipeline: split A into (A1; A2) with A2 invertible, read R = A1 A2^-1
-off the elimination of t(A) that picks A2, form G = [I | -R], then test
-whether 0 lies in {t(k')G a : a <= b} for each vector k' of a finite
-family (canonical basis, left kernel of R, orthogonal complements of b1
-and R b2, and the pairwise elimination vectors).  The verdict for k'
-reads only the signs of z = t(k')G and of t(z)b, which a positive
-scaling leaves alone, so the battery runs in Python ints: `decompose`
-keeps Rz = D R (D > 0 the lcm of R's denominators) and bz, a positive
-integer multiple of b.  For k' = w / s with w an int vector,
-z = [D w | -w Rz] is s D t(k')G, and t(z)bz = w r for the residual
-r = D bz[:m-n] - Rz bz[m-n:]: r_i is a positive multiple of the slack
-of row i at the vertex x_B = A2^-1 b2.
+off `StandardSystem.split`, the elimination of t(A) that picks A2, form
+G = [I | -R], then test whether 0 lies in {t(k')G a : a <= b} for each
+vector k' of a finite family (canonical basis, left kernel of R,
+orthogonal complements of b1 and R b2, and the pairwise elimination
+vectors).  The verdict for k' reads only the signs of z = t(k')G and of
+t(z)b, which a positive scaling leaves alone, so the battery runs in
+Python ints: `decompose` keeps Rz = D R (D > 0 the lcm of R's
+denominators) and bz, a positive integer multiple of b.  For k' = w / s
+with w an int vector, z = [D w | -w Rz] is s D t(k')G, and t(z)bz = w r
+for the residual r = D bz[:m-n] - Rz bz[m-n:]: r_i is a positive
+multiple of the slack of row i at the vertex x_B = A2^-1 b2.
 
 `decide` computes r once and decides each candidate from its head w and
 r (the `_scan_*` functions), by the paper's rule: a test fails iff z has
@@ -42,9 +42,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from .densemat import (Matrix, Vector, eliminate, int_scaled,
-                       left_nullspace_basis, lowest_terms,
-                       orth_complement_basis)
+from .densemat import (Matrix, Vector, int_scaled, left_nullspace_basis,
+                       lowest_terms, orth_complement_basis)
 # unused here, but bench/tracer.py patches them by these names in this module
 from .densemat import invert, mat_mul, vec_mat  # noqa: F401
 from .interval import Interval, iv_dot
@@ -66,10 +65,6 @@ DEFAULT_ORDER = (FAMILY_CANONICAL, FAMILY_KERNEL, FAMILY_B1_PERP,
 # the order the test families appear in the source procedure
 STATED_ORDER = (FAMILY_B1_PERP, FAMILY_RB2_PERP, FAMILY_KERNEL,
                FAMILY_CANONICAL, FAMILY_PAIR)
-
-
-class NoInvertibleSubmatrix(Exception):
-    """No n independent rows found; upstream rank check must be broken."""
 
 
 class SoundnessViolation(AssertionError):
@@ -139,13 +134,9 @@ def decompose(sys: StandardSystem) -> Decomposition:
     Selected rows are moved after the unselected ones, both blocks keeping
     their relative input order; b is permuted identically.
     """
-    A, b = sys.A, sys.b
-    m, n = A.rows, A.cols
-    # the pivot columns of t(A) are the first n independent rows of A
-    basis_rows, selected, d = eliminate(A.transpose())
-    if len(selected) < n:
-        raise NoInvertibleSubmatrix(
-            f"only {len(selected)} independent rows in a rank-{n} system")
+    A, b, m, n = sys.A, sys.b, sys.m, sys.n
+    # the n pivot columns of t(A) are the first n independent rows of A
+    basis_rows, selected, d = sys.split
     sel = set(selected)
     unselected = [i for i in range(m) if i not in sel]
     perm = tuple(unselected + selected)

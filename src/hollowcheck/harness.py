@@ -18,11 +18,13 @@ from .emptiness import (EMPTY, FAMILY_CANONICAL, MODE_ALGORITHM,
                         family_tests, run_test)
 from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
                      validate_certificate, validate_witness)
-from .standardize import StandardSystem, check_assumptions
+from .standardize import NotStandard, StandardSystem, check_assumptions
 
 DEFAULT_INSTANCES = 100
 DEFAULT_TRIALS = 20
 MAX_REJECTS = 1000      # draws before a rejection sampler gives up
+RATIONAL_MAG = 9        # numerator bound of a probe's random rationals
+FULL_ROW_RANK_MAG = 4   # entry bound of a probe's random full-row-rank matrix
 
 
 class GenerationExhausted(Exception):
@@ -87,9 +89,7 @@ class AgreementStats:
 
 
 def system_from_rows(rows, bounds) -> StandardSystem:
-    A = Matrix.from_rows(rows)
-    b = Vector.from_list(bounds)
-    return StandardSystem(A, b)
+    return StandardSystem(Matrix.from_rows(rows), Vector.from_list(bounds))
 
 
 def gen_random_system(spec: GenSpec) -> StandardSystem:
@@ -106,8 +106,8 @@ def gen_random_system(spec: GenSpec) -> StandardSystem:
     raise GenerationExhausted(f"no admissible system after {MAX_REJECTS} draws")
 
 
-def _random_rational(rng: random.Random, mag: int = 9) -> Fraction:
-    return Fraction(rng.randint(-mag, mag), rng.randint(1, 4))
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-RATIONAL_MAG, RATIONAL_MAG), rng.randint(1, 4))
 
 
 def probe_lemma1(sys: StandardSystem, trials: int = DEFAULT_TRIALS,
@@ -144,10 +144,10 @@ def probe_lemma1(sys: StandardSystem, trials: int = DEFAULT_TRIALS,
     return {"checked": checked, "ok": True}
 
 
-def _random_full_row_rank(rng: random.Random, k: int, n: int,
-                          mag: int = 4) -> Matrix:
+def _random_full_row_rank(rng: random.Random, k: int, n: int) -> Matrix:
     for _ in range(MAX_REJECTS):
-        rows = [[rng.randint(-mag, mag) for _ in range(n)] for _ in range(k)]
+        rows = [[rng.randint(-FULL_ROW_RANK_MAG, FULL_ROW_RANK_MAG)
+                 for _ in range(n)] for _ in range(k)]
         M = Matrix.from_rows(rows)
         if rank(M) == k:
             return M
@@ -229,25 +229,20 @@ def probe_theorem1(sys: StandardSystem) -> dict:
     return {"rows": results, "all_agree": all(r["agree"] for r in results)}
 
 
-def _rows_bounds(sys: StandardSystem):
-    return sys.A.row_lists(), list(sys.b.entries)
-
-
 def _discrepancy_holds(rows, bounds) -> bool:
     """The shrink predicate: still NotProvenEmpty yet oracle-infeasible.
 
     Only the oracle's row cap counts as "does not hold"; any other error,
     a SoundnessViolation above all, propagates.
     """
-    A = Matrix.from_rows(rows)
-    b = Vector.from_list(bounds)
-    if check_assumptions(A):
+    try:
+        sys = system_from_rows(rows, bounds)
+    except NotStandard:
         return False
-    sys = StandardSystem(A, b)
     if decide(sys).verdict == EMPTY:
         return False
     try:
-        return fm_feasible(A, b).status == INFEASIBLE
+        return fm_feasible(sys.A, sys.b).status == INFEASIBLE
     except SizeExceeded:
         return False
 
@@ -330,7 +325,8 @@ def agreement_run(specs, mode: str = MODE_ALGORITHM) -> AgreementStats:
             if not validate_certificate(sys.A, sys.b, res.certificate):
                 raise SoundnessViolation(
                     f"oracle certificate fails its own system (seed={spec.seed})")
-            rows, bounds = shrink_discrepancy(*_rows_bounds(sys))
+            rows, bounds = shrink_discrepancy(sys.A.row_lists(),
+                                              list(sys.b.entries))
             stats.discrepancies.append(Discrepancy(
                 rows, bounds, report.verdict, res.status, spec.seed))
     stats.discrepancies.sort(key=lambda d: (len(d.rows), d.seed))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .densemat import DimensionMismatch, Matrix, Vector, int_scaled
+from .densemat import Matrix, Vector, check_rhs, int_scaled
 
 DEFAULT_ROW_CAP = 100_000
 
@@ -172,13 +172,8 @@ def fm_feasible_rows(coeff_rows: list, bounds: list, n: int,
     return FMResult(FEASIBLE, witness=witness)
 
 
-def _check_rhs(A: Matrix, b: Vector) -> None:
-    if b.dim != A.rows:
-        raise DimensionMismatch(f"b of dim {b.dim} for {A.rows} rows of A")
-
-
 def fm_feasible(A: Matrix, b: Vector, row_cap: int = DEFAULT_ROW_CAP) -> FMResult:
-    _check_rhs(A, b)
+    check_rhs(A, b)
     coeff_rows = A.row_lists()
     return fm_feasible_rows(coeff_rows, list(b.entries), A.cols, row_cap)
 
@@ -191,7 +186,7 @@ def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
     denominators, which leaves the signs of y, t(y)A and t(y)b alone, and
     the check runs in ints.
     """
-    _check_rhs(A, b)
+    check_rhs(A, b)
     if y.dim != A.rows:
         return False
     rows = [i for i, x in enumerate(y.entries) if x]
@@ -206,7 +201,7 @@ def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
 
 
 def validate_witness(A: Matrix, b: Vector, x: Vector) -> bool:
-    _check_rhs(A, b)
+    check_rhs(A, b)
     if x.dim != A.cols:
         return False
     for i in range(A.rows):

@@ -1,5 +1,7 @@
 """Conversion of the usual polyhedron forms to the standard shape Ax <= b
-with m > n, full column rank, and no zero row.
+with m > n, full column rank, and no zero row.  A `StandardSystem` reads
+all three off one elimination of t(A), kept as `split` for `decompose`,
+and raises NotStandard if one fails.
 
 Three input forms are supported:
   ineq        {x : Ax <= b}
@@ -13,10 +15,12 @@ every other zero row is redundant and dropped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
-from .densemat import Matrix, Vector, rank
+from .densemat import Matrix, Vector, check_rhs, eliminate
+# unused here, but bench/tracer.py patches it by this name in this module
+from .densemat import rank  # noqa: F401
 
 FORM_INEQ = "ineq"
 FORM_INEQ_NONNEG = "ineq_nonneg"
@@ -33,8 +37,7 @@ class RawSystem:
     def __post_init__(self):
         if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
-        if self.Atilde.rows != self.btilde.dim:
-            raise ValueError("row count of A and dim of b differ")
+        check_rhs(self.Atilde, self.btilde)
 
 
 @dataclass(frozen=True)
@@ -53,11 +56,45 @@ class TriviallyNonEmpty:
     detail: str     # the set: "whole space" or "nonnegative orthant"
 
 
+class NotStandard(ValueError):
+    """A standing assumption fails; the message lists every failure."""
+
+
+def _violations(A: Matrix, split: tuple) -> list:
+    """The failed assumptions, read off split = eliminate(t(A)): row i of A
+    is zero iff column i of d rref(t(A)) is; the rank counts the pivots."""
+    rows, piv_cols, _ = split
+    violations = [f"row {i} of A is all zeros" for i in range(A.rows)
+                  if not any(row[i] for row in rows)]
+    if A.rows <= A.cols:
+        violations.append(f"m > n fails ({A.rows} rows, {A.cols} cols)")
+    if len(piv_cols) != A.cols:
+        violations.append(f"full column rank fails "
+                          f"(rank {len(piv_cols)} < {A.cols})")
+    return violations
+
+
+def check_assumptions(A: Matrix) -> list:
+    """Empty list when the standard-form assumptions hold."""
+    return _violations(A, eliminate(A.transpose()))
+
+
 @dataclass(frozen=True)
 class StandardSystem:
+    """Ax <= b under the standing assumptions; NotStandard otherwise."""
     A: Matrix
     b: Vector
     sign_split: bool = False    # columns are (x+, x-) with x = x+ - x-
+    # eliminate(t(A)): its pivot columns are the first n independent rows
+    split: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        check_rhs(self.A, self.b)
+        split = eliminate(self.A.transpose())
+        bad = _violations(self.A, split)
+        if bad:
+            raise NotStandard("; ".join(bad))
+        object.__setattr__(self, "split", split)
 
     @property
     def m(self) -> int:
@@ -73,20 +110,6 @@ class StandardSystem:
             return x_std
         nn = self.n // 2
         return Vector(nn, tuple(x_std[j] - x_std[nn + j] for j in range(nn)))
-
-
-def check_assumptions(A: Matrix) -> list:
-    """Empty list when the standard-form assumptions hold."""
-    violations = []
-    for i in range(A.rows):
-        if A.row(i).is_zero():
-            violations.append(f"row {i} of A is all zeros")
-    if A.rows <= A.cols:
-        violations.append(f"m > n fails ({A.rows} rows, {A.cols} cols)")
-    r = rank(A)
-    if r != A.cols:
-        violations.append(f"full column rank fails (rank {r} < {A.cols})")
-    return violations
 
 
 StandardizeResult = Union[StandardSystem, EarlyEmpty, TriviallyNonEmpty]
@@ -114,33 +137,18 @@ def standardize(raw: RawSystem) -> StandardizeResult:
         At = Matrix.from_rows([rows[i] for i in kept])
         bt = Vector.from_list([bt[i] for i in kept])
 
-    if raw.form == FORM_INEQ and not check_assumptions(At):
-        return StandardSystem(At, bt)
-    nt = At.cols
-    negI = Matrix.identity(nt).neg()
-
-    if raw.form == FORM_INEQ:
-        # sign-split embedding x = x+ - x-, always restores full column rank
-        zeros = Matrix.zeros(nt, nt)
-        A = At.hstack(At.neg()).vstack(negI.hstack(zeros)) \
-            .vstack(zeros.hstack(negI))
-        b = Vector.from_list(list(bt.entries) + [0] * (2 * nt))
-        return _finish(A, b, sign_split=True)
-
-    if raw.form == FORM_INEQ_NONNEG:
-        A = At.vstack(negI)
-        b = Vector.from_list(list(bt.entries) + [0] * nt)
-        return _finish(A, b)
-
-    # eq_nonneg: A x = b becomes Ax <= b and -Ax <= -b, plus x >= 0
-    A = At.vstack(At.neg()).vstack(negI)
-    b = Vector.from_list(list(bt.entries) + [-x for x in bt.entries] + [0] * nt)
-    return _finish(A, b)
-
-
-def _finish(A: Matrix, b: Vector, sign_split: bool = False) -> StandardSystem:
-    # every embedded row is a nonzero input row or a row of -I
-    bad = check_assumptions(A)
-    if bad:  # embeddings guarantee the assumptions; reaching this is a bug
-        raise AssertionError(f"standardized system violates assumptions: {bad}")
-    return StandardSystem(A, b, sign_split)
+    ineq = raw.form == FORM_INEQ
+    if ineq:
+        try:
+            return StandardSystem(At, bt)
+        except NotStandard:
+            # x = x+ - x- with x+, x- >= 0
+            At = At.hstack(At.neg())
+    elif eq:
+        # A x = b becomes Ax <= b and -Ax <= -b, with x >= 0
+        At = At.vstack(At.neg())
+        bt = Vector.from_list(list(bt.entries) + [-x for x in bt.entries])
+    # x >= 0 as -x <= 0: no zero row is added, and -I gives full column rank
+    A = At.vstack(Matrix.identity(At.cols).neg())
+    b = Vector.from_list(list(bt.entries) + [0] * At.cols)
+    return StandardSystem(A, b, sign_split=ineq)

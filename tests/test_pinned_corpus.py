@@ -14,6 +14,11 @@ The text corpus pins the human-readable output of `check` and both
 renderings of `oracle` the same way, on rational instances in all three
 forms with some all-zero rows, so the presolve outcomes (`EarlyEmpty`,
 `TriviallyNonEmpty`) are rendered too.
+
+The rank-deficient corpus pins the same renderings on `ineq` systems
+with m > n whose rows are multiples of fewer than n base rows, some of
+them zero: A fails full column rank, so `standardize` falls back to the
+sign split.
 """
 import hashlib
 import io
@@ -79,6 +84,23 @@ EXPECTED_TEXT_EXITS = {
 }
 
 
+# (raw m, raw n, base rows): every nonzero row is a multiple of one of
+# fewer than n base rows, so rank A < n
+DEFICIENT_SHAPES = ((3, 2, 1), (4, 2, 1), (4, 3, 1), (5, 3, 2), (6, 3, 2))
+DEFICIENT_SEEDS = range(6)
+DEFICIENT_CONFIGS = {
+    "check_json": ["check", "--json"],
+    "check": ["check"],
+    "check_oracle": ["check", "--oracle-check"],
+    "oracle": ["oracle"],
+}
+# recorded before `standardize` read the assumptions off one elimination
+EXPECTED_DEFICIENT_DIGEST = \
+    "6cbea82049bbbedd5f16a655c25d71034ad9d1599928d179e90cdb0fc3222ab1"
+# configuration -> [runs exiting 0, runs exiting 1]; 10 files end in presolve
+EXPECTED_DEFICIENT_EXITS = {name: [4, 26] for name in DEFICIENT_CONFIGS}
+
+
 def instance_text(sys) -> str:
     lines = [f"{sys.m} {sys.n}"]
     for i in range(sys.m):
@@ -106,6 +128,21 @@ def rational_text(seed: int, m: int, n: int, zero_frac: float = 0.0) -> str:
             rows.append(" ".join(["0"] * n + [rational_token(rng)]))
         else:
             rows.append(" ".join(rational_token(rng) for _ in range(n + 1)))
+    return "\n".join([f"{m} {n}"] + rows) + "\n"
+
+
+def deficient_text(seed: int, m: int, n: int, r: int) -> str:
+    """m rows over r < n integer base rows; about a fifth are zero."""
+    rng = random.Random(seed)
+    base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+    rows = []
+    for _ in range(m):
+        if rng.random() < 0.2:
+            coeffs = ["0"] * n
+        else:
+            k = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+            coeffs = [str(k * x) for x in rng.choice(base)]
+        rows.append(" ".join(coeffs + [rational_token(rng)]))
     return "\n".join([f"{m} {n}"] + rows) + "\n"
 
 
@@ -172,3 +209,19 @@ def test_pinned_text_corpus(tmp_path):
             exits[name][code] += 1
     assert exits == EXPECTED_TEXT_EXITS
     assert digest.hexdigest() == EXPECTED_TEXT_DIGEST
+
+
+def test_pinned_rank_deficient_corpus(tmp_path):
+    digest = hashlib.sha256()
+    exits = {name: [0, 0] for name in DEFICIENT_CONFIGS}
+    for m, n, r in DEFICIENT_SHAPES:
+        for seed in DEFICIENT_SEEDS:
+            path = tmp_path / f"m{m}n{n}r{r}s{seed}.txt"
+            path.write_text(deficient_text(seed, m, n, r))
+            for name, cmd in DEFICIENT_CONFIGS.items():
+                buf = io.StringIO()
+                code = run(cmd[:1] + [str(path)] + cmd[1:], out=buf)
+                digest.update(f"{code}\n{buf.getvalue()}".encode())
+                exits[name][code] += 1
+    assert exits == EXPECTED_DEFICIENT_EXITS
+    assert digest.hexdigest() == EXPECTED_DEFICIENT_DIGEST

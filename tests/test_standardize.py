@@ -1,13 +1,19 @@
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hollowcheck.densemat import Matrix, Vector
+import hollowcheck
+from hollowcheck.densemat import DimensionMismatch, Matrix, Vector, rank
+from hollowcheck.emptiness import decide, decompose
+from hollowcheck.harness import system_from_rows
 from hollowcheck.oracle import FEASIBLE, fm_feasible, validate_witness
-from hollowcheck.standardize import (EarlyEmpty, RawSystem, StandardSystem,
-                                     TriviallyNonEmpty, check_assumptions,
-                                     standardize)
+from hollowcheck.standardize import (EarlyEmpty, NotStandard, RawSystem,
+                                     StandardSystem, TriviallyNonEmpty,
+                                     check_assumptions, standardize)
 
 
 def M(rows):
@@ -67,6 +73,120 @@ class TestCheckAssumptions:
     def test_zero_row_fails(self):
         bad = check_assumptions(M([[0, 0], [1, 0], [0, 1]]))
         assert any("zeros" in v for v in bad)
+
+
+def reference_check_assumptions(A: Matrix) -> list:
+    """The row scan plus `rank(A)` that `check_assumptions` replaced."""
+    violations = []
+    for i in range(A.rows):
+        if A.row(i).is_zero():
+            violations.append(f"row {i} of A is all zeros")
+    if A.rows <= A.cols:
+        violations.append(f"m > n fails ({A.rows} rows, {A.cols} cols)")
+    r = rank(A)
+    if r != A.cols:
+        violations.append(f"full column rank fails (rank {r} < {A.cols})")
+    return violations
+
+
+SMALL_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def assumption_matrices(draw):
+    """1x1 to 8x4 int or p/q matrices; each row is drawn afresh, zero, or
+    a multiple (a duplicate at 1) of an earlier row."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    entries = draw(st.sampled_from((st.integers(-2, 2), SMALL_RATIONALS)))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("fresh", "zero", "multiple")))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "multiple" and rows:
+            k = draw(st.sampled_from((1, -1, 2, Fraction(-1, 2))))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return M(rows)
+
+
+class TestAssumptionsReadOff:
+    """The read-off of one elimination of t(A) against the row scan and
+    rank it replaced, message for message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(assumption_matrices())
+    # row 1 of A shows only in the second pivot row; row 3 is zero
+    @example(M([[1, 0], [0, 1], [1, 1], [0, 0]]))
+    # a zero row between a duplicate and the second pivot
+    @example(M([[1, 0], [2, 0], [0, 0], [0, 1]]))
+    def test_same_messages(self, A):
+        expected = reference_check_assumptions(A)
+        assert check_assumptions(A) == expected
+        b = Vector.zero(A.rows)
+        if expected:
+            with pytest.raises(NotStandard) as err:
+                StandardSystem(A, b)
+            assert str(err.value) == "; ".join(expected)
+        else:
+            assert len(StandardSystem(A, b).split[1]) == A.cols
+
+
+class TestRhsLength:
+    def test_long_and_short_b_raise(self):
+        rows = [[1], [1], [-1]]
+        for bounds in ([1, 2, 0, 99], [1, 2, -3, 99], [1, 2]):
+            with pytest.raises(DimensionMismatch,
+                               match=f"b of dim {len(bounds)} for 3 rows"):
+                system_from_rows(rows, bounds)
+
+    def test_right_length_decides(self):
+        assert decide(system_from_rows([[1], [1], [-1]], [1, 2, -3])).is_empty
+
+
+def count_eliminations(monkeypatch) -> list:
+    """Patch `eliminate` in every package module that holds it; the list
+    returned grows by one entry per call."""
+    calls = []
+    original = hollowcheck.densemat.eliminate
+
+    def counted(M):
+        calls.append(M.rows)
+        return original(M)
+    for name in ("cli", "densemat", "emptiness", "harness", "interval",
+                 "oracle", "standardize"):
+        mod = importlib.import_module(f"hollowcheck.{name}")
+        if hasattr(mod, "eliminate"):
+            monkeypatch.setattr(mod, "eliminate", counted)
+    return calls
+
+
+class TestEliminationCount:
+    """standardize then decompose eliminates t(A) once on an admissible
+    input, and at most twice when `ineq` falls back to the sign split."""
+
+    @pytest.mark.parametrize("form, rows, bounds", [
+        ("ineq", [[1], [1], [-1]], [1, 2, 0]),
+        ("ineq", [[1, 0], [0, 1], [1, 1], [0, 0]], [1, 1, 3, 0]),
+        ("ineq_nonneg", [[1, 1]], [1]),
+        ("eq_nonneg", [[1, 2], [3, 1]], [2, 5])])
+    def test_admissible_once(self, monkeypatch, form, rows, bounds):
+        calls = count_eliminations(monkeypatch)
+        std = standardize(RawSystem(form, M(rows), V(bounds)))
+        decompose(std)
+        assert not std.sign_split and len(calls) == 1
+
+    @pytest.mark.parametrize("rows, bounds", [
+        ([[1]], [5]),                                 # m <= n
+        ([[1, 2], [2, 4], [-1, -2]], [1, 2, 3]),      # rank 1 < n
+        ([[1, 1], [0, 0], [-2, -2]], [1, 0, 2])])     # zero row, rank 1
+    def test_sign_split_at_most_twice(self, monkeypatch, rows, bounds):
+        calls = count_eliminations(monkeypatch)
+        std = standardize(RawSystem("ineq", M(rows), V(bounds)))
+        decompose(std)
+        assert std.sign_split and len(calls) <= 2
 
 
 class TestStandardize:
