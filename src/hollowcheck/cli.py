@@ -7,7 +7,13 @@ Subcommands:
   gen     write a random admissible instance file
 
 Exit codes: 0 not-proven-empty, 1 empty, 2 input/usage error, 3 internal
-error, including an Empty certificate that fails its exact self-check.
+error, including an Empty certificate that fails its exact self-check, 4
+the Fourier-Motzkin oracle (`oracle`, `check --oracle-check`) passed its
+row cap.
+
+Certificates and witnesses are written in the file's own frame: a
+`farkas_y` has one entry per row of the form's embedding of the file
+(see `standardize`), a witness one entry per variable of the file.
 
 Input format: first data line "m n", then m lines of n+1 numbers (row of
 A then b_i).  Numbers are integers, decimals, or fractions "p/q" in ASCII
@@ -27,7 +33,7 @@ from . import harness
 from .densemat import Matrix, Vector
 from .emptiness import EMPTY, MODE_ALGORITHM, MODES, SoundnessViolation, decide
 from .interval import NEG_INF, POS_INF
-from .oracle import FEASIBLE, INFEASIBLE, fm_feasible
+from .oracle import FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible
 from .standardize import (EarlyEmpty, FORMS, RawSystem, TriviallyNonEmpty,
                           standardize)
 
@@ -35,6 +41,7 @@ EXIT_NOT_PROVEN_EMPTY = 0
 EXIT_EMPTY = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_ORACLE_SIZE = 4
 
 
 class ParseError(ValueError):
@@ -132,7 +139,9 @@ def _report_obj(verdict, mode, tests_run, families, certificate) -> dict:
     }
 
 
-def report_to_jsonable(report, oracle_result=None) -> dict:
+def report_to_jsonable(report, std, oracle_result=None) -> dict:
+    """The JSON report of `decide` on `std`, with the Farkas vector and the
+    oracle's witness mapped back to the file."""
     cert = None
     if report.certificate is not None:
         c = report.certificate
@@ -141,14 +150,14 @@ def report_to_jsonable(report, oracle_result=None) -> dict:
             "k_prime": _vec_json(c.kprime),
             "interval": [_endpoint_str(c.interval.lo),
                          _endpoint_str(c.interval.hi)],
-            "farkas_y": _vec_json(c.farkas_y),
+            "farkas_y": _vec_json(std.original_farkas(c.farkas_y)),
         }
     out = _report_obj(report.verdict, report.mode, report.tests_run,
                       dict(sorted(report.family_counts.items())), cert)
     if oracle_result is not None:
         out["oracle"] = {
             "status": oracle_result.status,
-            "witness": _vec_json(oracle_result.witness)
+            "witness": _vec_json(std.original_point(oracle_result.witness))
             if oracle_result.witness is not None else None,
         }
     return out
@@ -188,8 +197,7 @@ def cmd_check(args, out) -> int:
                  "farkas_y = " + " ".join(farkas_y)]
     elif isinstance(std, TriviallyNonEmpty):
         obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
-        obj["note"] = ("all constraints redundant; polyhedron is the "
-                       + std.detail)
+        obj["note"] = std.note
         lines = [f"NOT-PROVEN-EMPTY (trivial: {std.detail})"]
     else:
         report = decide(std, mode=args.mode, stated_order=args.stated_order)
@@ -199,7 +207,7 @@ def cmd_check(args, out) -> int:
             if report.is_empty and oracle_result.status == FEASIBLE:
                 raise SoundnessViolation(
                     "Empty verdict on an oracle-feasible system")
-        obj = report_to_jsonable(report, oracle_result)
+        obj = report_to_jsonable(report, std, oracle_result)
         cert = obj["certificate"]
         if cert is None:
             lines = ["NOT-PROVEN-EMPTY (claimed nonempty)"]
@@ -212,34 +220,32 @@ def cmd_check(args, out) -> int:
         lines.append(f"tests run: {report.tests_run}")
         if oracle_result is not None:
             lines.append(f"oracle: {oracle_result.status}")
-            if oracle_result.witness is not None:
-                # the JSON holds the standard-form witness, the text the
-                # original variables
-                wit = std.original_point(oracle_result.witness)
-                lines.append("witness (original variables): "
-                             + " ".join(_vec_json(wit)))
+            wit = obj["oracle"]["witness"]
+            if wit is not None:
+                lines.append("witness (original variables): " + " ".join(wit))
     _emit(obj, lines, args, out)
     return EXIT_EMPTY if obj["verdict"] == EMPTY else EXIT_NOT_PROVEN_EMPTY
 
 
 def cmd_oracle(args, out) -> int:
-    raw = parse_system(_read_input(args.input), args.form)
-    std = standardize(raw)
+    std = standardize(parse_system(_read_input(args.input), args.form))
     if isinstance(std, EarlyEmpty):
         obj = {"status": INFEASIBLE, "witness": None, "presolve": std.detail}
         lines = ["infeasible (presolve)"]
-    elif isinstance(std, TriviallyNonEmpty):
-        obj = {"status": FEASIBLE, "witness": ["0/1"] * raw.Atilde.cols}
-        lines = ["feasible, witness 0"]
     else:
-        res = fm_feasible(std.A, std.b)
-        wit = None
-        if res.witness is not None:
-            wit = _vec_json(std.original_point(res.witness))
-        obj = {"status": res.status, "witness": wit}
-        lines = [res.status]
+        if isinstance(std, TriviallyNonEmpty):
+            status, wit = FEASIBLE, std.witness
+        else:
+            res = fm_feasible(std.A, std.b)
+            status, wit = res.status, res.witness
+            if wit is not None:
+                wit = std.original_point(wit)
+        obj = {"status": status, "witness": None}
+        lines = [status]
         if wit is not None:
-            lines.append("witness (original variables): " + " ".join(wit))
+            obj["witness"] = _vec_json(wit)
+            lines.append("witness (original variables): "
+                         + " ".join(obj["witness"]))
     _emit(obj, lines, args, out)
     return EXIT_NOT_PROVEN_EMPTY if obj["status"] == FEASIBLE else EXIT_EMPTY
 
@@ -375,6 +381,9 @@ def run(argv=None, out=None) -> int:
     except SoundnessViolation as exc:
         _sys.stderr.write(f"soundness violation: {exc}\n")
         return EXIT_INTERNAL
+    except SizeExceeded as exc:
+        _sys.stderr.write(f"oracle size limit: {exc}\n")
+        return EXIT_ORACLE_SIZE
     except Exception as exc:  # internal error
         _sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL

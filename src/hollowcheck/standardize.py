@@ -5,18 +5,33 @@ and raises NotStandard if one fails.
 
 Three input forms are supported:
   ineq        {x : Ax <= b}
-  ineq_nonneg {x : Ax <= b, x >= 0}
-  eq_nonneg   {x : Ax = b,  x >= 0}
+  ineq_nonneg {x : Ax <= b, x >= 0}, embedded as (A; -I) x <= (b; 0)
+  eq_nonneg   {x : Ax = b,  x >= 0}, embedded as (A; -A; -I) x <= (b; -b; 0)
 
 Degenerate all-zero rows are decided early, in one pass: a zero row
 0 <= b_i with b_i < 0, or an equality zero row 0 = b_i with b_i != 0,
 proves emptiness outright, and EarlyEmpty carries its Farkas vector;
 every other zero row is redundant and dropped.
+
+An `ineq` system that is not standard is projected onto the pivot
+columns K of one elimination of [A | b]: Ax ranges over the column space
+of A, so {x : Ax <= b} is empty iff {u : A_K u <= b} is, and A_K has
+full column rank k and no zero row.  When k = m, A_K is invertible and
+u = A_K^-1 b, read off the same elimination, is a point of the set
+(TriviallyNonEmpty); otherwise A_K is standard.
+
+A `StandardSystem` keeps where its rows and columns sit in the file's
+embedding, and `original_point` and `original_farkas` map a witness and
+a Farkas vector back there: a witness takes 0 in the columns outside K,
+and a Farkas vector 0 at each dropped row (in each copy of the rows for
+eq_nonneg).  A certificate of the kept rows is one of the embedding, and
+a certificate of A_K is one of A, unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from fractions import Fraction
+from typing import Optional, Union
 
 from .densemat import Matrix, Vector, check_rhs, eliminate
 # unused here, but bench/tracer.py patches it by this name in this module
@@ -53,7 +68,10 @@ class EarlyEmpty:
 
 @dataclass(frozen=True)
 class TriviallyNonEmpty:
-    detail: str     # the set: "whole space" or "nonnegative orthant"
+    """Nonemptiness decided without the test battery."""
+    detail: str     # the set, "whole space" or "nonnegative orthant", or why
+    note: str       # one sentence for the report
+    witness: Vector  # a point of the set, in the file's variables
 
 
 class NotStandard(ValueError):
@@ -79,12 +97,35 @@ def check_assumptions(A: Matrix) -> list:
     return _violations(A, eliminate(A.transpose()))
 
 
+def _frame(dim: int, kept) -> Optional[tuple]:
+    """(dim, kept) for a selection of `kept` positions out of dim; None
+    when it keeps them all."""
+    return None if len(kept) == dim else (dim, tuple(kept))
+
+
+def _lift(v: Vector, frame: Optional[tuple]) -> Vector:
+    """v at the kept positions of frame = (dim, kept) and 0 elsewhere; v
+    itself for frame None."""
+    if frame is None:
+        return v
+    dim, kept = frame
+    ents = list(Vector.zero(dim).entries)
+    for i, x in zip(kept, v.entries):
+        ents[i] = x
+    return Vector(dim, tuple(ents))
+
+
 @dataclass(frozen=True)
 class StandardSystem:
-    """Ax <= b under the standing assumptions; NotStandard otherwise."""
+    """Ax <= b under the standing assumptions; NotStandard otherwise.
+
+    `raw_rows` places A's rows among the rows of the file's embedding, and
+    `raw_cols` its columns among the file's columns, each as a `_frame`.
+    """
     A: Matrix
     b: Vector
-    sign_split: bool = False    # columns are (x+, x-) with x = x+ - x-
+    raw_rows: Optional[tuple] = None
+    raw_cols: Optional[tuple] = None
     # eliminate(t(A)): its pivot columns are the first n independent rows
     split: tuple = field(init=False, repr=False, compare=False)
 
@@ -105,50 +146,76 @@ class StandardSystem:
         return self.A.cols
 
     def original_point(self, x_std: Vector) -> Vector:
-        """Map a standard-form point back to the original variables."""
-        if not self.sign_split:
-            return x_std
-        nn = self.n // 2
-        return Vector(nn, tuple(x_std[j] - x_std[nn + j] for j in range(nn)))
+        """A point of this system as a point of the file: 0 in the columns
+        it dropped."""
+        return _lift(x_std, self.raw_cols)
+
+    def original_farkas(self, y_std: Vector) -> Vector:
+        """A Farkas vector of this system as one of the file's embedding:
+        0 at the rows it dropped."""
+        return _lift(y_std, self.raw_rows)
 
 
 StandardizeResult = Union[StandardSystem, EarlyEmpty, TriviallyNonEmpty]
 
 
+def _project(A: Matrix, b: Vector, raw_rows: Optional[tuple]):
+    """{x : Ax <= b} on the pivot columns K of eliminate([A | b]), for A
+    with no zero row; see the module docstring."""
+    n = A.cols
+    rows, piv_cols, d = eliminate(A.hstack(Matrix(A.rows, 1, b.entries)))
+    K = [c for c in piv_cols if c < n]
+    raw_cols = _frame(n, K)
+    if len(K) == A.rows:
+        # d rref([A | b]) = [d I | d u] on K, for u = A_K^-1 b
+        u = Vector(len(K), tuple(Fraction(row[n], d) for row in rows))
+        return TriviallyNonEmpty(
+            "full row rank", "A has full row rank; a solution of Ax = b "
+            "lies in the polyhedron", _lift(u, raw_cols))
+    AK = Matrix(A.rows, len(K),
+                tuple(A.at(i, c) for i in range(A.rows) for c in K))
+    return StandardSystem(AK, b, raw_rows, raw_cols)
+
+
 def standardize(raw: RawSystem) -> StandardizeResult:
     At, bt = raw.Atilde, raw.btilde
+    m, n = At.rows, At.cols
     eq = raw.form == FORM_EQ_NONNEG
     kept = []
-    for i in range(At.rows):
+    for i in range(m):
         if not At.row(i).is_zero():
             kept.append(i)
         elif bt[i] < 0 or (eq and bt[i] != 0):
             # an equality multiplier may be negative; its sign makes t(y)b < 0
-            y = Vector.unit(At.rows, i)
+            y = Vector.unit(m, i)
             bound = "nonzero equality bound" if eq else f"negative bound {bt[i]}"
             return EarlyEmpty(i, f"zero row {i} with {bound}",
                               y.neg() if bt[i] > 0 else y)
     if not kept:
         # every constraint was redundant: the set is R^n, or the orthant
-        return TriviallyNonEmpty("whole space" if raw.form == FORM_INEQ
-                                 else "nonnegative orthant")
-    if len(kept) < At.rows:
+        detail = ("whole space" if raw.form == FORM_INEQ
+                  else "nonnegative orthant")
+        return TriviallyNonEmpty(
+            detail, "all constraints redundant; polyhedron is the " + detail,
+            Vector.zero(n))
+    if len(kept) < m:
         rows = At.row_lists()
         At = Matrix.from_rows([rows[i] for i in kept])
         bt = Vector.from_list([bt[i] for i in kept])
 
-    ineq = raw.form == FORM_INEQ
-    if ineq:
+    if raw.form == FORM_INEQ:
+        raw_rows = _frame(m, kept)
         try:
-            return StandardSystem(At, bt)
+            return StandardSystem(At, bt, raw_rows)
         except NotStandard:
-            # x = x+ - x- with x+, x- >= 0
-            At = At.hstack(At.neg())
-    elif eq:
+            return _project(At, bt, raw_rows)
+    if eq:
         # A x = b becomes Ax <= b and -Ax <= -b, with x >= 0
         At = At.vstack(At.neg())
         bt = Vector.from_list(list(bt.entries) + [-x for x in bt.entries])
+        kept += [m + i for i in kept]
+        m *= 2
     # x >= 0 as -x <= 0: no zero row is added, and -I gives full column rank
-    A = At.vstack(Matrix.identity(At.cols).neg())
-    b = Vector.from_list(list(bt.entries) + [0] * At.cols)
-    return StandardSystem(A, b, sign_split=ineq)
+    A = At.vstack(Matrix.identity(n).neg())
+    b = Vector.from_list(list(bt.entries) + [0] * n)
+    return StandardSystem(A, b, _frame(m + n, kept + list(range(m, m + n))))

@@ -10,14 +10,16 @@ import pytest
 
 from hollowcheck import cli, emptiness
 from hollowcheck.cli import (EXIT_EMPTY, EXIT_INTERNAL, EXIT_NOT_PROVEN_EMPTY,
-                             EXIT_USAGE, DimensionError, ParseError,
-                             parse_system, run)
+                             EXIT_ORACLE_SIZE, EXIT_USAGE, DimensionError,
+                             ParseError, parse_system, run)
 from hollowcheck.densemat import DimensionMismatch, RankDeficient, Singular
-from hollowcheck.oracle import FEASIBLE, FMResult
+from hollowcheck.oracle import FEASIBLE, FMResult, SizeExceeded
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 EMPTY_1D = "3 1\n1 1\n1 2\n-1 -3\n"
 OK_1D = "3 1\n1 1\n1 2\n-1 0\n"
+# rank 1 < n: column 1 is twice column 0, so `standardize` keeps column 0
+DEFICIENT_OK = "3 2\n1 2 1\n2 4 5\n-1 -2 3\n"
 
 GOLDEN_EMPTY = (
     '{\n  "backend": "rational",\n  "certificate": {\n'
@@ -193,6 +195,50 @@ class TestCheck:
         assert json.loads(out)["note"] == (
             "all constraints redundant; polyhedron is the " + name)
 
+    def test_farkas_y_on_the_file_rows(self, tmp_path):
+        # row 1 is a redundant zero row; the certificate is rows 0 and 2
+        code, out = run_cli(["check", "@IN@"], tmp_path=tmp_path,
+                            text="4 1\n1 1\n0 5\n-1 -3\n1 2\n")
+        assert code == EXIT_EMPTY
+        assert "farkas_y = 1/1 0/1 1/1 0/1\n" in out
+
+    def test_farkas_y_of_a_projected_file(self, tmp_path):
+        # rank 1 < n = 2: the certificate has one entry per file row
+        code, out = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path,
+                            text="3 2\n1 2 1\n0 0 1\n-2 -4 -3\n")
+        assert code == EXIT_EMPTY
+        assert json.loads(out)["certificate"]["farkas_y"] == [
+            "2/1", "0/1", "1/1"]
+
+    def test_oracle_witness_in_the_file_variables(self, tmp_path):
+        code, out = run_cli(["check", "@IN@", "--oracle-check", "--json"],
+                            tmp_path=tmp_path, text=DEFICIENT_OK)
+        assert code == EXIT_NOT_PROVEN_EMPTY
+        wit = json.loads(out)["oracle"]["witness"]
+        assert wit == ["-1/1", "0/1"]
+        _, text = run_cli(["check", "@IN@", "--oracle-check"],
+                          tmp_path=tmp_path, text=DEFICIENT_OK)
+        assert text.endswith("witness (original variables): -1/1 0/1\n")
+        _, out = run_cli(["oracle", "@IN@", "--json"], tmp_path=tmp_path,
+                         text=DEFICIENT_OK)
+        assert json.loads(out)["witness"] == wit
+
+    def test_full_row_rank_skips_the_battery(self, tmp_path):
+        # x <= 5 alone: A is invertible, so x = 5 is a point of the set
+        code, out = run_cli(["check", "@IN@", "--oracle-check", "--json"],
+                            tmp_path=tmp_path, text="1 1\n1 5\n")
+        assert code == EXIT_NOT_PROVEN_EMPTY
+        obj = json.loads(out)
+        assert (obj["verdict"], obj["tests_run"]) == ("NOT_PROVEN_EMPTY", 0)
+        assert "redundant" not in obj["note"]
+        _, out = run_cli(["check", "@IN@"], tmp_path=tmp_path,
+                         text="1 1\n1 5\n")
+        assert out == "NOT-PROVEN-EMPTY (trivial: full row rank)\n"
+        code, out = run_cli(["oracle", "@IN@", "--json"], tmp_path=tmp_path,
+                            text="1 1\n1 5\n")
+        assert code == EXIT_NOT_PROVEN_EMPTY
+        assert json.loads(out) == {"status": "feasible", "witness": ["5/1"]}
+
     def test_stated_order_flag_same_verdict(self, tmp_path):
         a = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path, text=EMPTY_1D)
         b = run_cli(["check", "@IN@", "--stated-order", "--json"],
@@ -298,6 +344,19 @@ class TestExitCodes:
         assert out == ""
         assert capsys.readouterr().err == (
             "soundness violation: Empty verdict on an oracle-feasible system\n")
+
+    @pytest.mark.parametrize("cmd", [["oracle"], ["check", "--oracle-check"]])
+    def test_oracle_size_limit_exit_4(self, tmp_path, monkeypatch, capsys,
+                                      cmd):
+        def too_large(A, b):
+            raise SizeExceeded("row cap 100000 exceeded eliminating x_0")
+        monkeypatch.setattr(cli, "fm_feasible", too_large)
+        code, out = run_cli(cmd[:1] + ["@IN@"] + cmd[1:],
+                            tmp_path=tmp_path, text=OK_1D)
+        assert code == EXIT_ORACLE_SIZE == 4
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "oracle size limit: row cap 100000 exceeded eliminating x_0\n")
 
     def test_tampered_certificate_exit_3(self, tmp_path, monkeypatch):
         farkas_from = emptiness.farkas_from

@@ -123,13 +123,19 @@ def decompose_corpus():
                for seed in range(20)
                for m, n in [((5, 2), (8, 3), (12, 3), (6, 4))[seed % 4]]]
     rng = random.Random(17)
-    # ("ineq", 2, 3) has m <= n, so it is sign-split
-    shapes = (("ineq", 7, 3), ("ineq", 2, 3), ("ineq_nonneg", 4, 3),
+    # the ("ineq", 5, 3) rows are multiples of two base rows, so A has rank
+    # 2 and is projected onto a column basis
+    shapes = (("ineq", 7, 3), ("ineq", 5, 3), ("ineq_nonneg", 4, 3),
               ("eq_nonneg", 2, 3))
     for _ in range(8):
         for form, m, n in shapes:
             rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
                      for _ in range(n)] for _ in range(m)]
+            if m == 5:
+                ks = [Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2))
+                      for _ in range(m)]
+                rows = [[k * x for x in rows[i % 2]]
+                        for i, k in enumerate(ks)]
             bounds = [Fraction(rng.randint(-6, 6), rng.randint(1, 5))
                       for _ in range(m)]
             res = standardize(RawSystem(form, Matrix.from_rows(rows),
@@ -147,7 +153,7 @@ class TestDecomposeReadsR:
         monkeypatch.setattr(emptiness, "mat_mul", forbidden)
         systems = decompose_corpus()
         assert len(systems) >= 48
-        assert any(s.sign_split for s in systems)
+        assert any(s.raw_cols is not None for s in systems)
         for sysr in systems:
             dec = decompose(sysr)
             A1, A2 = blocks(dec)

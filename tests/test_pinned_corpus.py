@@ -7,8 +7,9 @@ or the test enumeration must keep all of it identical.
 
 The first corpus is all-integer, in the default `ineq` form.  The second
 mixes integers, fractions `p/q` and decimals in both A and b, in all
-three input forms, so denominator clearing and the sign-split, orthant
-and equality embeddings are pinned too.
+three input forms, so denominator clearing, the full-row-rank outcome of
+the column projection and the orthant and equality embeddings are pinned
+too.
 
 The text corpus pins the human-readable output of `check` and both
 renderings of `oracle` the same way, on rational instances in all three
@@ -17,14 +18,19 @@ forms with some all-zero rows, so the presolve outcomes (`EarlyEmpty`,
 
 The rank-deficient corpus pins the same renderings on `ineq` systems
 with m > n whose rows are multiples of fewer than n base rows, some of
-them zero: A fails full column rank, so `standardize` falls back to the
-sign split.
+them zero: A fails full column rank, so `standardize` projects it onto
+a column basis, and each `farkas_y` has one entry per file row.
+
+Every `ineq` file of these corpora is also checked exactly against its
+own rows by the benchmark's report check, `bench/verify.check_report`.
 """
 import hashlib
+import importlib.util
 import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hollowcheck.cli import run
 from hollowcheck.harness import GenSpec, gen_random_system
@@ -46,17 +52,20 @@ EXPECTED_TALLIES = {
     "stated_order": {"empty": 27, "tests_run": 609},
 }
 
-# (form, raw m, raw n); ("ineq", 2, 3) has m <= n, so it is sign-split
+# (form, raw m, raw n); ("ineq", 2, 3) has m <= n: its A has full row rank,
+# so `check` reports it without running the battery
 RATIONAL_SHAPES = (("ineq", 8, 2), ("ineq", 10, 3), ("ineq", 2, 3),
                    ("ineq-nonneg", 6, 2), ("ineq-nonneg", 8, 3),
                    ("eq-nonneg", 2, 3), ("eq-nonneg", 3, 3))
 RATIONAL_SEEDS = range(6)
+# re-recorded when rank-deficient `ineq` input was projected onto a column
+# basis: the six ("ineq", 2, 3) files skip the battery (18 outputs changed)
 EXPECTED_RATIONAL_DIGEST = \
-    "b083024813f606f27e2ebd92a0ada8453332bdc40082e405007bb7bff9a3f1ca"
+    "5e63412da7e9b7b28608a1dbe3e3db4bc5307f7a53ead69c97f30c043da654ef"
 EXPECTED_RATIONAL_TALLIES = {
-    "default": {"empty": 24, "tests_run": 851},
-    "theorem": {"empty": 24, "tests_run": 1389},
-    "stated_order": {"empty": 24, "tests_run": 817},
+    "default": {"empty": 24, "tests_run": 797},
+    "theorem": {"empty": 24, "tests_run": 1299},
+    "stated_order": {"empty": 24, "tests_run": 763},
 }
 
 
@@ -70,10 +79,11 @@ TEXT_CONFIGS = {
 TEXT_SEEDS = range(3)
 # every form with only redundant zero rows: the whole space, or the orthant
 TRIVIAL_TEXT = "2 2\n0 0 0\n0 0 0\n"
-# re-recorded when the nonnegative forms' trivial case began to name the
-# orthant instead of the whole space (6 `check` outputs changed)
+# re-recorded when rank-deficient `ineq` input was projected onto a column
+# basis, `farkas_y` gained a 0 at each dropped zero row and `oracle` began
+# to print the trivial case's witness (31 outputs changed)
 EXPECTED_TEXT_DIGEST = \
-    "3628b1d36e1bbc804969f1acf6ac963fd4d7a46dade76400fa8f7ee99d0fad7d"
+    "e33fbf85945f62c5019260ce0bd78efe96deaccca3df684f4aa154c6e3b68bab"
 # configuration -> [runs exiting 0, runs exiting 1]
 EXPECTED_TEXT_EXITS = {
     "check": [15, 30],
@@ -94,9 +104,10 @@ DEFICIENT_CONFIGS = {
     "check_oracle": ["check", "--oracle-check"],
     "oracle": ["oracle"],
 }
-# recorded before `standardize` read the assumptions off one elimination
+# re-recorded when rank-deficient `ineq` input was projected onto a column
+# basis instead of sign-split (62 outputs changed)
 EXPECTED_DEFICIENT_DIGEST = \
-    "6cbea82049bbbedd5f16a655c25d71034ad9d1599928d179e90cdb0fc3222ab1"
+    "e3394b4139792cd5874245269f6ce434b78fe4e18cc6c3b6929b72c577e90824"
 # configuration -> [runs exiting 0, runs exiting 1]; 10 files end in presolve
 EXPECTED_DEFICIENT_EXITS = {name: [4, 26] for name in DEFICIENT_CONFIGS}
 
@@ -225,3 +236,36 @@ def test_pinned_rank_deficient_corpus(tmp_path):
                 exits[name][code] += 1
     assert exits == EXPECTED_DEFICIENT_EXITS
     assert digest.hexdigest() == EXPECTED_DEFICIENT_DIGEST
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded by path: bench/ is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ineq_reports_check_against_the_file(tmp_path):
+    verify = bench_module("verify")
+    instances = bench_module("instances")
+    draws = ([(seed, 0.0) for seed in RATIONAL_SEEDS]
+             + [(seed, 0.3) for seed in TEXT_SEEDS])
+    texts = {rational_text(seed, m, n, zero_frac)
+             for form, m, n in RATIONAL_SHAPES if form == "ineq"
+             for seed, zero_frac in draws}
+    texts |= {deficient_text(seed, *shape)
+              for shape in DEFICIENT_SHAPES for seed in DEFICIENT_SEEDS}
+    texts.add(TRIVIAL_TEXT)
+    verdicts = {"EMPTY": 0, "NOT_PROVEN_EMPTY": 0}
+    for i, text in enumerate(sorted(texts)):
+        path = tmp_path / f"f{i}.txt"
+        path.write_text(text)
+        buf = io.StringIO()
+        code = run(["check", str(path), "--json"], out=buf)
+        report = json.loads(buf.getvalue())
+        inst = instances.read_instance(str(path))
+        assert verify.check_report(inst, code, report, False) == [], text
+        verdicts[report["verdict"]] += 1
+    assert verdicts == {"EMPTY": 43, "NOT_PROVEN_EMPTY": 15}

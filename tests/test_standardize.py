@@ -1,4 +1,6 @@
 import importlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +12,9 @@ import hollowcheck
 from hollowcheck.densemat import DimensionMismatch, Matrix, Vector, rank
 from hollowcheck.emptiness import decide, decompose
 from hollowcheck.harness import system_from_rows
-from hollowcheck.oracle import FEASIBLE, fm_feasible, validate_witness
+from hollowcheck.cli import run
+from hollowcheck.oracle import (FEASIBLE, INFEASIBLE, fm_feasible,
+                                validate_certificate, validate_witness)
 from hollowcheck.standardize import (EarlyEmpty, NotStandard, RawSystem,
                                      StandardSystem, TriviallyNonEmpty,
                                      check_assumptions, standardize)
@@ -93,11 +97,11 @@ SMALL_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
-def assumption_matrices(draw):
+def assumption_matrices(draw, max_m=8, max_n=4):
     """1x1 to 8x4 int or p/q matrices; each row is drawn afresh, zero, or
     a multiple (a duplicate at 1) of an earlier row."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(1, max_m))
     entries = draw(st.sampled_from((st.integers(-2, 2), SMALL_RATIONALS)))
     rows = []
     for _ in range(m):
@@ -165,7 +169,8 @@ def count_eliminations(monkeypatch) -> list:
 
 class TestEliminationCount:
     """standardize then decompose eliminates t(A) once on an admissible
-    input, and at most twice when `ineq` falls back to the sign split."""
+    input.  A non-standard `ineq` input adds one elimination of [A | b]
+    when A has full row rank, and then one of t(A_K) when it does not."""
 
     @pytest.mark.parametrize("form, rows, bounds", [
         ("ineq", [[1], [1], [-1]], [1, 2, 0]),
@@ -176,33 +181,74 @@ class TestEliminationCount:
         calls = count_eliminations(monkeypatch)
         std = standardize(RawSystem(form, M(rows), V(bounds)))
         decompose(std)
-        assert not std.sign_split and len(calls) == 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rows, bounds", [
-        ([[1]], [5]),                                 # m <= n
+        ([[1]], [5]),                                 # m = n = k
+        ([[1, 2, 0], [0, 1, 1]], [1, 2]),             # m < n, k = m
+        ([[1, 2], [0, 0], [0, 0]], [1, 0, 3])])       # zero rows, k = m = 1
+    def test_full_row_rank_twice(self, monkeypatch, rows, bounds):
+        calls = count_eliminations(monkeypatch)
+        res = standardize(RawSystem("ineq", M(rows), V(bounds)))
+        assert isinstance(res, TriviallyNonEmpty)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("rows, bounds", [
         ([[1, 2], [2, 4], [-1, -2]], [1, 2, 3]),      # rank 1 < n
-        ([[1, 1], [0, 0], [-2, -2]], [1, 0, 2])])     # zero row, rank 1
-    def test_sign_split_at_most_twice(self, monkeypatch, rows, bounds):
+        ([[1, 1], [0, 0], [-2, -2]], [1, 0, 2]),      # zero row, rank 1
+        ([[1, 1], [2, 2]], [1, 3])])                  # square, rank 1
+    def test_projected_three_times(self, monkeypatch, rows, bounds):
         calls = count_eliminations(monkeypatch)
         std = standardize(RawSystem("ineq", M(rows), V(bounds)))
         decompose(std)
-        assert std.sign_split and len(calls) <= 2
+        assert std.raw_cols is not None and len(calls) == 3
 
 
 class TestStandardize:
-    def test_ineq_sign_split(self):
-        res = standardize(RawSystem("ineq", M([[1]]), V([5])))
+    def test_ineq_full_row_rank(self):
+        # x1 + 2 x3 <= 3, x2 - x3 <= 1: K = (0, 1), u = A_K^-1 b = (3, 1)
+        res = standardize(RawSystem("ineq", M([[1, 0, 2], [0, 1, -1]]),
+                                    V([3, 1])))
+        assert isinstance(res, TriviallyNonEmpty)
+        assert res.witness == V([3, 1, 0])
+        assert "redundant" not in res.note
+
+    def test_ineq_full_row_rank_after_zero_row(self):
+        res = standardize(RawSystem("ineq", M([[0, 0], [0, 2]]), V([1, 3])))
+        assert res.witness == V([0, Fraction(3, 2)])
+
+    def test_ineq_projected(self):
+        # rank 1: column 1 is twice column 0, so K = (0,)
+        res = standardize(RawSystem("ineq", M([[1, 2], [2, 4], [-1, -2]]),
+                                    V([1, 2, 3])))
         assert isinstance(res, StandardSystem)
-        assert res.A == M([[1, -1], [-1, 0], [0, -1]])
-        assert res.b == V([5, 0, 0])
-        assert res.sign_split
+        assert res.A == M([[1], [2], [-1]]) and res.b == V([1, 2, 3])
+        assert res.raw_rows is None and res.raw_cols == (2, (0,))
+        assert res.original_point(V([-3])) == V([-3, 0])
 
     def test_ineq_already_standard_bypasses(self):
         A = M([[1], [1], [-1]])
         res = standardize(RawSystem("ineq", A, V([1, 2, 0])))
         assert isinstance(res, StandardSystem)
         assert res.A == A
-        assert not res.sign_split
+        assert res.raw_rows is None and res.raw_cols is None
+        # nothing was dropped: the maps hand back their argument
+        x, y = V([1]), V([1, 0, 1])
+        assert res.original_point(x) is x and res.original_farkas(y) is y
+
+    def test_dropped_rows_take_zero(self):
+        # the zero row 1 is dropped; farkas_y gets a 0 there
+        res = standardize(RawSystem("ineq", M([[1], [0], [-1], [1]]),
+                                    V([1, 5, -3, 2])))
+        assert res.raw_rows == (4, (0, 2, 3))
+        assert res.original_farkas(V([1, 1, 0])) == V([1, 0, 1, 0])
+
+    def test_eq_nonneg_dropped_row_in_each_copy(self):
+        res = standardize(RawSystem("eq_nonneg", M([[0], [1]]), V([0, 1])))
+        assert res.A == M([[1], [-1], [-1]])
+        # the embedding is (A; -A; -I): rows 0 and 2 are the zero row
+        assert res.raw_rows == (5, (1, 3, 4))
+        assert res.original_farkas(V([1, 2, 3])) == V([0, 1, 0, 2, 3])
 
     def test_ineq_nonneg(self):
         res = standardize(RawSystem("ineq_nonneg", M([[1, 1]]), V([1])))
@@ -237,29 +283,33 @@ class TestStandardize:
                     assert check_assumptions(res.A) == []
 
 
-def raw_feasible(raw: RawSystem):
-    """Direct inequality translation of a raw system, fed to the oracle."""
+def embedding(raw: RawSystem) -> tuple:
+    """(A, b) of the file's inequality embedding, written out directly:
+    A, then -A for eq_nonneg, then -I for the nonnegative forms."""
     At, bt = raw.Atilde, raw.btilde
-    mt, nt = At.rows, At.cols
     rows = At.row_lists()
     bounds = list(bt.entries)
     if raw.form == "eq_nonneg":
         rows += [[-x for x in r] for r in At.row_lists()]
         bounds += [-x for x in bt.entries]
     if raw.form in ("ineq_nonneg", "eq_nonneg"):
-        for j in range(nt):
-            rows.append([Fraction(-1) if k == j else Fraction(0)
-                         for k in range(nt)])
-            bounds.append(Fraction(0))
-    from hollowcheck.oracle import fm_feasible_rows
-    return fm_feasible_rows(rows, bounds, nt)
+        for j in range(At.cols):
+            rows.append([-1 if k == j else 0 for k in range(At.cols)])
+            bounds.append(0)
+    return M(rows), V(bounds)
+
+
+def raw_feasible(raw: RawSystem):
+    """Direct inequality translation of a raw system, fed to the oracle."""
+    return fm_feasible(*embedding(raw))
 
 
 class TestFeasibilityPreserved:
     def test_random_round_trip(self):
         rng = random.Random(9)
+        witnesses = 0
         for form in ("ineq", "ineq_nonneg", "eq_nonneg"):
-            for _ in range(12):
+            for _ in range(200):
                 mt = rng.randint(1, 3)
                 nt = rng.randint(1, 2)
                 At = M([[rng.randint(-3, 3) for _ in range(nt)]
@@ -270,13 +320,95 @@ class TestFeasibilityPreserved:
                 res = standardize(raw)
                 if isinstance(res, EarlyEmpty):
                     assert direct.status != FEASIBLE
-                elif isinstance(res, TriviallyNonEmpty):
+                    continue
+                if isinstance(res, TriviallyNonEmpty):
                     assert direct.status == FEASIBLE
+                    x = res.witness
                 else:
                     std = fm_feasible(res.A, res.b)
                     assert std.status == direct.status
-                    if std.status == FEASIBLE:
-                        # the standardized witness maps back to a raw point
-                        x = res.original_point(std.witness)
-                        assert validate_witness(At, bt, x) \
-                            if raw.form == "ineq" else True
+                    if std.status != FEASIBLE:
+                        continue
+                    x = res.original_point(std.witness)
+                # the mapped witness is a point of the file: At x <= bt or
+                # At x = bt, and x >= 0 for the nonnegative forms
+                assert validate_witness(*embedding(raw), x)
+                witnesses += 1
+        assert witnesses > 200
+
+
+@st.composite
+def files(draw, forms, max_m, max_n):
+    """A RawSystem over `assumption_matrices`, with bounds that are often 0
+    so that zero rows survive presolve."""
+    A = draw(assumption_matrices(max_m, max_n))
+    b = draw(st.lists(st.one_of(st.just(0), SMALL_RATIONALS),
+                      min_size=A.rows, max_size=A.rows))
+    return RawSystem(draw(st.sampled_from(forms)), A, V(b))
+
+
+def file_text(raw: RawSystem) -> str:
+    lines = [f"{raw.Atilde.rows} {raw.Atilde.cols}"]
+    for row, bi in zip(raw.Atilde.row_lists(), raw.btilde.entries):
+        lines.append(" ".join(str(x) for x in row + [bi]))
+    return "\n".join(lines) + "\n"
+
+
+def run_json(cmd, path, form) -> tuple:
+    buf = io.StringIO()
+    code = run(cmd[:1] + [str(path), "--json", "--form", form] + cmd[1:],
+               out=buf)
+    return code, json.loads(buf.getvalue())
+
+
+def spread(raw: RawSystem, y: Vector) -> Vector:
+    """A presolve Farkas vector, on the file's rows and signed for an
+    equality, as a vector on the rows of its embedding."""
+    ents = list(y.entries)
+    if raw.form == "eq_nonneg":
+        ents = [max(x, 0) for x in ents] + [max(-x, 0) for x in ents]
+    if raw.form != "ineq":
+        ents += [0] * raw.Atilde.cols
+    return V(ents)
+
+
+class TestUserFrame:
+    """`check` and `oracle` answer in the file's frame, on files with zero
+    rows and, for `ineq`, rank deficiency: every EMPTY `farkas_y` is a
+    certificate of the file's embedding, with one entry per row (presolve's
+    has one per file row; spread out, it is one too), every EMPTY agrees
+    with FM on the direct translation, and every `oracle` witness is a
+    point of the file."""
+
+    def check_file(self, raw: RawSystem, directory) -> None:
+        path = directory / "file.txt"
+        path.write_text(file_text(raw))
+        form = raw.form.replace("_", "-")
+        A, b = embedding(raw)
+        code, report = run_json(["check"], path, form)
+        if report["verdict"] == "EMPTY":
+            cert = report["certificate"]
+            y = V(cert["farkas_y"])
+            if cert["family"] == "presolve":
+                assert y.dim == raw.Atilde.rows
+                y = spread(raw, y)
+            assert y.dim == A.rows and validate_certificate(A, b, y)
+            assert raw_feasible(raw).status == INFEASIBLE
+        _, result = run_json(["oracle"], path, form)
+        if result["witness"] is not None:
+            assert validate_witness(A, b, V(result["witness"]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=files(("ineq",), 8, 4))
+    @example(raw=RawSystem("ineq", M([[1], [0], [-1], [1]]), V([1, 5, -3, 2])))
+    @example(raw=RawSystem("ineq", M([[1, 2], [0, 0], [-2, -4]]),
+                           V([1, 1, -3])))
+    def test_ineq(self, tmp_path_factory, raw):
+        self.check_file(raw, tmp_path_factory.mktemp("ineq"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=files(("ineq_nonneg", "eq_nonneg"), 4, 3))
+    @example(raw=RawSystem("eq_nonneg", M([[0], [1], [1]]), V([0, 1, 2])))
+    @example(raw=RawSystem("eq_nonneg", M([[0], [1]]), V([3, 1])))
+    def test_nonneg(self, tmp_path_factory, raw):
+        self.check_file(raw, tmp_path_factory.mktemp("nonneg"))
