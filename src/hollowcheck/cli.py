@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys as _sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import harness
 from .densemat import Matrix, Vector
@@ -66,8 +66,10 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_system(text: str, form: str = "ineq") -> RawSystem:
+    """The system of an instance file: an integer token is read as an int,
+    any other numeral as a Fraction."""
     header = None
-    rows = []
+    entries = []
     bounds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -85,7 +87,7 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
             header = (m, n)
             continue
         m, n = header
-        if len(rows) == m:
+        if len(bounds) == m:
             raise ParseError(lineno, f"more than {m} data rows")
         if len(tokens) != n + 1:
             raise DimensionError(
@@ -94,21 +96,22 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
         for col, tok in enumerate(tokens, start=1):
             try:
                 if _INTEGER.fullmatch(tok):
-                    # the common token: int() reads it faster than Fraction
-                    vals.append(Fraction(int(tok)))
+                    vals.append(int(tok))
                 elif _NUMERAL.fullmatch(tok):
                     vals.append(Fraction(tok))
                 else:
                     raise ValueError(tok)
             except (ValueError, ZeroDivisionError):
                 raise ParseError(lineno, f"bad number {tok!r} (column {col})")
-        rows.append(vals[:-1])
+        entries += vals[:-1]
         bounds.append(vals[-1])
     if header is None:
         raise ParseError(0, "empty input")
-    if len(rows) != header[0]:
-        raise ParseError(0, f"expected {header[0]} rows, got {len(rows)}")
-    return RawSystem(form, Matrix.from_rows(rows), Vector.from_list(bounds))
+    m, n = header
+    if len(bounds) != m:
+        raise ParseError(0, f"expected {m} rows, got {len(bounds)}")
+    return RawSystem(form, Matrix(m, n, tuple(entries)),
+                     Vector(m, tuple(bounds)))
 
 
 def _frac_str(x) -> str:
@@ -163,8 +166,42 @@ def report_to_jsonable(report, std, oracle_result=None) -> dict:
     return out
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2) for a report,
+    nested at `indent`: dicts with str keys, lists, strs, ints, bools and
+    None.  json's pure-Python encoder, which indent forces, takes nearly
+    twice as long on a report."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                        f"serializable")
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n"
+            + indent + brackets[1])
+
+
 def _emit_json(obj, out) -> None:
-    out.write(json.dumps(obj, sort_keys=True, indent=2))
+    out.write(_json_text(obj))
     out.write("\n")
 
 

@@ -1,4 +1,10 @@
-"""Dense linear algebra over exact rationals (fractions.Fraction).
+"""Dense linear algebra over exact rationals.
+
+An entry is an int or a fractions.Fraction: `parse_system` keeps integer
+tokens as ints, while `to_scalar`, `Matrix.from_rows` and
+`Vector.from_list` make Fractions.  Every reader goes through
+numerator/denominator, comparisons and Fraction(x, d), which both types
+support.
 
 Everything here is a pure function of immutable values, and every zero
 test is exact.  Elimination (`eliminate` and all built on it) runs
@@ -11,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence, Union
 
 ScalarLike = Union[int, Fraction, str]
@@ -120,9 +127,8 @@ class Matrix:
         return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.at(i, j)
-                            for j in range(self.cols) for i in range(self.rows)))
+        return Matrix(self.cols, self.rows, tuple(chain.from_iterable(
+            [self.entries[j::self.cols] for j in range(self.cols)])))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -187,7 +193,10 @@ def denominator_lcm(xs) -> int:
 
 
 def int_scaled(xs) -> tuple:
-    """The rationals xs times `denominator_lcm(xs)`, as ints."""
+    """The rationals xs times `denominator_lcm(xs)`, as ints; ints as they
+    are."""
+    if all(type(x) is int for x in xs):
+        return tuple(xs)
     scale = denominator_lcm(xs)
     return tuple(x.numerator * (scale // x.denominator) for x in xs)
 
@@ -312,11 +321,27 @@ def left_nullspace_basis(R: Matrix) -> list:
 
 
 def orth_complement_basis(v: Vector) -> list:
-    """dim-1 independent (w, s) pairs orthogonal to v; canonical for v = 0."""
+    """dim-1 independent (w, s) pairs orthogonal to v; canonical for v = 0.
+
+    The basis of the 1 x dim row v, in closed form: rref(v) pivots on the
+    first nonzero v_p, and free column f gives w = v_p e_f - v_f e_p and
+    s = v_p, in lowest terms, as `_nullspace_basis` would.
+    """
     if v.is_zero():
         return [(tuple(int(i == j) for j in range(v.dim)), 1)
                 for i in range(v.dim)]
-    return _nullspace_basis(Matrix(1, v.dim, v.entries))
+    vz = int_scaled(v.entries)
+    p = next(i for i, x in enumerate(vz) if x)
+    vp = vz[p]
+    basis = []
+    for f, vf in enumerate(vz):
+        if f == p:
+            continue
+        g = math.gcd(vp, vf) * (-1 if vp < 0 else 1)
+        w = [0] * v.dim
+        w[f], w[p] = vp // g, -vf // g
+        basis.append((tuple(w), vp // g))
+    return basis
 
 
 def mp_axioms_check(A: Matrix, P: Matrix) -> dict:

@@ -26,14 +26,15 @@ first Fraction are built for that failure alone, by `_z_of`.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
 and `run_test`: the reference for the harness, the demo and the tests.
 
-As G = [I | -R], the failing test has t(k')G = z/s: decide makes its m
-Fractions once, and k', the interval and the Farkas vector +-z/s are read
-from them.  The interval's endpoint is summed in ints and made one
-Fraction, and the exact check of the Farkas vector against sys runs in
-ints too (`validate_certificate`).  decide makes that check before it
-returns Empty, so the Empty verdict is unconditionally sound; the
-converse rests on the enumeration being sufficient and is only measured
-(see harness).
+As G = [I | -R], the failing test has t(k')G = z/s, and z has one sign,
+which decide reads once, off the ints.  The Farkas vector +-z/s is the
+certificate's m Fractions; k' is its head when z >= 0, and m - n more
+Fractions otherwise.  The interval's endpoint t(z)bz / (s L), for bz =
+L b_perm, is made one Fraction, and the exact check of the Farkas vector
+against sys runs in ints (`validate_certificate`).  decide makes that
+check before it returns Empty, so the Empty verdict is unconditionally
+sound; the converse rests on the enumeration being sufficient and is
+only measured (see harness).
 """
 from __future__ import annotations
 
@@ -42,11 +43,13 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from .densemat import (Matrix, Vector, int_scaled, left_nullspace_basis,
-                       lowest_terms, orth_complement_basis)
+from .densemat import (Matrix, Vector, denominator_lcm, int_scaled,
+                       left_nullspace_basis, lowest_terms,
+                       orth_complement_basis)
+from .interval import NEG_INF, POS_INF, Interval
 # unused here, but bench/tracer.py patches them by these names in this module
 from .densemat import invert, mat_mul, vec_mat  # noqa: F401
-from .interval import Interval, iv_dot
+from .interval import iv_dot  # noqa: F401
 from .oracle import validate_certificate
 from .standardize import StandardSystem
 
@@ -359,10 +362,11 @@ def farkas_from(z: Vector, dec: Decomposition) -> Vector:
     """Farkas vector +-z, for z the exact t(k')G of a failing test, in
     original row order.
 
-    A failing z has a single sign; were it mixed, y would have a negative
-    entry and decide's exact check would reject it.
+    A failing z has a single sign, read off its first nonzero entry; were
+    it mixed, y would have a negative entry and decide's exact check would
+    reject it.
     """
-    y_perm = z if all(e >= 0 for e in z.entries) else z.neg()
+    y_perm = z.neg() if next((e for e in z.entries if e), 0) < 0 else z
     ents = [None] * dec.m
     for p, orig in enumerate(dec.row_perm):
         ents[orig] = y_perm[p]
@@ -392,12 +396,19 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
             continue
         params, w, s = failure
         z, s = _z_of(w, s, dec)
+        sign = -1 if min(z) < 0 else 1
+        y_perm = Vector(dec.m, tuple(Fraction(sign * x, s) for x in z))
         # G = [I | -R]: t(k')G = z / s begins with k'
-        exact = Vector(dec.m, tuple(Fraction(x, s) for x in z))
-        kprime = Vector(dec.m - dec.n, exact.entries[:dec.m - dec.n])
+        d = dec.m - dec.n
+        kprime = Vector(d, y_perm.entries[:d] if sign > 0
+                        else tuple(Fraction(x, s) for x in z[:d]))
+        # t(z / s) b_perm, for bz = L b_perm
+        zb = Fraction(sum(map(mul, z, dec.bz)),
+                      s * denominator_lcm(dec.b_perm.entries))
         cert = Certificate(family, params, kprime,
-                           iv_dot(exact, dec.b_perm),
-                           farkas_from(exact, dec))
+                           Interval(NEG_INF, zb) if sign > 0
+                           else Interval(zb, POS_INF),
+                           farkas_from(y_perm, dec))
         if not validate_certificate(sys.A, sys.b, cert.farkas_y):
             raise SoundnessViolation(
                 f"Farkas vector from test {cert.label()} fails the exact check")

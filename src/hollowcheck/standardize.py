@@ -183,7 +183,7 @@ def standardize(raw: RawSystem) -> StandardizeResult:
     eq = raw.form == FORM_EQ_NONNEG
     kept = []
     for i in range(m):
-        if not At.row(i).is_zero():
+        if any(At.entries[i * n:(i + 1) * n]):
             kept.append(i)
         elif bt[i] < 0 or (eq and bt[i] != 0):
             # an equality multiplier may be negative; its sign makes t(y)b < 0

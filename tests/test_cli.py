@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hollowcheck import cli, emptiness
 from hollowcheck.cli import (EXIT_EMPTY, EXIT_INTERNAL, EXIT_NOT_PROVEN_EMPTY,
@@ -61,7 +64,6 @@ class TestParse:
         assert raw.Atilde.rows == 2
 
     def test_fractions_exact(self):
-        from fractions import Fraction
         raw = parse_system("1 1\n1/3 2/5\n")
         assert raw.Atilde.at(0, 0) == Fraction(1, 3)
         assert raw.btilde[0] == Fraction(2, 5)
@@ -87,20 +89,19 @@ class TestParse:
             parse_system("1_0 1\n" + "1 1\n" * 10)
 
     def test_documented_numerals_parse(self):
-        from fractions import Fraction
         raw = parse_system("+2 1\n5. -.5\n+3/4 -0.25\n")
         assert raw.Atilde.entries == (Fraction(5), Fraction(3, 4))
         assert raw.btilde.entries == (Fraction(-1, 2), Fraction(-1, 4))
         with pytest.raises(ParseError, match="bad number"):
             parse_system("1 1\n1/0 1\n")
 
-    def test_integer_tokens_parse_as_fraction(self):
-        from fractions import Fraction
-        toks = ("+3", "-0", "007", "-12", "5")
-        raw = parse_system("1 4\n" + " ".join(toks) + "\n")
+    def test_integer_tokens_parse_as_int(self):
+        # an integer token stays an int; a p/q or decimal token is a Fraction
+        toks = ("+3", "-0", "007", "-12", "5", "3/1", "-4/6", "2.", "-.5")
+        raw = parse_system("1 8\n" + " ".join(toks) + "\n")
         got = raw.Atilde.entries + raw.btilde.entries
         assert got == tuple(Fraction(tok) for tok in toks)
-        assert all(type(x) is Fraction for x in got)
+        assert [type(x) for x in got] == [int] * 5 + [Fraction] * 4
 
     def test_exponent_rejected(self):
         # Fraction would spend practically forever expanding "1e1000000000"
@@ -136,6 +137,77 @@ class TestGolden:
         obj = json.loads(out)
         again = json.dumps(obj, sort_keys=True, indent=2) + "\n"
         assert again == out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-10 ** 40, 10 ** 40) | st.text(),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=20)
+
+# (file text, form, command): every kind of report the CLI writes
+REPORT_CASES = [
+    (EMPTY_1D, "ineq", ["check"]),
+    (OK_1D, "ineq", ["check", "--mode", "theorem"]),
+    (EMPTY_1D, "ineq", ["check", "--oracle-check"]),
+    (OK_1D, "ineq", ["check", "--oracle-check"]),
+    ("2 2\n0 0 -1\n1 0 5\n", "ineq", ["check"]),          # presolve
+    ("2 1\n0 3\n1 1\n", "eq-nonneg", ["check"]),         # presolve
+    ("2 2\n0 0 0\n0 0 0\n", "ineq-nonneg", ["check"]),   # trivial
+    ("1 1\n1 5\n", "ineq", ["check", "--oracle-check"]),  # full row rank
+    (DEFICIENT_OK, "ineq", ["check", "--oracle-check"]),
+    ("3 2\n1 2 1\n0 0 1\n-2 -4 -3\n", "ineq", ["check"]),
+    (EMPTY_1D, "ineq", ["oracle"]),
+    (OK_1D, "ineq-nonneg", ["oracle"]),
+    ("2 2\n0 0 -1\n1 0 5\n", "ineq", ["oracle"]),
+    ("2 2\n0 0 0\n0 0 0\n", "ineq", ["oracle"]),
+]
+
+
+class TestJsonWriter:
+    """`_emit_json` writes the bytes of json.dumps(obj, sort_keys=True,
+    indent=2) and a newline, without the pure-Python encoder."""
+
+    @staticmethod
+    def emitted(obj) -> str:
+        buf = io.StringIO()
+        cli._emit_json(obj, buf)
+        return buf.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    @example({"": [], "a": {}, "\x00\u00e9\u2028\U0001f600": [None, True]})
+    def test_matches_json_dumps(self, obj):
+        assert self.emitted(obj) == json.dumps(obj, sort_keys=True,
+                                               indent=2) + "\n"
+
+    def test_rejects_a_fraction_as_json_does(self):
+        with pytest.raises(TypeError):
+            self.emitted({"x": Fraction(1, 2)})
+
+    def test_every_report(self, tmp_path, monkeypatch):
+        reports = []
+        emit = cli._emit_json
+
+        def recording(obj, out):
+            reports.append(obj)
+            emit(obj, out)
+        monkeypatch.setattr(cli, "_emit_json", recording)
+        outputs = []
+        for text, form, cmd in REPORT_CASES:
+            outputs.append(run_cli(
+                cmd[:1] + ["@IN@", "--json", "--form", form] + cmd[1:],
+                tmp_path=tmp_path, text=text)[1])
+        # seed 100 has an agreement discrepancy, with its rows and bounds
+        outputs.append(run_cli(["probe", "--instances", "3", "--trials", "2",
+                                "--seed", "100"])[1])
+        outputs.append(run_cli(["probe", "--suite", "agreement",
+                                "--instances", "20", "--seed", "100"])[1])
+        assert len(reports) == len(outputs) == len(REPORT_CASES) + 2
+        assert reports[-1]["agreement"]["discrepancy_count"] == 1
+        for obj, out in zip(reports, outputs):
+            assert out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 class TestCheck:

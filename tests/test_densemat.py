@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hollowcheck.densemat import (DimensionMismatch, Matrix, NotRightInverse,
-                                  RankDeficient, Singular, Vector, invert,
+                                  RankDeficient, Singular, Vector,
+                                  _nullspace_basis, invert,
                                   left_nullspace_basis, mat_mul, mat_vec,
                                   mp_axioms_check, orth_complement_basis,
                                   pinv_append_row, pinv_full_col_rank, rank,
@@ -315,6 +316,22 @@ class TestOrthComplement:
         assert len(basis) == 2
         for w, _ in basis:
             assert w[0] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0), st.integers(-6, 6), RATIONALS,
+                              st.integers(-10 ** 30, 10 ** 30)),
+                    min_size=1, max_size=8))
+    def test_closed_form_matches_elimination(self, xs):
+        # pair for pair, int and Fraction entries alike, against the
+        # elimination of the 1 x d row it replaced
+        v = Vector(len(xs), tuple(xs))
+        basis = orth_complement_basis(v)
+        if v.is_zero():
+            assert basis == [(tuple(int(i == j) for j in range(v.dim)), 1)
+                             for i in range(v.dim)]
+        else:
+            assert basis == _nullspace_basis(Matrix(1, v.dim, v.entries))
+        assert all(type(x) is int for w, s in basis for x in (*w, s))
 
     def test_independent(self):
         rng = random.Random(3)

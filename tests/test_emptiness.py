@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hollowcheck import emptiness
+from hollowcheck import cli, emptiness
 from hollowcheck.densemat import (Matrix, Vector, invert, left_nullspace_basis,
                                   mat_mul, mat_vec, orth_complement_basis,
                                   rank, vec_mat)
@@ -488,6 +490,39 @@ class TestCandidateCost:
                         assert len(calls) <= 2 * sysr.A.rows + 1, (
                             kind, sysr.A.rows, mode, len(calls))
             assert empties >= 8, kind
+
+    def test_cli_check_fraction_budget(self, tmp_path, monkeypatch):
+        # `check --json` on an all-integer file keeps its ints from the
+        # parse to the written report: a NOT_PROVEN_EMPTY report makes no
+        # Fraction, and an EMPTY one only decide's certificate
+        files = []
+        for seed, (m, n) in enumerate(((10, 2), (11, 2), (12, 3), (13, 3),
+                                       (14, 3)) * 2):
+            for lower in (0, 2):
+                sysr = feasible_system(seed, m, n, lower=lower)
+                path = tmp_path / f"s{seed}m{m}n{n}l{lower}.txt"
+                path.write_text(f"{m} {n}\n" + "".join(
+                    " ".join(str(x) for x in row + [bi]) + "\n"
+                    for row, bi in zip(sysr.A.row_lists(), sysr.b.entries)))
+                files.append((path, m))
+        calls = []
+        real_new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real_new(cls, *args, **kwargs)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        verdicts = {EMPTY: 0, NOT_PROVEN_EMPTY: 0}
+        for path, m in files:
+            calls.clear()
+            buf = io.StringIO()
+            code = cli.run(["check", str(path), "--json"], out=buf)
+            verdict = json.loads(buf.getvalue())["verdict"]
+            assert code == (verdict == EMPTY)
+            verdicts[verdict] += 1
+            assert len(calls) <= (2 * m + 1 if verdict == EMPTY else 0), (
+                path.name, verdict, len(calls))
+        assert min(verdicts.values()) >= 5, verdicts
 
 
 class TestDecide:

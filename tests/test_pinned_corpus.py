@@ -23,14 +23,25 @@ a column basis, and each `farkas_y` has one entry per file row.
 
 Every `ineq` file of these corpora is also checked exactly against its
 own rows by the benchmark's report check, `bench/verify.check_report`.
+
+The parser reads an integer token as an int and any other numeral as a
+Fraction.  Writing each integer token k as k/1 moves a file from the
+first path to the second, and must change no byte and no exit code of
+`check`, `check --json`, `check --oracle-check --json` or `oracle --json`:
+on every file of these corpora, and on Hypothesis files with zero rows,
+rank deficiency and p/q tokens in all three forms.
 """
 import hashlib
 import importlib.util
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hollowcheck.cli import run
 from hollowcheck.harness import GenSpec, gen_random_system
@@ -269,3 +280,103 @@ def test_ineq_reports_check_against_the_file(tmp_path):
         assert verify.check_report(inst, code, report, False) == [], text
         verdicts[report["verdict"]] += 1
     assert verdicts == {"EMPTY": 43, "NOT_PROVEN_EMPTY": 15}
+
+
+CHECK_COMMANDS = (["check"], ["check", "--json"])
+ORACLE_COMMANDS = (["check", "--oracle-check", "--json"], ["oracle", "--json"])
+INTEGER_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def fraction_tokens(text: str) -> str:
+    """`text` with each integer token k of a data row written k/1; the
+    header keeps its ints."""
+    lines, seen_header = [], False
+    for line in text.splitlines():
+        body, sep, comment = line.partition("#")
+        if seen_header and body.strip():
+            body = " ".join(tok + "/1" if INTEGER_TOKEN.fullmatch(tok) else tok
+                            for tok in body.split())
+        seen_header = seen_header or bool(body.strip())
+        lines.append(body + sep + comment)
+    return "\n".join(lines) + "\n"
+
+
+def assert_token_paths_agree(text: str, form: str, directory: Path,
+                             commands=CHECK_COMMANDS + ORACLE_COMMANDS):
+    ints, fractions = directory / "ints.txt", directory / "fractions.txt"
+    ints.write_text(text)
+    fractions.write_text(fraction_tokens(text))
+    for cmd in commands:
+        runs = []
+        for path in (ints, fractions):
+            buf = io.StringIO()
+            code = run(cmd[:1] + [str(path), "--form", form] + cmd[1:],
+                       out=buf)
+            runs.append((code, buf.getvalue()))
+        assert runs[0] == runs[1], (cmd, form, text)
+
+
+def test_fraction_tokens_rewrite():
+    assert fraction_tokens("# c 1\n2 1\n-3 +4 # 5\n1/2 0.5\n") == (
+        "# c 1\n2 1\n-3/1 +4/1# 5\n1/2 0.5\n")
+
+
+def test_token_paths_agree_on_the_corpora(tmp_path):
+    corpus = [(instance_text(gen_random_system(GenSpec(seed, m, n))), "ineq")
+              for m, n in SHAPES for seed in SEEDS]
+    corpus += [(rational_text(seed, m, n), form)
+               for form, m, n in RATIONAL_SHAPES for seed in RATIONAL_SEEDS]
+    corpus += [(rational_text(seed, m, n, zero_frac), form)
+               for form, m, n in RATIONAL_SHAPES for seed in TEXT_SEEDS
+               for zero_frac in (0.0, 0.3)]
+    corpus += [(TRIVIAL_TEXT, form)
+               for form in ("ineq", "ineq-nonneg", "eq-nonneg")]
+    corpus += [(deficient_text(seed, m, n, r), "ineq")
+               for m, n, r in DEFICIENT_SHAPES for seed in DEFICIENT_SEEDS]
+    rewritten = oracle_runs = 0
+    for text, form in corpus:
+        # FM on three variables takes seconds past about 7 rows, so the
+        # oracle commands run on the files of at most 20 entries in A
+        m, n = map(int, text.split()[:2])
+        oracle = m * n <= 20
+        assert_token_paths_agree(text, form, tmp_path, CHECK_COMMANDS
+                                 + (ORACLE_COMMANDS if oracle else ()))
+        rewritten += fraction_tokens(text) != text
+        oracle_runs += oracle
+    assert rewritten == len(corpus)
+    assert oracle_runs == 103
+
+
+TOKEN_VALUES = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def token_files(draw):
+    """Files of 1 to 5 rows over 1 to 3 columns, in int, p/q and decimal
+    tokens: each row is drawn afresh, zero, or a multiple of an earlier
+    one, so zero rows and rank deficiency are common."""
+    n = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("fresh", "zero", "multiple")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * n)
+        elif kind == "multiple" and rows:
+            k = draw(st.sampled_from((1, -1, 2, Fraction(-1, 2))))
+            rows.append([k * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(TOKEN_VALUES, min_size=n, max_size=n)))
+    lines = [f"{len(rows)} {n}"]
+    for row in rows:
+        b = draw(st.just(Fraction(0)) | TOKEN_VALUES)
+        lines.append(" ".join(draw(st.sampled_from(
+            (str(x), f"{float(x):.2f}") if x.denominator in (1, 2, 4)
+            else (str(x),))) for x in row + [b]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=token_files(),
+       form=st.sampled_from(("ineq", "ineq-nonneg", "eq-nonneg")))
+def test_token_paths_agree(tmp_path_factory, text, form):
+    assert_token_paths_agree(text, form, tmp_path_factory.mktemp("tokens"))
