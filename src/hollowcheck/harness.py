@@ -18,7 +18,7 @@ from .emptiness import (EMPTY, FAMILY_CANONICAL, MODE_ALGORITHM,
                         family_tests, run_test)
 from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
                      validate_certificate, validate_witness)
-from .standardize import NotStandard, StandardSystem, check_assumptions
+from .standardize import NotStandard, StandardSystem
 
 DEFAULT_INSTANCES = 100
 DEFAULT_TRIALS = 20
@@ -98,11 +98,14 @@ def gen_random_system(spec: GenSpec) -> StandardSystem:
     for _ in range(MAX_REJECTS):
         A = Matrix.from_rows([[rng.randint(-spec.entry_range, spec.entry_range)
                                for _ in range(spec.n)] for _ in range(spec.m)])
-        if check_assumptions(A):
-            continue
+        # b is drawn only for an accepted A: a rejected draw rewinds it
+        state = rng.getstate()
         b = Vector.from_list([rng.randint(-spec.b_range, spec.b_range)
                               for _ in range(spec.m)])
-        return StandardSystem(A, b)
+        try:
+            return StandardSystem(A, b)
+        except NotStandard:
+            rng.setstate(state)
     raise GenerationExhausted(f"no admissible system after {MAX_REJECTS} draws")
 
 

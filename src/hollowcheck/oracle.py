@@ -1,10 +1,13 @@
 """Exact Fourier-Motzkin feasibility oracle over rationals.
 
 Ground truth for cross-validating the algebraic emptiness test.
-Every derived row carries the nonnegative combination of original rows
-that produced it, so an infeasibility certificate (y >= 0, t(y)A = 0,
-t(y)b < 0) falls out of the elimination for free.  Feasible systems get
-a rational witness by back-substitution through the elimination stages.
+An input row keeps its row index, and a derived row keeps links to its
+two parents and the positive factor applied to each.  A contradicting
+row (0 <= bound < 0) is a nonnegative combination of input rows, and its
+multipliers are an infeasibility certificate (y >= 0, t(y)A = 0,
+t(y)b < 0); they are summed over its ancestors only when FM stops on
+such a row.  Feasible systems get a rational witness by back-substitution
+through the elimination stages.
 """
 from __future__ import annotations
 
@@ -33,12 +36,12 @@ class FMResult:
 
 
 class _Row:
-    __slots__ = ("coeffs", "bound", "mult")
+    __slots__ = ("coeffs", "bound", "src")
 
-    def __init__(self, coeffs, bound, mult):
+    def __init__(self, coeffs, bound, src):
         self.coeffs = coeffs    # list[Fraction], full width n
         self.bound = bound      # Fraction
-        self.mult = mult        # dict original-row-index -> Fraction >= 0
+        self.src = src          # input row index, or (pos, fp, neg, fn)
 
 
 def _combine(pos: _Row, neg: _Row, j: int) -> _Row:
@@ -48,12 +51,7 @@ def _combine(pos: _Row, neg: _Row, j: int) -> _Row:
     coeffs = [fp * a + fn * b for a, b in zip(pos.coeffs, neg.coeffs)]
     coeffs[j] = Fraction(0)
     bound = fp * pos.bound + fn * neg.bound
-    mult = dict()
-    for idx, w in pos.mult.items():
-        mult[idx] = mult.get(idx, Fraction(0)) + fp * w
-    for idx, w in neg.mult.items():
-        mult[idx] = mult.get(idx, Fraction(0)) + fn * w
-    return _Row(coeffs, bound, mult)
+    return _Row(coeffs, bound, (pos, fp, neg, fn))
 
 
 def _dedupe(rows: list) -> list:
@@ -98,8 +96,31 @@ def _eliminate_rows(rows: list, j: int, row_cap: int):
     return _dedupe(kept), None
 
 
-def _mult_vector(row: _Row, m: int) -> Vector:
-    return Vector.from_list([row.mult.get(i, Fraction(0)) for i in range(m)])
+def _farkas(row: _Row, m: int) -> Vector:
+    """The multipliers of the m input rows in `row`: the sum, over each
+    path from `row` up to an input row, of the product of its factors."""
+    order, seen, stack = [], set(), [(row, False)]
+    while stack:
+        r, finished = stack.pop()
+        if finished:
+            order.append(r)     # after both parents: a topological order
+        elif r not in seen:
+            seen.add(r)
+            stack.append((r, True))
+            if type(r.src) is tuple:
+                stack.append((r.src[0], False))
+                stack.append((r.src[2], False))
+    y = [Fraction(0)] * m
+    weight = {row: Fraction(1)}
+    for r in reversed(order):   # each row before its parents
+        w = weight[r]
+        if type(r.src) is int:
+            y[r.src] += w
+        else:
+            pos, fp, neg, fn = r.src
+            weight[pos] = weight.get(pos, 0) + fp * w
+            weight[neg] = weight.get(neg, 0) + fn * w
+    return Vector.from_list(y)
 
 
 def _pick_column(rows: list, remaining: list) -> int:
@@ -141,15 +162,14 @@ def fm_feasible_rows(coeff_rows: list, bounds: list, n: int,
                      row_cap: int = DEFAULT_ROW_CAP) -> FMResult:
     """Feasibility of {x : coeff_rows x <= bounds} with possibly zero rows."""
     m = len(coeff_rows)
-    rows = [_Row([Fraction(x) for x in coeff_rows[i]], Fraction(bounds[i]),
-                 {i: Fraction(1)})
+    rows = [_Row([Fraction(x) for x in coeff_rows[i]], Fraction(bounds[i]), i)
             for i in range(m)]
     # initial constant rows
     live = []
     for r in rows:
         if all(c == 0 for c in r.coeffs):
             if r.bound < 0:
-                return FMResult(INFEASIBLE, certificate=_mult_vector(r, m))
+                return FMResult(INFEASIBLE, certificate=_farkas(r, m))
         else:
             live.append(r)
     rows = _dedupe(live)
@@ -161,7 +181,7 @@ def fm_feasible_rows(coeff_rows: list, bounds: list, n: int,
         snapshots.append((j, rows))
         rows, contradiction = _eliminate_rows(rows, j, row_cap)
         if contradiction is not None:
-            return FMResult(INFEASIBLE, certificate=_mult_vector(contradiction, m))
+            return FMResult(INFEASIBLE, certificate=_farkas(contradiction, m))
         remaining.remove(j)
 
     # feasible: back-substitute in reverse elimination order

@@ -1,3 +1,6 @@
+import hashlib
+import importlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,31 @@ from hollowcheck.harness import (AgreementStats, GenSpec, GenerationExhausted,
                                  shrink_discrepancy, system_from_rows)
 from hollowcheck.oracle import FEASIBLE, INFEASIBLE, FMResult, fm_feasible
 from hollowcheck.standardize import check_assumptions
+
+# (m, n, entry_range, b_range); the entry_range 1 shapes reject many draws
+GEN_SHAPES = ((4, 2, 1, 1), (5, 4, 1, 3), (6, 3, 1, 2), (8, 2, 5, 5),
+              (10, 2, 5, 5), (7, 3, 3, 4))
+GEN_SPECS = [GenSpec(seed, m, n, er, br)
+             for seed in range(100) for m, n, er, br in GEN_SHAPES]
+# sha256 of gen_random_system over GEN_SPECS, as recorded when it still
+# decided each A with check_assumptions before drawing b
+EXPECTED_GEN_DIGEST = \
+    "35e8517fede3637ee71f43ac8fae14dc405685da00932a8b36bf417c6a1ed152"
+
+
+def reference_gen(spec: GenSpec):
+    """The generator's draw order stated plainly: (A, b, draws), where a
+    rejected A is followed by the next A, and b is drawn after the first
+    A that meets the standing assumptions."""
+    rng = random.Random(spec.seed)
+    for draws in range(1, harness.MAX_REJECTS + 1):
+        A = Matrix.from_rows([[rng.randint(-spec.entry_range, spec.entry_range)
+                               for _ in range(spec.n)] for _ in range(spec.m)])
+        if not check_assumptions(A):
+            b = Vector.from_list([rng.randint(-spec.b_range, spec.b_range)
+                                  for _ in range(spec.m)])
+            return A, b, draws
+    raise GenerationExhausted(spec)
 
 
 class TestGen:
@@ -28,6 +56,29 @@ class TestGen:
         for seed in range(20):
             s = gen_random_system(GenSpec(seed=seed, m=5, n=3))
             assert check_assumptions(s.A) == []
+
+    def test_outputs_pinned(self):
+        h = hashlib.sha256()
+        for spec in GEN_SPECS:
+            s = gen_random_system(spec)
+            h.update((" ".join(map(str, s.A.entries)) + " | "
+                      + " ".join(map(str, s.b.entries)) + "\n").encode())
+        assert h.hexdigest() == EXPECTED_GEN_DIGEST
+
+    def test_one_elimination_per_draw(self, monkeypatch):
+        # StandardSystem's elimination decides each draw; nothing repeats it
+        expected = [reference_gen(spec) for spec in GEN_SPECS]
+        assert sum(draws for _, _, draws in expected) > len(GEN_SPECS) + 50
+        calls = []
+        standardize = importlib.import_module("hollowcheck.standardize")
+        eliminate = standardize.eliminate
+        monkeypatch.setattr(standardize, "eliminate",
+                            lambda M: calls.append(1) or eliminate(M))
+        for spec, (A, b, draws) in zip(GEN_SPECS, expected):
+            calls.clear()
+            s = gen_random_system(spec)
+            assert (s.A, s.b) == (A, b)
+            assert len(calls) == draws
 
 
 class TestPinvRankFactorization:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hollowcheck import oracle
 from hollowcheck.densemat import DimensionMismatch, Matrix, Vector
-from hollowcheck.oracle import (FEASIBLE, INFEASIBLE, SizeExceeded,
-                                fm_feasible, fm_feasible_rows,
-                                validate_certificate, validate_witness)
+from hollowcheck.harness import GenSpec, gen_random_system
+from hollowcheck.oracle import (DEFAULT_ROW_CAP, FEASIBLE, INFEASIBLE,
+                                FMResult, SizeExceeded, fm_feasible,
+                                fm_feasible_rows, validate_certificate,
+                                validate_witness)
 
 
 def M(rows):
@@ -207,3 +210,189 @@ def certificate_instances(draw):
 def test_certificate_matches_fraction_reference(inst):
     # the int check after lcm scaling gives the Fraction check's answer
     assert validate_certificate(*inst) == reference_certificate(*inst)
+
+
+# --- a frozen copy of the FM oracle in which every row carries a dict of
+# its multipliers over the input rows; fm_feasible_rows must match it
+
+class _DictRow:
+    __slots__ = ("coeffs", "bound", "mult")
+
+    def __init__(self, coeffs, bound, mult):
+        self.coeffs, self.bound, self.mult = coeffs, bound, mult
+
+
+def _dict_combine(pos, neg, j):
+    fp = Fraction(1) / pos.coeffs[j]
+    fn = Fraction(-1) / neg.coeffs[j]
+    coeffs = [fp * a + fn * b for a, b in zip(pos.coeffs, neg.coeffs)]
+    coeffs[j] = Fraction(0)
+    mult = {}
+    for idx, w in pos.mult.items():
+        mult[idx] = mult.get(idx, Fraction(0)) + fp * w
+    for idx, w in neg.mult.items():
+        mult[idx] = mult.get(idx, Fraction(0)) + fn * w
+    return _DictRow(coeffs, fp * pos.bound + fn * neg.bound, mult)
+
+
+def _dict_dedupe(rows):
+    best, order = {}, []
+    for r in rows:
+        key = tuple(r.coeffs)
+        cur = best.get(key)
+        if cur is None:
+            best[key] = r
+            order.append(key)
+        elif r.bound < cur.bound:
+            best[key] = r
+    return [best[k] for k in order]
+
+
+def _dict_eliminate(rows, j, row_cap):
+    out = [r for r in rows if r.coeffs[j] == 0]
+    for p in [r for r in rows if r.coeffs[j] > 0]:
+        for q in [r for r in rows if r.coeffs[j] < 0]:
+            out.append(_dict_combine(p, q, j))
+            if len(out) > row_cap:
+                raise SizeExceeded(
+                    f"row cap {row_cap} exceeded eliminating x_{j}")
+    kept = []
+    for r in out:
+        if any(c != 0 for c in r.coeffs):
+            kept.append(r)
+        elif r.bound < 0:
+            return out, r
+    return _dict_dedupe(kept), None
+
+
+def _dict_certificate(row, m):
+    return Vector.from_list([row.mult.get(i, Fraction(0)) for i in range(m)])
+
+
+def _dict_pick_column(rows, remaining):
+    best_j, best_score = remaining[0], None
+    for j in remaining:
+        score = (sum(1 for r in rows if r.coeffs[j] > 0)
+                 * sum(1 for r in rows if r.coeffs[j] < 0))
+        if best_score is None or score < best_score:
+            best_j, best_score = j, score
+    return best_j
+
+
+def _dict_witness_value(rows, j, values):
+    lo = hi = None
+    for r in rows:
+        c = r.coeffs[j]
+        if c == 0:
+            continue
+        rest = sum(r.coeffs[k] * values[k]
+                   for k in values if r.coeffs[k] != 0 and k != j)
+        bound = (r.bound - rest) / c
+        if c > 0:
+            hi = bound if hi is None else min(hi, bound)
+        else:
+            lo = bound if lo is None else max(lo, bound)
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi - 1
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2
+
+
+def dict_fm_rows(coeff_rows, bounds, n, row_cap=DEFAULT_ROW_CAP):
+    m = len(coeff_rows)
+    rows = [_DictRow([Fraction(x) for x in coeff_rows[i]], Fraction(bounds[i]),
+                     {i: Fraction(1)}) for i in range(m)]
+    live = []
+    for r in rows:
+        if any(c != 0 for c in r.coeffs):
+            live.append(r)
+        elif r.bound < 0:
+            return FMResult(INFEASIBLE, certificate=_dict_certificate(r, m))
+    rows = _dict_dedupe(live)
+    snapshots, remaining = [], list(range(n))
+    while remaining and rows:
+        j = _dict_pick_column(rows, remaining)
+        snapshots.append((j, rows))
+        rows, contradiction = _dict_eliminate(rows, j, row_cap)
+        if contradiction is not None:
+            return FMResult(INFEASIBLE,
+                            certificate=_dict_certificate(contradiction, m))
+        remaining.remove(j)
+    values = {j: Fraction(0) for j in remaining}
+    for j, stage_rows in reversed(snapshots):
+        values[j] = _dict_witness_value(stage_rows, j, values)
+    return FMResult(FEASIBLE, witness=Vector.from_list(
+        [values[j] for j in range(n)]))
+
+
+def _outcome(fm, rows, bounds, n, cap):
+    """The result with each entry's type beside it, or the SizeExceeded
+    message."""
+    try:
+        res = fm(rows, bounds, n, cap)
+    except SizeExceeded as exc:
+        return str(exc)
+    typed = [None if v is None else [(type(x), x) for x in v.entries]
+             for v in (res.witness, res.certificate)]
+    return res.status, typed
+
+
+fm_entries = st.one_of(st.integers(-4, 4),
+                       st.fractions(min_value=-4, max_value=4,
+                                    max_denominator=5))
+
+
+@st.composite
+def fm_systems(draw):
+    """(rows, bounds, n, row_cap): int, Fraction and zero-heavy entries,
+    with duplicate coefficient rows, m <= 9, n <= 4."""
+    m = draw(st.integers(0, 9))
+    n = draw(st.integers(1, 4))
+    entry = fm_entries
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), fm_entries)
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    bounds = [draw(entry) for _ in range(m)]
+    cap = draw(st.sampled_from([10, 30, DEFAULT_ROW_CAP]))
+    return rows, bounds, n, cap
+
+
+@given(fm_systems())
+@settings(max_examples=200, deadline=None)
+def test_parent_links_match_multiplier_dicts(inst):
+    # statuses, witnesses, certificates (entry types included) and
+    # SizeExceeded messages are those of the dict-carrying elimination
+    assert _outcome(fm_feasible_rows, *inst) == _outcome(dict_fm_rows, *inst)
+
+
+def test_zero_row_certificate():
+    res = fm_feasible_rows([[1, 0], [0, 0]], [0, -1], 2)
+    assert res.certificate.entries == (Fraction(0), Fraction(1))
+    assert all(type(x) is Fraction for x in res.certificate.entries)
+
+
+def test_certificate_built_only_for_infeasible(monkeypatch):
+    # on the agreement workload's shapes, a FEASIBLE result sums no
+    # multipliers and an INFEASIBLE one sums them once
+    calls = []
+    farkas = oracle._farkas
+    monkeypatch.setattr(oracle, "_farkas",
+                        lambda row, m: calls.append(1) or farkas(row, m))
+    seen = set()
+    for seed in range(60):
+        m = (8, 9, 10)[seed % 3]
+        s = gen_random_system(GenSpec(seed=seed, m=m, n=2,
+                                      entry_range=5, b_range=5))
+        calls.clear()
+        res = fm_feasible(s.A, s.b)
+        assert len(calls) == (res.status == INFEASIBLE)
+        seen.add(res.status)
+    assert seen == {FEASIBLE, INFEASIBLE}
