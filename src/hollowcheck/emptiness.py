@@ -19,12 +19,18 @@ one sign and t(z)bz the other.  Canonical test i fails iff Rz_i <= 0 and
 r_i < 0.  A pair test, with head entries -a D and c D, passes if they
 have mixed signs; otherwise the head has the sign of h = c or -a (h = 0
 when z = 0, a pass).  It costs O(1) unless t(z)bz has the sign of -h,
-and only then scans its tail.  A kernel or complement vector w of mixed
-signs is settled by that sign screen, without its tail -w Rz.  Each
-family reports its count and its first failing params, and z, s and the
-first Fraction are built for that failure alone, by `_z_of`.
+and only then scans its tail.  Neither of the two remaining scans builds
+a basis.  A complement vector of b1 or R b2 has two nonzeros, at the
+first nonzero p of that vector and at a free index f, so it is a pair
+test on rows p and f: mixed signs are settled in O(1), and the rest in
+O(n).  A kernel vector is read off one elimination of t(Rz): its tail w
+Rz is 0, so it is always in the cone, and t(z)bz = D w bz[:m-n].  Each
+family reports its count and its first failing params; the dense w, s,
+z and the first Fraction are built for that failure alone.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
-and `run_test`: the reference for the harness, the demo and the tests.
+and `run_test`, with the bases of `left_nullspace_basis` and
+`orth_complement_basis`: the reference for the harness, the demo and
+the tests.
 
 As G = [I | -R], the failing test has t(k')G = z/s, and z has one sign,
 which decide reads once, off the ints.  The Farkas vector +-z/s is the
@@ -40,11 +46,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Iterator, Optional
 
-from .densemat import (Matrix, Vector, denominator_lcm, int_scaled,
-                       left_nullspace_basis, lowest_terms,
+from .densemat import (Matrix, Vector, denominator_lcm, eliminate,
+                       int_scaled, left_nullspace_basis, lowest_terms,
                        orth_complement_basis)
 from .interval import NEG_INF, POS_INF, Interval
 # unused here, but bench/tracer.py patches them by these names in this module
@@ -201,7 +208,8 @@ def _rb2(dec: Decomposition) -> tuple:
 
 def _basis(dec: Decomposition, family: str, rb2: tuple) -> list:
     """The (w, s) basis of a kernel or complement family, read off Rz and
-    bz: a positive scaling changes neither an RREF nor its bases."""
+    bz: a positive scaling changes neither an RREF nor its bases.  Only
+    `family_tests` builds it; `decide` reads the same vectors in place."""
     d = dec.m - dec.n
     if family == FAMILY_KERNEL:
         return left_nullspace_basis(
@@ -296,42 +304,96 @@ def _scan_pairs(dec: Decomposition, r: tuple) -> tuple:
     return dec.n * per_j, None
 
 
-def _scan_basis(basis: list, dec: Decomposition, r: tuple,
-                mode: str) -> tuple:
-    """(tests run, first failure) of a kernel or complement family.
+def _settle(mode: str, count: int, fails: bool, in_cone) -> tuple:
+    """(new count, whether the candidate fails) for a single-signed
+    candidate w >= 0 and its negation, by the counting rules of
+    `family_tests` with `run_test`.
 
-    Candidate (idx, +-1) is k' = +-w / s, with head +-D w.  A w of mixed
-    signs makes z and -z mixed: both pass, and algorithm mode filters both
-    out.  Otherwise u = +-w >= 0 gives z = [D u | -u Rz], which is in the
-    cone of G iff u Rz <= 0, and t(z)bz = u r.
+    z = [D w | -w Rz] fails iff it is in the cone and t(z)bz = w r < 0; -z
+    fails iff z does.  Algorithm mode runs only the orientation in the
+    cone, and theorem mode runs both, z first.  `in_cone` is a thunk, read
+    only where the count needs it.
     """
+    if mode == MODE_THEOREM:
+        if fails and in_cone():
+            return count + 1, True
+        return count + 2, False
+    if not in_cone():
+        return count, False
+    return count + 1, fails
+
+
+def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
+    """(tests run, first failure) of the kernel family.
+
+    One elimination of t(Rz), n x d, gives rows E, determinant det and
+    pivot columns pc.  Free column f gives w_f = |det| and w_pc =
+    -sgn(det) E[r][f], before lowest terms, which scaling leaves alone.
+    So w is single-signed iff sgn(det) E[r][f] <= 0 for every pivot row r,
+    and then w >= 0.  Its tail w Rz is 0, so z is in the cone, and t(z)bz
+    = w r = D w bz[:d].  Without a free column, the basis is the zero
+    vector, whose z = 0 passes.
+    """
+    d = dec.m - dec.n
+    E, pc, det = eliminate(Matrix(dec.n, d, tuple(
+        chain.from_iterable(zip(*dec.Rz)))))
+    sd = 1 if det > 0 else -1
+    free = [f for f in range(d) if f not in pc]
+    if not free:
+        return 1, None
+    rows = E[:len(pc)]
+    b1 = dec.bz[:d]
+    b1_pc = [b1[p] for p in pc]
     count = 0
-    for idx, (w, s) in enumerate(basis):
-        support = [(x, i) for i, x in enumerate(w) if x]
-        if not support:
-            count += 1      # the zero-kernel sentinel: z = 0 passes
-            continue
-        sign = 1 if support[0][0] > 0 else -1
-        if any(x * sign < 0 for x, _ in support):
+    for idx, f in enumerate(free):
+        col = [sd * row[f] for row in rows]
+        if max(col, default=0) > 0:
             count += 2 if mode == MODE_THEOREM else 0
             continue
-        fails = sign * sum(x * r[i] for x, i in support) < 0
-        if mode == MODE_THEOREM and not fails:
-            count += 2
+        fails = abs(det) * b1[f] < sum(map(mul, col, b1_pc))
+        count, failed = _settle(mode, count, fails, lambda: True)
+        if failed:
+            w = [0] * d
+            w[f] = det
+            for row, p in zip(E, pc):
+                w[p] = -row[f]
+            return count, ((idx, 1), *lowest_terms(w, det))
+    return count, None
+
+
+def _scan_complement(dec: Decomposition, v: tuple, r: tuple,
+                     mode: str) -> tuple:
+    """(tests run, first failure) of the orthogonal complement of v.
+
+    v = bz[:d] for b1_perp and Rz bz[d:] for rb2_perp, positive multiples
+    of b1 and R b2.  For v = 0 the basis is canonical, e_f.  Otherwise, for
+    p the first nonzero of v, free index f != p gives w = a e_f + c e_p,
+    a = |v_p| and c = -sgn(v_p) v_f, before lowest terms: a pair test on
+    rows f and p.  For c < 0 its head has mixed signs.  Otherwise z is in
+    the cone iff a Rz_f + c Rz_p <= 0, and t(z)bz = a r_f + c r_p.
+    """
+    d = len(r)
+    p = next((i for i, x in enumerate(v) if x), None)
+    if p is None:
+        p, a, sp, free = 0, 1, 0, range(d)
+    else:
+        a, sp = abs(v[p]), (1 if v[p] > 0 else -1)
+        free = [f for f in range(d) if f != p]
+    Rp, rp = dec.Rz[p], r[p]
+    count = 0
+    for idx, f in enumerate(free):
+        c = -sp * v[f]
+        if c < 0:
+            count += 2 if mode == MODE_THEOREM else 0
             continue
-        in_cone = all(sign * sum(x * dec.Rz[i][k] for x, i in support) <= 0
-                      for k in range(dec.n))
-        if mode == MODE_THEOREM:
-            # (idx, 1) fails iff its z is in the cone; (idx, -1), with -z,
-            # has the same verdict
-            count += 1
-            if in_cone:
-                return count, ((idx, 1), w, s)
-            count += 1
-        elif in_cone:
-            count += 1
-            if fails:
-                return count, ((idx, sign), tuple(sign * x for x in w), s)
+        Rf = dec.Rz[f]
+        count, failed = _settle(
+            mode, count, a * r[f] + c * rp < 0,
+            lambda: all(a * x + c * y <= 0 for x, y in zip(Rf, Rp)))
+        if failed:
+            w = [0] * d
+            w[p], w[f] = c, a
+            return count, ((idx, 1), *lowest_terms(w, a))
     return count, None
 
 
@@ -355,7 +417,10 @@ def _scan(dec: Decomposition, family: str, mode: str,
         return _scan_canonical(dec, r)
     if family == FAMILY_PAIR:
         return _scan_pairs(dec, r)
-    return _scan_basis(_basis(dec, family, rb2), dec, r, mode)
+    if family == FAMILY_KERNEL:
+        return _scan_kernel(dec, mode)
+    return _scan_complement(
+        dec, dec.bz[:len(r)] if family == FAMILY_B1_PERP else rb2, r, mode)
 
 
 def farkas_from(z: Vector, dec: Decomposition) -> Vector:

@@ -10,11 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hollowcheck import cli, emptiness
-from hollowcheck.densemat import (Matrix, Vector, invert, left_nullspace_basis,
-                                  mat_mul, mat_vec, orth_complement_basis,
-                                  rank, vec_mat)
-from hollowcheck.emptiness import (DEFAULT_ORDER, EMPTY, FAMILY_CANONICAL,
-                                   FAMILY_PAIR, MODE_ALGORITHM, MODE_THEOREM,
+from hollowcheck.densemat import (Matrix, Vector, eliminate, invert,
+                                  left_nullspace_basis, mat_mul, mat_vec,
+                                  orth_complement_basis, rank, vec_mat)
+from hollowcheck.emptiness import (DEFAULT_ORDER, EMPTY, FAMILY_B1_PERP,
+                                   FAMILY_CANONICAL, FAMILY_KERNEL,
+                                   FAMILY_PAIR, FAMILY_RB2_PERP,
+                                   MODE_ALGORITHM, MODE_THEOREM,
                                    NOT_PROVEN_EMPTY, STATED_ORDER, build_U,
                                    decide, decompose, family_tests,
                                    farkas_from, in_cone_G, run_test)
@@ -29,10 +31,22 @@ EMPTY_1D = ([[1], [1], [-1]], [1, 2, -3])
 OK_1D = ([[1], [1], [-1]], [1, 2, 0])
 RATIONAL_1D = ([[3], [2], [Fraction(-3, 2)]],
                [Fraction(-5, 6), Fraction(1, 2), Fraction(3, 4)])
+# systems whose first failing test is a kernel or complement vector
+# (TestResidualForm.test_examples_cover_the_special_cases)
+KERNEL_NEG_DET = ([[-1], [1], [-1]], [0, 0, -1])
+KERNEL_LOW_RANK = ([[-1, 0], [-1, 0], [0, 2], [1, 0]], [0, -1, 0, 0])
+B1_PERP_PAIR = ([[-1], [1], [1]], [-1, -1, 1])
+RB2_PERP_PAIR = ([[1], [1], [-1]], [-1, 0, -1])
+B1_ZERO = ([[-1], [1], [1]], [-1, 0, 0])
+RB2_ZERO = ([[-1], [1], [1]], [0, -1, 0])
 
 
 def sys_of(rows, b):
     return system_from_rows(rows, b)
+
+
+def dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
 
 
 def G_of(dec):
@@ -376,6 +390,18 @@ class TestResidualForm:
     # a = c = 0 in column 1
     @example(sys_of([[1, 0], [0, 1], [0, -1], [0, -1]], [0, 0, -1, -1]))
     @example(sys_of(*RATIONAL_1D))
+    # the first failure is a kernel vector, with det < 0 in the kernel's
+    # elimination
+    @example(sys_of(*KERNEL_NEG_DET))
+    # the same with det > 0, and Rz of rank 1 < n
+    @example(sys_of(*KERNEL_LOW_RANK))
+    # in the stated order, the first failure is a b1_perp or an rb2_perp
+    # vector with two nonzeros
+    @example(sys_of(*B1_PERP_PAIR))
+    @example(sys_of(*RB2_PERP_PAIR))
+    # b1 = 0 or R b2 = 0: the canonical basis, whose first vector fails
+    @example(sys_of(*B1_ZERO))
+    @example(sys_of(*RB2_ZERO))
     def test_same_as_z_form(self, sysr):
         dec = decompose(sysr)
         for mode in (MODE_ALGORITHM, MODE_THEOREM):
@@ -399,6 +425,62 @@ class TestResidualForm:
                                     [1, 2, -1, 3]))
         assert [p for f, p, *_ in family_tests(sentinel)
                 if f == "kernel"] == [(0, 1)]
+        for fixture, stated_order, family, nonzeros in (
+                (KERNEL_NEG_DET, False, FAMILY_KERNEL, 2),
+                (KERNEL_LOW_RANK, False, FAMILY_KERNEL, 2),
+                (B1_PERP_PAIR, True, FAMILY_B1_PERP, 2),
+                (RB2_PERP_PAIR, True, FAMILY_RB2_PERP, 2),
+                (B1_ZERO, True, FAMILY_B1_PERP, 1),
+                (RB2_ZERO, True, FAMILY_RB2_PERP, 1)):
+            for mode in (MODE_ALGORITHM, MODE_THEOREM):
+                cert = decide(sys_of(*fixture), mode,
+                              stated_order).certificate
+                assert cert.family == family, (fixture, mode)
+                assert sum(1 for x in cert.kprime.entries if x) == nonzeros
+        dets = {}
+        for name, fixture in (("neg", KERNEL_NEG_DET),
+                              ("low", KERNEL_LOW_RANK)):
+            dec = decompose(sys_of(*fixture))
+            _, pc, dets[name] = eliminate(Matrix.from_rows(
+                [list(col) for col in zip(*dec.Rz)]))
+            assert len(pc) == (1 if name == "low" else dec.n)
+        assert dets["neg"] < 0 < dets["low"]
+        for fixture, zero in ((B1_ZERO, True), (B1_PERP_PAIR, False)):
+            dec = decompose(sys_of(*fixture))
+            assert any(dec.bz[:dec.m - dec.n]) != zero
+        for fixture, zero in ((RB2_ZERO, True), (RB2_PERP_PAIR, False)):
+            assert any(emptiness._rb2(decompose(sys_of(*fixture)))) != zero
+
+    @settings(max_examples=150, deadline=None)
+    @given(battery_systems())
+    def test_reference_bases_have_the_scanned_form(self, sysr):
+        # the identities the kernel and complement scans read in place of
+        # the bases, checked against the bases family_tests builds
+        dec = decompose(sysr)
+        d = dec.m - dec.n
+        _, r = emptiness._residual(dec)
+        b1 = dec.bz[:d]
+        kernel = left_nullspace_basis(
+            Matrix(d, dec.n, tuple(x for row in dec.Rz for x in row)))
+        assert kernel == left_nullspace_basis(dec.R)
+        for w, _ in kernel:
+            assert all(sum(x * row[k] for x, row in zip(w, dec.Rz)) == 0
+                       for k in range(dec.n))
+            assert dot(w, r) == dec.D * dot(w, b1)
+        for v in (b1, emptiness._rb2(dec)):
+            basis = orth_complement_basis(Vector(d, v))
+            p = next((i for i, x in enumerate(v) if x), None)
+            if p is None:
+                assert basis == [(Vector.unit(d, i).entries, 1)
+                                 for i in range(d)]
+                continue
+            free = [f for f in range(d) if f != p]
+            assert len(basis) == len(free)
+            for (w, _), f in zip(basis, free):
+                assert {i for i, x in enumerate(w) if x} <= {p, f}
+                assert w[f] > 0
+                assert (w[p] * w[f] < 0) == (v[f] * v[p] > 0)
+                assert dot(w, v) == 0
 
     @pytest.mark.parametrize("kind, m, n, lower", [
         ("feasible", 40, 6, 0), ("near", 20, 4, 2), ("near", 40, 6, 2)])
@@ -441,6 +523,65 @@ class TestCandidateCost:
                 candidates += report.tests_run
         assert calls == []
         assert candidates > 100
+
+    def test_no_basis_built(self, monkeypatch):
+        # the kernel and complement families are read in place: no basis,
+        # one elimination (the kernel's), and lowest terms outside
+        # decompose only for the failing vector of such a family
+        shapes = ((6, 2), (8, 2), (12, 3), (13, 3))
+        fixtures = ([feasible_system(seed, m, n) for seed, (m, n)
+                     in enumerate(shapes)]
+                    + [feasible_system(seed, m, n, lower=2)
+                       for seed, (m, n) in enumerate(shapes * 2)]
+                    + [sys_of(*f) for f in (KERNEL_NEG_DET, KERNEL_LOW_RANK,
+                                            B1_PERP_PAIR, RB2_PERP_PAIR,
+                                            B1_ZERO, RB2_ZERO)])
+        calls = {"eliminate": [], "lowest_terms": []}
+        in_decompose = []
+
+        def forbidden(*args):
+            raise AssertionError("decide must not build a basis")
+
+        def counting(name, fn):
+            def wrapper(*args):
+                if not in_decompose:
+                    calls[name].append(args)
+                return fn(*args)
+            return wrapper
+
+        def marked_decompose(sysr, real=emptiness.decompose):
+            in_decompose.append(sysr)
+            try:
+                return real(sysr)
+            finally:
+                in_decompose.pop()
+        for name in ("_basis", "left_nullspace_basis",
+                     "orth_complement_basis"):
+            monkeypatch.setattr(emptiness, name, forbidden)
+        for name in calls:
+            monkeypatch.setattr(emptiness, name,
+                                counting(name, getattr(emptiness, name)))
+        monkeypatch.setattr(emptiness, "decompose", marked_decompose)
+        verdicts, built = {EMPTY: 0, NOT_PROVEN_EMPTY: 0}, set()
+        for sysr in fixtures:
+            for mode in (MODE_ALGORITHM, MODE_THEOREM):
+                for stated_order in (False, True):
+                    for found in calls.values():
+                        found.clear()
+                    report = decide(sysr, mode, stated_order)
+                    verdicts[report.verdict] += 1
+                    assert len(calls["eliminate"]) <= 1
+                    if report.verdict == NOT_PROVEN_EMPTY:
+                        assert len(calls["eliminate"]) == 1
+                    family = report.certificate and report.certificate.family
+                    if family in (FAMILY_KERNEL, FAMILY_B1_PERP,
+                                  FAMILY_RB2_PERP):
+                        assert len(calls["lowest_terms"]) == 1
+                        built.add(family)
+                    else:
+                        assert calls["lowest_terms"] == []
+        assert min(verdicts.values()) >= 20, verdicts
+        assert built == {FAMILY_KERNEL, FAMILY_B1_PERP, FAMILY_RB2_PERP}
 
     def test_no_fraction_before_certificate(self, monkeypatch):
         # a NOT_PROVEN_EMPTY verdict runs every family in ints, from the

@@ -24,6 +24,12 @@ a column basis, and each `farkas_y` has one entry per file row.
 Every `ineq` file of these corpora is also checked exactly against its
 own rows by the benchmark's report check, `bench/verify.check_report`.
 
+The feasible corpus holds integer `ineq` files at the benchmark's
+`check-feasible` shapes, feasible by construction: `check` runs every
+family to the end on each of them, so the kernel and complement scans are
+pinned with their per-family tallies, which the mostly-EMPTY corpora above
+reach less often.
+
 The parser reads an integer token as an int and any other numeral as a
 Fraction.  Writing each integer token k as k/1 moves a file from the
 first path to the second, and must change no byte and no exit code of
@@ -61,6 +67,19 @@ EXPECTED_TALLIES = {
     "default": {"empty": 27, "tests_run": 690},
     "theorem": {"empty": 27, "tests_run": 1254},
     "stated_order": {"empty": 27, "tests_run": 609},
+}
+FEASIBLE_SHAPES = ((12, 3), (13, 3), (14, 3))
+# recorded when this corpus was added; every file is NOT_PROVEN_EMPTY
+EXPECTED_FEASIBLE_DIGEST = \
+    "f0333875f0903deada1055becd61c361535bd545ef2c3a8fd14d0f4d52ac0bc6"
+# configuration -> family -> tests run, summed over the corpus
+EXPECTED_FEASIBLE_FAMILIES = {
+    "default": {"b1_perp": 7, "canonical": 300, "kernel": 34, "pair": 4080,
+                "rb2_perp": 4},
+    "theorem": {"b1_perp": 540, "canonical": 300, "kernel": 420,
+                "pair": 4080, "rb2_perp": 540},
+    "stated_order": {"b1_perp": 7, "canonical": 300, "kernel": 34,
+                     "pair": 4080, "rb2_perp": 4},
 }
 
 # (form, raw m, raw n); ("ineq", 2, 3) has m <= n: its A has full row rank,
@@ -131,6 +150,19 @@ def instance_text(sys) -> str:
     return "\n".join(lines) + "\n"
 
 
+def feasible_text(seed: int, m: int, n: int) -> str:
+    """A `gen_random_system` matrix with b = A x0 + s, for x0 in [-3, 3]^n
+    and s in [0, 3]^m: feasible by construction."""
+    rng = random.Random(seed)
+    rows = gen_random_system(GenSpec(seed, m, n)).A.row_lists()
+    x0 = [rng.randint(-3, 3) for _ in range(n)]
+    lines = [f"{m} {n}"]
+    for row in rows:
+        bi = sum(a * x for a, x in zip(row, x0)) + rng.randint(0, 3)
+        lines.append(" ".join(str(x) for x in row + [bi]))
+    return "\n".join(lines) + "\n"
+
+
 def rational_token(rng: random.Random) -> str:
     """An integer, a fraction p/q or a decimal, about a third each."""
     kind = rng.randrange(3)
@@ -169,9 +201,11 @@ def deficient_text(seed: int, m: int, n: int, r: int) -> str:
 
 
 def run_corpus(paths_and_flags):
-    """(sha256 hex digest, tallies) over every instance and configuration."""
+    """(sha256 hex digest, tallies, per-family tests run) over every
+    instance and configuration."""
     digest = hashlib.sha256()
     tallies = {name: {"empty": 0, "tests_run": 0} for name in CONFIGS}
+    families = {name: {} for name in CONFIGS}
     for path, form_flags in paths_and_flags:
         for name, flags in CONFIGS.items():
             buf = io.StringIO()
@@ -181,7 +215,9 @@ def run_corpus(paths_and_flags):
             report = json.loads(buf.getvalue())
             tallies[name]["empty"] += report["verdict"] == "EMPTY"
             tallies[name]["tests_run"] += report["tests_run"]
-    return digest.hexdigest(), tallies
+            for family, run_ in report["families"].items():
+                families[name][family] = families[name].get(family, 0) + run_
+    return digest.hexdigest(), tallies, families
 
 
 def test_pinned_corpus(tmp_path):
@@ -191,7 +227,7 @@ def test_pinned_corpus(tmp_path):
             path = tmp_path / f"m{m}n{n}s{seed}.txt"
             path.write_text(instance_text(gen_random_system(GenSpec(seed, m, n))))
             corpus.append((path, []))
-    digest, tallies = run_corpus(corpus)
+    digest, tallies, _ = run_corpus(corpus)
     assert tallies == EXPECTED_TALLIES
     assert digest == EXPECTED_DIGEST
 
@@ -203,9 +239,22 @@ def test_pinned_rational_corpus(tmp_path):
             path = tmp_path / f"{form}m{m}n{n}s{seed}.txt"
             path.write_text(rational_text(seed, m, n))
             corpus.append((path, ["--form", form]))
-    digest, tallies = run_corpus(corpus)
+    digest, tallies, _ = run_corpus(corpus)
     assert tallies == EXPECTED_RATIONAL_TALLIES
     assert digest == EXPECTED_RATIONAL_DIGEST
+
+
+def test_pinned_feasible_corpus(tmp_path):
+    corpus = []
+    for m, n in FEASIBLE_SHAPES:
+        for seed in SEEDS:
+            path = tmp_path / f"feasible-m{m}n{n}s{seed}.txt"
+            path.write_text(feasible_text(seed, m, n))
+            corpus.append((path, []))
+    digest, tallies, families = run_corpus(corpus)
+    assert all(t["empty"] == 0 for t in tallies.values())
+    assert families == EXPECTED_FEASIBLE_FAMILIES
+    assert digest == EXPECTED_FEASIBLE_DIGEST
 
 
 def test_pinned_text_corpus(tmp_path):
