@@ -6,6 +6,12 @@ Subcommands:
   probe   randomized lemma/theorem probes and oracle agreement runs
   gen     write a random admissible instance file
 
+`run` hands the arguments after a known subcommand name straight to that
+subcommand's parser, which is what the top-level parser would do with
+them; the top level parses only what that leaves unsettled (an unknown or
+missing subcommand, leftover arguments), so every usage error reads as
+before.  Under --json, `check` builds no text report.
+
 Exit codes: 0 not-proven-empty, 1 empty, 2 input/usage error, 3 internal
 error, including an Empty certificate that fails its exact self-check, 4
 the Fourier-Motzkin oracle (`oracle`, `check --oracle-check`) passed its
@@ -63,51 +69,69 @@ class UsageError(Exception):
 # 1e1000000000 takes practically forever
 _NUMERAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+|[0-9]+/[0-9]+)")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# a line of the same numerals joined by single spaces; an integer is tried
+# first, which settles an integer token without backtracking
+_ROW_NUMERAL = r"[+-]?(?:[0-9]+|[0-9]+\.[0-9]*|[0-9]+/[0-9]+|\.[0-9]+)"
+_ROW = re.compile(f"{_ROW_NUMERAL}(?: {_ROW_NUMERAL})*")
+
+
+def _numbers(tokens: list, lineno: int) -> list:
+    """A data line read token by token: the first bad token's ParseError."""
+    vals = []
+    for col, tok in enumerate(tokens, start=1):
+        try:
+            if _INTEGER.fullmatch(tok):
+                vals.append(int(tok))
+            elif _NUMERAL.fullmatch(tok):
+                vals.append(Fraction(tok))
+            else:
+                raise ValueError(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad number {tok!r} (column {col})")
+    return vals
 
 
 def parse_system(text: str, form: str = "ineq") -> RawSystem:
     """The system of an instance file: an integer token is read as an int,
-    any other numeral as a Fraction."""
+    any other numeral as a Fraction.  A data line of documented numerals is
+    settled by one match of `_ROW`, and a token with no "." or "/" is then
+    an integer; any other line is read by `_numbers`."""
     header = None
     entries = []
     bounds = []
+    row_match = _ROW.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if header is None:
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected header 'm n'")
             if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+                line = raw.split("#", 1)[0].strip()
                 raise ParseError(lineno, f"bad header {line!r}")
-            m, n = int(tokens[0]), int(tokens[1])
+            m, n = header = int(tokens[0]), int(tokens[1])
             if m < 1 or n < 1:
                 raise ParseError(lineno, "m and n must be >= 1")
-            header = (m, n)
             continue
-        m, n = header
         if len(bounds) == m:
             raise ParseError(lineno, f"more than {m} data rows")
         if len(tokens) != n + 1:
             raise DimensionError(
                 lineno, f"expected {n + 1} numbers, got {len(tokens)}")
-        vals = []
-        for col, tok in enumerate(tokens, start=1):
+        vals = None
+        if row_match(" ".join(tokens)):
             try:
-                if _INTEGER.fullmatch(tok):
-                    vals.append(int(tok))
-                elif _NUMERAL.fullmatch(tok):
-                    vals.append(Fraction(tok))
-                else:
-                    raise ValueError(tok)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(lineno, f"bad number {tok!r} (column {col})")
-        entries += vals[:-1]
-        bounds.append(vals[-1])
+                vals = [Fraction(tok) if "." in tok or "/" in tok
+                        else int(tok) for tok in tokens]
+            except ZeroDivisionError:   # p/0
+                pass
+        if vals is None:
+            vals = _numbers(tokens, lineno)
+        bounds.append(vals.pop())
+        entries += vals
     if header is None:
         raise ParseError(0, "empty input")
-    m, n = header
     if len(bounds) != m:
         raise ParseError(0, f"expected {m} rows, got {len(bounds)}")
     return RawSystem(form, Matrix(m, n, tuple(entries)),
@@ -191,7 +215,8 @@ def _json_text(obj, indent: str = "") -> str:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_json_text(v, inner) for v in obj]
+        items = [encode_basestring_ascii(v) if isinstance(v, str)
+                 else _json_text(v, inner) for v in obj]
         brackets = "[]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
@@ -216,36 +241,22 @@ def _emit(obj, lines, args, out) -> None:
 def _read_input(path: str) -> str:
     if path == "-":
         return _sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    # "\r\n" and a lone "\r" stay in the text; splitlines ends a line at
+    # each, as text mode's newline translation would
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
 
 
-def cmd_check(args, out) -> int:
-    std = standardize(parse_system(_read_input(args.input), args.form))
+def _check_lines(std, report, obj) -> list:
+    """The text report of `check`: `obj` in lines, with the presolve detail
+    of `std` or the failing test of `report` (None for a presolve `std`)."""
+    cert = obj["certificate"]
     if isinstance(std, EarlyEmpty):
-        farkas_y = _vec_json(std.farkas_y)
-        obj = _report_obj(EMPTY, args.mode, 0, {}, {
-            "family": "presolve",
-            "k_prime": None,
-            "interval": None,
-            "farkas_y": farkas_y,
-        })
         lines = ["EMPTY (presolve: " + std.detail + ")",
-                 "farkas_y = " + " ".join(farkas_y)]
+                 "farkas_y = " + " ".join(cert["farkas_y"])]
     elif isinstance(std, TriviallyNonEmpty):
-        obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
-        obj["note"] = std.note
         lines = [f"NOT-PROVEN-EMPTY (trivial: {std.detail})"]
     else:
-        report = decide(std, mode=args.mode, stated_order=args.stated_order)
-        oracle_result = None
-        if args.oracle_check:
-            oracle_result = fm_feasible(std.A, std.b)
-            if report.is_empty and oracle_result.status == FEASIBLE:
-                raise SoundnessViolation(
-                    "Empty verdict on an oracle-feasible system")
-        obj = report_to_jsonable(report, std, oracle_result)
-        cert = obj["certificate"]
         if cert is None:
             lines = ["NOT-PROVEN-EMPTY (claimed nonempty)"]
         else:
@@ -255,11 +266,39 @@ def cmd_check(args, out) -> int:
                      "interval = [" + ", ".join(cert["interval"]) + "]",
                      "farkas_y = " + " ".join(cert["farkas_y"])]
         lines.append(f"tests run: {report.tests_run}")
-        if oracle_result is not None:
-            lines.append(f"oracle: {oracle_result.status}")
-            wit = obj["oracle"]["witness"]
-            if wit is not None:
-                lines.append("witness (original variables): " + " ".join(wit))
+    oracle = obj.get("oracle")
+    if oracle is not None:
+        lines.append("oracle: " + oracle["status"])
+        if oracle["witness"] is not None:
+            lines.append("witness (original variables): "
+                         + " ".join(oracle["witness"]))
+    return lines
+
+
+def cmd_check(args, out) -> int:
+    std = standardize(parse_system(_read_input(args.input), args.form))
+    report = None
+    if isinstance(std, EarlyEmpty):
+        obj = _report_obj(EMPTY, args.mode, 0, {}, {
+            "family": "presolve",
+            "k_prime": None,
+            "interval": None,
+            "farkas_y": _vec_json(std.farkas_y),
+        })
+    elif isinstance(std, TriviallyNonEmpty):
+        obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
+        obj["note"] = std.note
+    else:
+        report = decide(std, mode=args.mode, stated_order=args.stated_order)
+        oracle_result = None
+        if args.oracle_check:
+            oracle_result = fm_feasible(std.A, std.b)
+            if report.is_empty and oracle_result.status == FEASIBLE:
+                raise SoundnessViolation(
+                    "Empty verdict on an oracle-feasible system")
+        obj = report_to_jsonable(report, std, oracle_result)
+    # under --json no text is built
+    lines = None if args.json else _check_lines(std, report, obj)
     _emit(obj, lines, args, out)
     return EXIT_EMPTY if obj["verdict"] == EMPTY else EXIT_NOT_PROVEN_EMPTY
 
@@ -358,10 +397,13 @@ def cmd_gen(args, out) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple:
+    """(the top-level parser, {subcommand: its parser}), built once per
+    process, on the first call."""
     p = argparse.ArgumentParser(prog="hollowcheck",
                                 description="algebraic polyhedron emptiness test")
     sub = p.add_subparsers(dest="subcommand", required=True)
+    subparsers = {}
 
     form_choices = sorted(set(FORMS) | {f.replace("_", "-") for f in FORMS})
 
@@ -371,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                         type=lambda s: s.replace("-", "_"))
         sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("check", help="run the emptiness test")
+    sp = subparsers["check"] = sub.add_parser(
+        "check", help="run the emptiness test")
     common_io(sp)
     sp.add_argument("--mode", choices=MODES, default=MODE_ALGORITHM)
     sp.add_argument("--stated-order", action="store_true", dest="stated_order",
@@ -379,11 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle-check", action="store_true", dest="oracle_check")
     sp.set_defaults(fn=cmd_check)
 
-    sp = sub.add_parser("oracle", help="exact feasibility via Fourier-Motzkin")
+    sp = subparsers["oracle"] = sub.add_parser(
+        "oracle", help="exact feasibility via Fourier-Motzkin")
     common_io(sp)
     sp.set_defaults(fn=cmd_oracle)
 
-    sp = sub.add_parser("probe", help="randomized probe suites")
+    sp = subparsers["probe"] = sub.add_parser(
+        "probe", help="randomized probe suites")
     sp.add_argument("--suite",
                     choices=["lemma1", "lemma2", "theorem1", "agreement", "all"],
                     default="all")
@@ -393,20 +438,42 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=MODES, default=MODE_ALGORITHM)
     sp.set_defaults(fn=cmd_probe)
 
-    sp = sub.add_parser("gen", help="write a random admissible instance")
+    sp = subparsers["gen"] = sub.add_parser(
+        "gen", help="write a random admissible instance")
     sp.add_argument("output", help="output path, or - for stdout")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-m", type=int, default=5)
     sp.add_argument("-n", type=int, default=2)
     sp.add_argument("--range", type=int, default=5)
     sp.set_defaults(fn=cmd_gen)
-    return p
+    return p, subparsers
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """build_parser().parse_args(argv), without the top-level pass when
+    argv[0] names a subcommand: the top level would hand all of argv[1:] to
+    that subcommand's parser anyway.  Arguments that parser leaves over, and
+    an unknown or missing subcommand, go through the top level, whose error
+    names the program rather than the subcommand."""
+    top, subparsers = _parsers()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return top.parse_args(argv)
 
 
 def run(argv=None, out=None) -> int:
     out = out or _sys.stdout
+    if argv is None:
+        argv = _sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize others
         return EXIT_USAGE if exc.code not in (0,) else 0

@@ -82,8 +82,8 @@ def _violations(A: Matrix, split: tuple) -> list:
     """The failed assumptions, read off split = eliminate(t(A)): row i of A
     is zero iff column i of d rref(t(A)) is; the rank counts the pivots."""
     rows, piv_cols, _ = split
-    violations = [f"row {i} of A is all zeros" for i in range(A.rows)
-                  if not any(row[i] for row in rows)]
+    violations = [f"row {i} of A is all zeros"
+                  for i, col in enumerate(zip(*rows)) if not any(col)]
     if A.rows <= A.cols:
         violations.append(f"m > n fails ({A.rows} rows, {A.cols} cols)")
     if len(piv_cols) != A.cols:

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -108,6 +109,167 @@ class TestParse:
         for tok in ("1e5", "1E5", "2.5e-1"):
             with pytest.raises(ParseError, match="bad number"):
                 parse_system(f"1 1\n1 {tok}\n")
+
+
+# the per-token parser `parse_system` used before a data line was matched
+# whole, kept as the reference for the one-match path
+_REF_NUMERAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+|[0-9]+/[0-9]+)")
+_REF_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def reference_parse(text: str):
+    """(m, n, entries of A then b), or the ParseError, token by token."""
+    header = None
+    vals = []
+    rows = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if header is None:
+            if len(tokens) != 2:
+                raise ParseError(lineno, "expected header 'm n'")
+            if not all(_REF_INTEGER.fullmatch(tok) for tok in tokens):
+                raise ParseError(lineno, f"bad header {line!r}")
+            header = int(tokens[0]), int(tokens[1])
+            if min(header) < 1:
+                raise ParseError(lineno, "m and n must be >= 1")
+            continue
+        m, n = header
+        if rows == m:
+            raise ParseError(lineno, f"more than {m} data rows")
+        if len(tokens) != n + 1:
+            raise DimensionError(
+                lineno, f"expected {n + 1} numbers, got {len(tokens)}")
+        for col, tok in enumerate(tokens, start=1):
+            try:
+                if _REF_INTEGER.fullmatch(tok):
+                    vals.append(int(tok))
+                elif _REF_NUMERAL.fullmatch(tok):
+                    vals.append(Fraction(tok))
+                else:
+                    raise ValueError(tok)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(lineno, f"bad number {tok!r} (column {col})")
+        rows += 1
+    if header is None:
+        raise ParseError(0, "empty input")
+    if rows != header[0]:
+        raise ParseError(0, f"expected {header[0]} rows, got {rows}")
+    m, n = header
+    A = [v for i in range(m) for v in vals[i * (n + 1):(i + 1) * (n + 1) - 1]]
+    return m, n, A + vals[n::n + 1]
+
+
+def parse_outcome(parse, text: str):
+    """What `parse` makes of `text`: the shape, the entries and their types
+    (int == Fraction compares equal), or the error's type and text."""
+    try:
+        got = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    if not isinstance(got, tuple):
+        got = (got.Atilde.rows, got.Atilde.cols,
+               list(got.Atilde.entries + got.btilde.entries))
+    return got, [type(x) for x in got[2]]
+
+
+def mostly(common, rare, odds=10):
+    """`common`, but `rare` once in `odds` draws."""
+    return st.integers(1, odds).flatmap(lambda k: common if k > 1 else rare)
+
+
+NUMERAL_TOKENS = mostly(
+    st.integers(-10 ** 30, 10 ** 30).map(str)
+    | st.sampled_from(["+3", "-0", "007", "+0/5", "-4/6", "3/1", "2.", "-.5",
+                       ".25", "+1.50"])
+    | st.builds("{}/{}".format, st.integers(-99, 99), st.integers(1, 12))
+    | st.builds("{}.{}".format, st.integers(-99, 99), st.integers(0, 999)),
+    st.sampled_from(["1/0", "-0/0", "1_0", "\u0661", "\uff11", "1e3",
+                     "2.5E-1", "1/", "/2", ".", "+", "-", "+-1", "1.2.3",
+                     "1/2/3", "1./2", "x", "inf", "nan"])
+    | st.text("0123456789+-./_eE", min_size=1, max_size=4), odds=40)
+SEPARATORS = mostly(st.sampled_from([" ", "  ", "\t", "\xa0", " \t "]),
+                    st.just("\x0c"))
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def instance_files(draw):
+    """Instance text: a header (at times a bad one), rows of n + 1 tokens
+    (at times one more or less), comments and blank lines, joined by one
+    line ending throughout."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    sep = draw(SEPARATORS)
+    header = draw(mostly(st.sampled_from([f"{m} {n}", f"{m}{sep}{n}",
+                                          f"+{m} 0{n}"]),
+                         st.sampled_from([f"{m} {n} 1", f"{m} x", "0 2"])))
+    lines = ["# a comment", header]
+    for _ in range(m + draw(mostly(st.just(0), st.sampled_from([-1, 1])))):
+        width = n + 1 + draw(mostly(st.just(0), st.sampled_from([-1, 1]),
+                                    odds=30))
+        line = sep.join(draw(NUMERAL_TOKENS) for _ in range(width))
+        lines.append(line + draw(st.sampled_from(["", " # 1/0 x", "#"])))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "# note"])))
+    nl = draw(NEWLINES)
+    return nl.join(lines) + draw(st.sampled_from([nl, ""]))
+
+
+class TestLineParse:
+    """A data line is settled by one match and a type per token; it must
+    read exactly as the per-token reference does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=instance_files())
+    @example(text="2 1\r\n1 1/0\r\n-1 -2\r\n")
+    @example(text="2 1\r1\xa02.\r-1\t-.5\r")
+    @example(text="2 1\n1 2\x0c3\n-1 -2\n")
+    def test_matches_the_per_token_reference(self, tmp_path_factory, text):
+        assert (parse_outcome(parse_system, text)
+                == parse_outcome(reference_parse, text))
+        # a file is read as bytes: "\r\n" and "\r" stay in the text, and
+        # the lines are those of a text-mode read
+        path = tmp_path_factory.mktemp("lines") / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            text_mode = fh.read()
+        assert (parse_outcome(parse_system, cli._read_input(str(path)))
+                == parse_outcome(reference_parse, text_mode))
+
+    def test_mixed_line_types(self):
+        raw = parse_system("1 5\n+3 -4/6 2. 007 -.5 1/1\n")
+        got = raw.Atilde.entries + raw.btilde.entries
+        assert got == (3, Fraction(-2, 3), 2, 7, Fraction(-1, 2), 1)
+        assert [type(x) for x in got] == [int, Fraction, Fraction, int,
+                                          Fraction, Fraction]
+
+    @pytest.mark.parametrize("size", [10, 8191, 8192, 8193, 20000])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe2\x82"])
+    def test_decode_error_as_in_text_mode(self, tmp_path, size, bad):
+        # the same UnicodeDecodeError text, at the absolute offset, on
+        # either side of an 8 KB read chunk and at the end of the file
+        body = (b"1 1\r\n" * (size // 5 + 1))[:size]
+        for data in (body + bad + b" 1\n", body + bad):
+            path = tmp_path / "bad.txt"
+            path.write_bytes(data)
+            with pytest.raises(UnicodeDecodeError) as want:
+                with open(path, encoding="utf-8") as fh:
+                    fh.read()
+            with pytest.raises(UnicodeDecodeError) as got:
+                cli._read_input(str(path))
+            assert str(got.value) == str(want.value)
+
+    def test_crlf_across_a_read_chunk(self, tmp_path):
+        # "\r" ends one 8 KB chunk and "\n" starts the next
+        data = "1 1\n" + "# " + "x" * (8192 - 7) + "\r\n" + "1 2\r\r\n"
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(data.encode())
+        assert data.encode().index(b"\r\n") == 8191
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert cli._read_input(str(path)).splitlines() == lines
 
 
 class TestGolden:
@@ -349,6 +511,106 @@ class TestOneParser:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+    def test_check_json_parses_once_and_writes_no_text(self, tmp_path,
+                                                       monkeypatch):
+        # argv goes straight to the subcommand's parser, and --json builds
+        # no text report, so the failing test is never named
+        parses, labels = [], []
+        parse = argparse.ArgumentParser.parse_known_args
+        label = emptiness.Certificate.label
+
+        def counting_parse(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        def counting_label(self):
+            labels.append(self.family)
+            return label(self)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counting_parse)
+        monkeypatch.setattr(emptiness.Certificate, "label", counting_label)
+        code, out = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path,
+                            text=EMPTY_1D)
+        assert (code, out) == (EXIT_EMPTY, GOLDEN_EMPTY)
+        assert parses == ["hollowcheck check"]
+        assert labels == []
+        _, out = run_cli(["check", "@IN@"], tmp_path=tmp_path, text=EMPTY_1D)
+        assert "failing family: canonical[" in out
+        assert labels == ["canonical"]
+
+
+def old_parse_args(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+class TestDispatch:
+    """`run` hands argv[1:] straight to the named subcommand's parser; exit
+    code, stdout and stderr are those of the top-level parse_args."""
+
+    ARGVS = [
+        ["check", "@IN@", "--json"],
+        ["check", "@IN@", "--bogus"],
+        ["check", "--bogus", "@IN@"],
+        ["check", "@IN@", "extra"],
+        ["check"],
+        ["check", "@IN@", "--form", "bad"],
+        ["check", "--form", "bad", "@IN@", "--bogus"],
+        ["check", "-h"],
+        ["check", "@IN@", "--help"],
+        ["--help"],
+        [],
+        ["nope", "@IN@"],
+        ["che", "@IN@"],
+        ["--json", "check", "@IN@"],
+        ["check", "@IN@", "--js"],
+        ["check", "@IN@", "--form=eq-nonneg"],
+        ["check", "--", "@IN@"],
+        ["check", "@IN@", "--", "--json"],
+        ["check", "@IN@", "--mode", "theorem", "--stated-order",
+         "--oracle-check"],
+        ["oracle", "@IN@", "--json"],
+        ["oracle", "@IN@", "--mode", "theorem"],
+        ["gen", "-", "-m", "4", "-n", "2", "--seed", "3"],
+        ["gen", "-", "-m", "2", "-n", "3"],
+        ["probe", "--suite", "lemma2", "--instances", "1", "--trials", "1"],
+        ["probe", "--instances", "x"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS,
+                             ids=lambda argv: " ".join(argv) or "(none)")
+    def test_same_bytes_as_the_top_level_parse(self, tmp_path, monkeypatch,
+                                               capsys, argv):
+        path = tmp_path / "in.txt"
+        path.write_text(EMPTY_1D)
+        argv = [str(path) if a == "@IN@" else a for a in argv]
+        got = (run(list(argv)),) + tuple(capsys.readouterr())
+        monkeypatch.setattr(cli, "_parse_args", old_parse_args)
+        want = (run(list(argv)),) + tuple(capsys.readouterr())
+        assert got == want
+        assert got[1] or got[2]
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("argv", [["check", "@IN@", "--json"],
+                                      ["check", "@IN@", "--bogus"],
+                                      ["oracle", "@IN@"]])
+    def test_python_m_matches_run(self, tmp_path, monkeypatch, capsys, argv):
+        path = tmp_path / "in.txt"
+        path.write_text(EMPTY_1D)
+        argv = [str(path) if a == "@IN@" else a for a in argv]
+        # one usage width in both processes
+        monkeypatch.setenv("COLUMNS", "80")
+        code = run(argv)
+        out, err = capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-m", "hollowcheck"] + argv,
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 class TestOtherSubcommands:
