@@ -285,9 +285,15 @@ def cmd_check(args, out) -> int:
             "interval": None,
             "farkas_y": _vec_json(std.farkas_y),
         })
+        if args.oracle_check:
+            # presolve's answer, as `oracle` gives it
+            obj["oracle"] = {"status": INFEASIBLE, "witness": None}
     elif isinstance(std, TriviallyNonEmpty):
         obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
         obj["note"] = std.note
+        if args.oracle_check:
+            obj["oracle"] = {"status": FEASIBLE,
+                             "witness": _vec_json(std.witness)}
     else:
         report = decide(std, mode=args.mode, stated_order=args.stated_order)
         oracle_result = None

@@ -318,6 +318,7 @@ REPORT_CASES = [
     ("2 1\n0 3\n1 1\n", "eq-nonneg", ["check"]),         # presolve
     ("2 2\n0 0 0\n0 0 0\n", "ineq-nonneg", ["check"]),   # trivial
     ("1 1\n1 5\n", "ineq", ["check", "--oracle-check"]),  # full row rank
+    ("2 2\n0 0 -1\n1 0 5\n", "ineq", ["check", "--oracle-check"]),
     (DEFICIENT_OK, "ineq", ["check", "--oracle-check"]),
     ("3 2\n1 2 1\n0 0 1\n-2 -4 -3\n", "ineq", ["check"]),
     (EMPTY_1D, "ineq", ["oracle"]),
@@ -465,6 +466,7 @@ class TestCheck:
         obj = json.loads(out)
         assert (obj["verdict"], obj["tests_run"]) == ("NOT_PROVEN_EMPTY", 0)
         assert "redundant" not in obj["note"]
+        assert obj["oracle"] == {"status": "feasible", "witness": ["5/1"]}
         _, out = run_cli(["check", "@IN@"], tmp_path=tmp_path,
                          text="1 1\n1 5\n")
         assert out == "NOT-PROVEN-EMPTY (trivial: full row rank)\n"
@@ -472,6 +474,38 @@ class TestCheck:
                             text="1 1\n1 5\n")
         assert code == EXIT_NOT_PROVEN_EMPTY
         assert json.loads(out) == {"status": "feasible", "witness": ["5/1"]}
+
+    @pytest.mark.parametrize("text, form, status, lines", [
+        ("2 2\n0 0 -1\n1 0 5\n", "ineq", "infeasible",
+         "EMPTY (presolve: zero row 0 with negative bound -1)\n"
+         "farkas_y = 1/1 0/1\noracle: infeasible\n"),
+        ("2 1\n0 3\n1 1\n", "eq-nonneg", "infeasible",
+         "EMPTY (presolve: zero row 0 with nonzero equality bound)\n"
+         "farkas_y = -1/1 0/1\noracle: infeasible\n"),
+        ("2 2\n0 0 0\n0 0 0\n", "ineq-nonneg", "feasible",
+         "NOT-PROVEN-EMPTY (trivial: nonnegative orthant)\n"
+         "oracle: feasible\nwitness (original variables): 0/1 0/1\n"),
+        ("2 3\n1 2 0 1\n0 1 1 2\n", "ineq", "feasible",
+         "NOT-PROVEN-EMPTY (trivial: full row rank)\n"
+         "oracle: feasible\nwitness (original variables): -3/1 2/1 0/1\n"),
+    ])
+    def test_oracle_check_on_a_presolved_file(self, tmp_path, text, form,
+                                              status, lines):
+        # presolve decides the file; --oracle-check reports the answer
+        # `oracle` gives, in both renderings
+        code, out = run_cli(["check", "@IN@", "--form", form,
+                             "--oracle-check"], tmp_path=tmp_path, text=text)
+        assert out == lines
+        assert code == (EXIT_EMPTY if status == "infeasible"
+                        else EXIT_NOT_PROVEN_EMPTY)
+        _, out = run_cli(["check", "@IN@", "--form", form, "--oracle-check",
+                          "--json"], tmp_path=tmp_path, text=text)
+        _, oracle = run_cli(["oracle", "@IN@", "--form", form, "--json"],
+                            tmp_path=tmp_path, text=text)
+        want = json.loads(oracle)
+        want.pop("presolve", None)     # `oracle` also names the zero row
+        assert json.loads(out)["oracle"] == want
+        assert want["status"] == status
 
     def test_stated_order_flag_same_verdict(self, tmp_path):
         a = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path, text=EMPTY_1D)

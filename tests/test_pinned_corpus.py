@@ -111,9 +111,11 @@ TEXT_SEEDS = range(3)
 TRIVIAL_TEXT = "2 2\n0 0 0\n0 0 0\n"
 # re-recorded when rank-deficient `ineq` input was projected onto a column
 # basis, `farkas_y` gained a 0 at each dropped zero row and `oracle` began
-# to print the trivial case's witness (31 outputs changed)
+# to print the trivial case's witness (31 outputs changed); again when
+# `check --oracle-check` began to report presolve's answer as the oracle's
+# (23 `check_oracle` outputs changed)
 EXPECTED_TEXT_DIGEST = \
-    "e33fbf85945f62c5019260ce0bd78efe96deaccca3df684f4aa154c6e3b68bab"
+    "50f1a30493bb0bb322dd645536aab9b7598195d031bc41d2a9cbcc6fbe76835b"
 # configuration -> [runs exiting 0, runs exiting 1]
 EXPECTED_TEXT_EXITS = {
     "check": [15, 30],
@@ -135,9 +137,11 @@ DEFICIENT_CONFIGS = {
     "oracle": ["oracle"],
 }
 # re-recorded when rank-deficient `ineq` input was projected onto a column
-# basis instead of sign-split (62 outputs changed)
+# basis instead of sign-split (62 outputs changed), and when `check
+# --oracle-check` began to report presolve's answer as the oracle's (12
+# `check_oracle` outputs changed)
 EXPECTED_DEFICIENT_DIGEST = \
-    "e3394b4139792cd5874245269f6ce434b78fe4e18cc6c3b6929b72c577e90824"
+    "c1d31f158e7d8dadeb99a61ccb5eeb2e49c63bc0aa8476976b4884f561974ca2"
 # configuration -> [runs exiting 0, runs exiting 1]; 10 files end in presolve
 EXPECTED_DEFICIENT_EXITS = {name: [4, 26] for name in DEFICIENT_CONFIGS}
 
