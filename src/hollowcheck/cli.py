@@ -303,7 +303,6 @@ def cmd_check(args, out) -> int:
                 raise SoundnessViolation(
                     "Empty verdict on an oracle-feasible system")
         obj = report_to_jsonable(report, std, oracle_result)
-    # under --json no text is built
     lines = None if args.json else _check_lines(std, report, obj)
     _emit(obj, lines, args, out)
     return EXIT_EMPTY if obj["verdict"] == EMPTY else EXIT_NOT_PROVEN_EMPTY
