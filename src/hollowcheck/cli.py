@@ -95,12 +95,15 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
     """The system of an instance file: an integer token is read as an int,
     any other numeral as a Fraction.  A data line of documented numerals is
     settled by one match of `_ROW`, and a token with no "." or "/" is then
-    an integer; any other line is read by `_numbers`."""
+    an integer; any other line is read by `_numbers`.  A line ends only at
+    LF, CRLF or CR; str.splitlines would also end one at form feed, U+0085
+    and other characters that a data line's `split` reads as spaces."""
     header = None
     entries = []
     bounds = []
     row_match = _ROW.fullmatch
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -241,7 +244,7 @@ def _emit(obj, lines, args, out) -> None:
 def _read_input(path: str) -> str:
     if path == "-":
         return _sys.stdin.read()
-    # "\r\n" and a lone "\r" stay in the text; splitlines ends a line at
+    # "\r\n" and a lone "\r" stay in the text; parse_system ends a line at
     # each, as text mode's newline translation would
     with open(path, "rb") as fh:
         return fh.read().decode("utf-8")

@@ -15,12 +15,11 @@ lowest terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence, Union
 
-ScalarLike = Union[int, Fraction, str]
+ScalarLike = int | Fraction | str
 
 
 class DimensionMismatch(ValueError):
@@ -39,19 +38,61 @@ class NotRightInverse(ValueError):
     """Claimed right inverse fails A2t @ P == I."""
 
 
+class Record:
+    """Base of the package's value types, in place of `dataclasses`, whose
+    import (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a fresh
+    `check` process far more than the emptiness test does.
+
+    A subclass names its fields in order in `_fields`, holds them in
+    `__slots__` and sets them in its own `__init__`.  Records are equal
+    when they are of one class and their fields are equal, and the repr
+    is `Name(field=value, ...)`, as for a dataclass.  A record is frozen:
+    it hashes its fields, and assigning one raises AttributeError, so
+    `__init__` sets them with `object.__setattr__`.  A mutable subclass
+    sets `__setattr__ = object.__setattr__` and `__hash__ = None`.
+    """
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: restoring the slots
+        # one by one would go through the frozen __setattr__
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen "
+                             f"{self.__class__.__qualname__} (value type "
+                             f"{type(value).__name__})")
+
+
 def to_scalar(x: ScalarLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class Vector:
-    dim: int
-    entries: tuple
+class Vector(Record):
+    __slots__ = _fields = ("dim", "entries")
 
-    def __post_init__(self):
-        if self.dim < 1 or len(self.entries) != self.dim:
+    def __init__(self, dim: int, entries: tuple):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", entries)
+        if dim < 1 or len(entries) != dim:
             raise DimensionMismatch(
-                f"vector of dim {self.dim} with {len(self.entries)} entries")
+                f"vector of dim {dim} with {len(entries)} entries")
 
     @staticmethod
     def from_list(xs: Sequence[ScalarLike]) -> "Vector":
@@ -82,16 +123,16 @@ class Vector:
         return all(e == 0 for e in self.entries)
 
 
-@dataclass(frozen=True)
-class Matrix:
-    rows: int
-    cols: int
-    entries: tuple  # row-major
+class Matrix(Record):
+    __slots__ = _fields = ("rows", "cols", "entries")  # entries row-major
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionMismatch(f"matrix shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch(f"matrix shape {rows}x{cols}")
+        if len(entries) != rows * cols:
             raise DimensionMismatch("entry count does not match shape")
 
     @staticmethod

@@ -44,13 +44,12 @@ only measured (see harness).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-from typing import Iterator, Optional
 
-from .densemat import (Matrix, Vector, denominator_lcm, eliminate,
+from .densemat import (Matrix, Record, Vector, denominator_lcm, eliminate,
                        int_scaled, left_nullspace_basis, lowest_terms,
                        orth_complement_basis)
 from .interval import NEG_INF, POS_INF, Interval
@@ -81,14 +80,24 @@ class SoundnessViolation(AssertionError):
     """A verdict failed an exact soundness check: a build-stopping bug."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    row_perm: tuple      # permuted position -> original row index
-    A: Matrix            # the system's A, in original row order
-    b_perm: Vector       # (b1; b2)
-    D: int               # lcm of the denominators of R = A1 A2^-1
-    Rz: tuple            # D R, one tuple of ints per row
-    bz: tuple            # a positive integer multiple of b_perm
+class Decomposition(Record):
+    __slots__ = _fields = (
+        "row_perm",     # permuted position -> original row index
+        "A",            # the system's A, in original row order
+        "b_perm",       # (b1; b2)
+        "D",            # lcm of the denominators of R = A1 A2^-1
+        "Rz",           # D R, one tuple of ints per row
+        "bz",           # a positive integer multiple of b_perm
+    )
+
+    def __init__(self, row_perm: tuple, A: Matrix, b_perm: Vector, D: int,
+                 Rz: tuple, bz: tuple):
+        object.__setattr__(self, "row_perm", row_perm)
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b_perm", b_perm)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "Rz", Rz)
+        object.__setattr__(self, "bz", bz)
 
     @property
     def m(self) -> int:
@@ -109,25 +118,37 @@ class Decomposition:
         return Matrix.from_rows([rows[i] for i in self.row_perm])
 
 
-@dataclass(frozen=True)
-class Certificate:
-    family: str
-    params: tuple
-    kprime: Vector
-    interval: Interval
-    farkas_y: Vector     # original row order; y >= 0, t(y)A = 0, t(y)b < 0
+class Certificate(Record):
+    __slots__ = _fields = (
+        "family", "params", "kprime", "interval",
+        "farkas_y",     # original row order; y >= 0, t(y)A = 0, t(y)b < 0
+    )
+
+    def __init__(self, family: str, params: tuple, kprime: Vector,
+                 interval: Interval, farkas_y: Vector):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "kprime", kprime)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "farkas_y", farkas_y)
 
     def label(self) -> str:
         return f"{self.family}{list(self.params)}"
 
 
-@dataclass(frozen=True)
-class EmptinessReport:
-    verdict: str                         # "EMPTY" | "NOT_PROVEN_EMPTY"
-    certificate: Optional[Certificate]
-    tests_run: int
-    family_counts: dict
-    mode: str
+class EmptinessReport(Record):
+    __slots__ = _fields = (
+        "verdict",      # "EMPTY" | "NOT_PROVEN_EMPTY"
+        "certificate", "tests_run", "family_counts", "mode",
+    )
+
+    def __init__(self, verdict: str, certificate: Certificate | None,
+                 tests_run: int, family_counts: dict, mode: str):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "tests_run", tests_run)
+        object.__setattr__(self, "family_counts", family_counts)
+        object.__setattr__(self, "mode", mode)
 
     @property
     def is_empty(self) -> bool:

@@ -8,11 +8,10 @@ tallied, with discrepancies shrunk to small reportable instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .densemat import (Matrix, Vector, mat_mul, mat_vec, pinv_append_row,
-                       pinv_full_col_rank, rank, rref)
+from .densemat import (Matrix, Record, Vector, mat_mul, mat_vec,
+                       pinv_append_row, pinv_full_col_rank, rank, rref)
 from .emptiness import (EMPTY, FAMILY_CANONICAL, MODE_ALGORITHM,
                         SoundnessViolation, build_U, decide, decompose,
                         family_tests, run_test)
@@ -35,28 +34,37 @@ class ProbeFailure(AssertionError):
     """A lemma/theorem probe found a counterexample; carries the instance."""
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    seed: int
-    m: int
-    n: int
-    entry_range: int = 5
-    b_range: int = 5
+class GenSpec(Record):
+    __slots__ = _fields = ("seed", "m", "n", "entry_range", "b_range")
 
-    def __post_init__(self):
-        if not (self.m > self.n >= 1):
-            raise ValueError(f"need m > n >= 1, got m={self.m}, n={self.n}")
-        if self.entry_range < 1 or self.b_range < 1:
+    def __init__(self, seed: int, m: int, n: int, entry_range: int = 5,
+                 b_range: int = 5):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entry_range", entry_range)
+        object.__setattr__(self, "b_range", b_range)
+        if not (m > n >= 1):
+            raise ValueError(f"need m > n >= 1, got m={m}, n={n}")
+        if entry_range < 1 or b_range < 1:
             raise ValueError("ranges must be >= 1")
 
 
-@dataclass
-class Discrepancy:
-    rows: list          # integer-ish matrix rows of the shrunk instance
-    bounds: list
-    verdict: str
-    oracle_status: str
-    seed: int
+class Discrepancy(Record):
+    __slots__ = _fields = (
+        "rows",         # integer-ish matrix rows of the shrunk instance
+        "bounds", "verdict", "oracle_status", "seed",
+    )
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, rows: list, bounds: list, verdict: str,
+                 oracle_status: str, seed: int):
+        self.rows = rows
+        self.bounds = bounds
+        self.verdict = verdict
+        self.oracle_status = oracle_status
+        self.seed = seed
 
     def to_jsonable(self) -> dict:
         return {
@@ -68,13 +76,23 @@ class Discrepancy:
         }
 
 
-@dataclass
-class AgreementStats:
-    total: int = 0
-    empty_agree: int = 0
-    notproven_and_feasible: int = 0
-    discrepancies: list = field(default_factory=list)
-    family_failure_histogram: dict = field(default_factory=dict)
+class AgreementStats(Record):
+    __slots__ = _fields = ("total", "empty_agree", "notproven_and_feasible",
+                           "discrepancies", "family_failure_histogram")
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, total: int = 0, empty_agree: int = 0,
+                 notproven_and_feasible: int = 0,
+                 discrepancies: list | None = None,
+                 family_failure_histogram: dict | None = None):
+        self.total = total
+        self.empty_agree = empty_agree
+        self.notproven_and_feasible = notproven_and_feasible
+        self.discrepancies = [] if discrepancies is None else discrepancies
+        self.family_failure_histogram = (
+            {} if family_failure_histogram is None
+            else family_failure_histogram)
 
     def to_jsonable(self) -> dict:
         return {

@@ -10,24 +10,24 @@ POS_INF, which a plain == recognises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .densemat import DimensionMismatch, Vector, denominator_lcm, int_scaled
+from .densemat import (DimensionMismatch, Record, Vector, denominator_lcm,
+                       int_scaled)
 
 NEG_INF = -math.inf
 POS_INF = math.inf
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: object
-    hi: object
+class Interval(Record):
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not lo <= hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
 
 
 def iv_dot(z: Vector, b: Vector) -> Interval:

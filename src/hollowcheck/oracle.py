@@ -11,12 +11,10 @@ through the elimination stages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
 
-from .densemat import Matrix, Vector, check_rhs, int_scaled
+from .densemat import Matrix, Record, Vector, check_rhs, int_scaled
 
 DEFAULT_ROW_CAP = 100_000
 
@@ -28,11 +26,18 @@ class SizeExceeded(Exception):
     """Row count blew past the cap; the instance is too large for FM."""
 
 
-@dataclass(frozen=True)
-class FMResult:
-    status: str
-    witness: Optional[Vector] = None        # feasible: A x <= b exactly
-    certificate: Optional[Vector] = None    # infeasible: y >= 0, yA = 0, yb < 0
+class FMResult(Record):
+    __slots__ = _fields = (
+        "status",
+        "witness",      # feasible: A x <= b exactly
+        "certificate",  # infeasible: y >= 0, yA = 0, yb < 0
+    )
+
+    def __init__(self, status: str, witness: Vector | None = None,
+                 certificate: Vector | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
 
 
 class _Row:

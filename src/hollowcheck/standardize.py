@@ -29,11 +29,9 @@ a certificate of A_K is one of A, unchanged.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
 
-from .densemat import Matrix, Vector, check_rhs, eliminate
+from .densemat import Matrix, Record, Vector, check_rhs, eliminate
 # unused here, but bench/tracer.py patches it by this name in this module
 from .densemat import rank  # noqa: F401
 
@@ -43,35 +41,43 @@ FORM_EQ_NONNEG = "eq_nonneg"
 FORMS = (FORM_INEQ, FORM_INEQ_NONNEG, FORM_EQ_NONNEG)
 
 
-@dataclass(frozen=True)
-class RawSystem:
-    form: str
-    Atilde: Matrix
-    btilde: Vector
+class RawSystem(Record):
+    __slots__ = _fields = ("form", "Atilde", "btilde")
 
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"unknown form {self.form!r}")
-        check_rhs(self.Atilde, self.btilde)
+    def __init__(self, form: str, Atilde: Matrix, btilde: Vector):
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "Atilde", Atilde)
+        object.__setattr__(self, "btilde", btilde)
+        if form not in FORMS:
+            raise ValueError(f"unknown form {form!r}")
+        check_rhs(Atilde, btilde)
 
 
-@dataclass(frozen=True)
-class EarlyEmpty:
+class EarlyEmpty(Record):
     """Emptiness decided during presolve; `row` indexes the raw system.
 
     `farkas_y` is +-1 on that row and 0 elsewhere, with t(y)b < 0.
     """
-    row: int
-    detail: str
-    farkas_y: Vector
+    __slots__ = _fields = ("row", "detail", "farkas_y")
+
+    def __init__(self, row: int, detail: str, farkas_y: Vector):
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "farkas_y", farkas_y)
 
 
-@dataclass(frozen=True)
-class TriviallyNonEmpty:
+class TriviallyNonEmpty(Record):
     """Nonemptiness decided without the test battery."""
-    detail: str     # the set, "whole space" or "nonnegative orthant", or why
-    note: str       # one sentence for the report
-    witness: Vector  # a point of the set, in the file's variables
+    __slots__ = _fields = (
+        "detail",   # the set, "whole space" or "nonnegative orthant", or why
+        "note",     # one sentence for the report
+        "witness",  # a point of the set, in the file's variables
+    )
+
+    def __init__(self, detail: str, note: str, witness: Vector):
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "witness", witness)
 
 
 class NotStandard(ValueError):
@@ -97,13 +103,13 @@ def check_assumptions(A: Matrix) -> list:
     return _violations(A, eliminate(A.transpose()))
 
 
-def _frame(dim: int, kept) -> Optional[tuple]:
+def _frame(dim: int, kept) -> tuple | None:
     """(dim, kept) for a selection of `kept` positions out of dim; None
     when it keeps them all."""
     return None if len(kept) == dim else (dim, tuple(kept))
 
 
-def _lift(v: Vector, frame: Optional[tuple]) -> Vector:
+def _lift(v: Vector, frame: tuple | None) -> Vector:
     """v at the kept positions of frame = (dim, kept) and 0 elsewhere; v
     itself for frame None."""
     if frame is None:
@@ -115,24 +121,26 @@ def _lift(v: Vector, frame: Optional[tuple]) -> Vector:
     return Vector(dim, tuple(ents))
 
 
-@dataclass(frozen=True)
-class StandardSystem:
+class StandardSystem(Record):
     """Ax <= b under the standing assumptions; NotStandard otherwise.
 
     `raw_rows` places A's rows among the rows of the file's embedding, and
     `raw_cols` its columns among the file's columns, each as a `_frame`.
     """
-    A: Matrix
-    b: Vector
-    raw_rows: Optional[tuple] = None
-    raw_cols: Optional[tuple] = None
-    # eliminate(t(A)): its pivot columns are the first n independent rows
-    split: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("A", "b", "raw_rows", "raw_cols")
+    # eliminate(t(A)): its pivot columns are the first n independent rows;
+    # derived, so eq, repr and hash leave it out
+    __slots__ = _fields + ("split",)
 
-    def __post_init__(self):
-        check_rhs(self.A, self.b)
-        split = eliminate(self.A.transpose())
-        bad = _violations(self.A, split)
+    def __init__(self, A: Matrix, b: Vector, raw_rows: tuple | None = None,
+                 raw_cols: tuple | None = None):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "raw_rows", raw_rows)
+        object.__setattr__(self, "raw_cols", raw_cols)
+        check_rhs(A, b)
+        split = eliminate(A.transpose())
+        bad = _violations(A, split)
         if bad:
             raise NotStandard("; ".join(bad))
         object.__setattr__(self, "split", split)
@@ -156,10 +164,10 @@ class StandardSystem:
         return _lift(y_std, self.raw_rows)
 
 
-StandardizeResult = Union[StandardSystem, EarlyEmpty, TriviallyNonEmpty]
+StandardizeResult = StandardSystem | EarlyEmpty | TriviallyNonEmpty
 
 
-def _project(A: Matrix, b: Vector, raw_rows: Optional[tuple]):
+def _project(A: Matrix, b: Vector, raw_rows: tuple | None):
     """{x : Ax <= b} on the pivot columns K of eliminate([A | b]), for A
     with no zero row; see the module docstring."""
     n = A.cols

@@ -20,6 +20,8 @@ from hollowcheck.densemat import DimensionMismatch, RankDeficient, Singular
 from hollowcheck.oracle import FEASIBLE, FMResult, SizeExceeded
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# whitespace that str.splitlines also reads as a line break
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
 EMPTY_1D = "3 1\n1 1\n1 2\n-1 -3\n"
 OK_1D = "3 1\n1 1\n1 2\n-1 0\n"
 # rank 1 < n: column 1 is twice column 0, so `standardize` keeps column 0
@@ -110,6 +112,17 @@ class TestParse:
             with pytest.raises(ParseError, match="bad number"):
                 parse_system(f"1 1\n1 {tok}\n")
 
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_comment_runs_to_the_line_break(self, tmp_path, char):
+        path = tmp_path / "in.txt"
+        path.write_bytes(f"# note{char} more\n{EMPTY_1D}".encode("utf-8"))
+        assert run(["check", str(path)], out=io.StringIO()) == EXIT_EMPTY
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_row_runs_to_the_line_break(self, char):
+        raw = parse_system(f"1 2\n1 2{char}3\n")
+        assert raw.Atilde.entries == (1, 2) and raw.btilde.entries == (3,)
+
 
 # the per-token parser `parse_system` used before a data line was matched
 # whole, kept as the reference for the one-match path
@@ -122,7 +135,7 @@ def reference_parse(text: str):
     header = None
     vals = []
     rows = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -191,7 +204,7 @@ NUMERAL_TOKENS = mostly(
                      "1/2/3", "1./2", "x", "inf", "nan"])
     | st.text("0123456789+-./_eE", min_size=1, max_size=4), odds=40)
 SEPARATORS = mostly(st.sampled_from([" ", "  ", "\t", "\xa0", " \t "]),
-                    st.just("\x0c"))
+                    st.sampled_from(NOT_LINE_BREAKS))
 NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -225,7 +238,7 @@ class TestLineParse:
     @given(text=instance_files())
     @example(text="2 1\r\n1 1/0\r\n-1 -2\r\n")
     @example(text="2 1\r1\xa02.\r-1\t-.5\r")
-    @example(text="2 1\n1 2\x0c3\n-1 -2\n")
+    @example(text="2 2\n1 2\x0c3\n-1 -2\x854\n")
     def test_matches_the_per_token_reference(self, tmp_path_factory, text):
         assert (parse_outcome(parse_system, text)
                 == parse_outcome(reference_parse, text))

@@ -1,9 +1,13 @@
 """Every name a hollowcheck module imports is used in that module, unless
 the benchmark tracer patches the name there (bench/tracer.py SITES); no
-module imports another package module's private (`_name`) names; and
-every parameter of a package function or lambda is read in its body."""
+module imports another package module's private (`_name`) names; every
+parameter of a package function or lambda is read in its body; and no
+module imports `dataclasses` or `typing`, which a `check` run never
+loads."""
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,50 @@ def test_unread_parameter_is_caught():
     # assigning a parameter is not reading it
     assert unread_parameters("def f(x):\n    x = 1\n    return 0\n") == [
         "f:x"]
+
+
+# each pulls in more start-up than a `check` call's own work: dataclasses
+# imports inspect, ast, dis and tokenize, and generates and compiles code
+# per class
+HEAVY_MODULES = ("dataclasses", "typing")
+
+
+def heavy_imports(source: str) -> list:
+    """The HEAVY_MODULES a module imports."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] in HEAVY_MODULES]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_heavy_import(path):
+    assert heavy_imports(path.read_text()) == []
+
+
+def test_heavy_import_is_caught():
+    assert heavy_imports("from dataclasses import dataclass\n"
+                         "import typing as t\nimport math\n"
+                         "from .densemat import Vector\n") == [
+        "dataclasses", "typing"]
+
+
+def test_check_loads_no_heavy_module(tmp_path):
+    # -S: no site module, so only what hollowcheck itself imports is loaded
+    path = tmp_path / "in.txt"
+    path.write_text("3 1\n1 1\n1 2\n-1 -3\n")
+    script = (
+        "import io, sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "from hollowcheck import cli\n"
+        f"code = cli.run(['check', {str(path)!r}, '--json'], out=io.StringIO())\n"
+        "print(code, sorted(m for m in ('dataclasses', 'inspect', 'typing')\n"
+        "                   if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout == "1 []\n"
