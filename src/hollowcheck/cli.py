@@ -23,8 +23,8 @@ Certificates and witnesses are written in the file's own frame: a
 
 Input format: first data line "m n", then m lines of n+1 numbers (row of
 A then b_i).  Numbers are integers, decimals, or fractions "p/q" in ASCII
-digits, with no exponent notation; "#" starts a comment; blank lines are
-ignored; path "-" reads stdin.
+digits, with no exponent notation, within int's 4300-digit limit; "#"
+starts a comment; blank lines are ignored; path "-" reads stdin.
 """
 from __future__ import annotations
 
@@ -66,42 +66,43 @@ class UsageError(Exception):
 
 # the documented numerals, in ASCII digits.  Fraction and int also read "_"
 # separators, non-ASCII digits and (Fraction) exponents, and expanding
-# 1e1000000000 takes practically forever
-_NUMERAL = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+|[0-9]+/[0-9]+)")
-_INTEGER = re.compile(r"[+-]?[0-9]+")
-# a line of the same numerals joined by single spaces; an integer is tried
-# first, which settles an integer token without backtracking
-_ROW_NUMERAL = r"[+-]?(?:[0-9]+|[0-9]+\.[0-9]*|[0-9]+/[0-9]+|\.[0-9]+)"
-_ROW = re.compile(f"{_ROW_NUMERAL}(?: {_ROW_NUMERAL})*")
+# 1e1000000000 takes practically forever.  An integer is tried first,
+# which settles an integer token without backtracking
+_NUMERAL = r"[+-]?(?:[0-9]+|[0-9]+\.[0-9]*|[0-9]+/[0-9]+|\.[0-9]+)"
+# a line of numerals joined by single spaces
+_ROW = re.compile(f"{_NUMERAL}(?: {_NUMERAL})*")
 
 
-def _numbers(tokens: list, lineno: int) -> list:
-    """A data line read token by token: the first bad token's ParseError."""
-    vals = []
+def _values(tokens: list) -> list:
+    """The numbers of a line's tokens: a token with no "." or "/" is an
+    int, any other a Fraction.  ValueError unless every token is a
+    documented numeral, ZeroDivisionError for p/0; int and Fraction also
+    raise ValueError past int's digit limit (4300 digits by default)."""
+    if not _ROW.fullmatch(" ".join(tokens)):
+        raise ValueError(tokens)
+    return [Fraction(tok) if "." in tok or "/" in tok else int(tok)
+            for tok in tokens]
+
+
+def _bad_number(tokens: list, lineno: int) -> ParseError:
+    """The error of a data line `_values` rejects: its first token that
+    `_values` rejects alone."""
     for col, tok in enumerate(tokens, start=1):
         try:
-            if _INTEGER.fullmatch(tok):
-                vals.append(int(tok))
-            elif _NUMERAL.fullmatch(tok):
-                vals.append(Fraction(tok))
-            else:
-                raise ValueError(tok)
+            _values([tok])
         except (ValueError, ZeroDivisionError):
-            raise ParseError(lineno, f"bad number {tok!r} (column {col})")
-    return vals
+            return ParseError(lineno, f"bad number {tok!r} (column {col})")
 
 
 def parse_system(text: str, form: str = "ineq") -> RawSystem:
-    """The system of an instance file: an integer token is read as an int,
-    any other numeral as a Fraction.  A data line of documented numerals is
-    settled by one match of `_ROW`, and a token with no "." or "/" is then
-    an integer; any other line is read by `_numbers`.  A line ends only at
-    LF, CRLF or CR; str.splitlines would also end one at form feed, U+0085
-    and other characters that a data line's `split` reads as spaces."""
+    """The system of an instance file, each line read by `_values`: one
+    match of `_ROW`, then an int or a Fraction per token.  The header's two
+    numbers must be ints.  A line ends only at LF, CRLF or CR;
+    str.splitlines would also end one at form feed, U+0085 and other
+    characters that a data line's `split` reads as spaces."""
     header = None
     entries = []
     bounds = []
-    row_match = _ROW.fullmatch
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
@@ -110,10 +111,13 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
         if header is None:
             if len(tokens) != 2:
                 raise ParseError(lineno, "expected header 'm n'")
-            if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+            try:
+                m, n = header = _values(tokens)
+                if type(m) is not int or type(n) is not int:
+                    raise ValueError(tokens)
+            except (ValueError, ZeroDivisionError):
                 line = raw.split("#", 1)[0].strip()
-                raise ParseError(lineno, f"bad header {line!r}")
-            m, n = header = int(tokens[0]), int(tokens[1])
+                raise ParseError(lineno, f"bad header {line!r}") from None
             if m < 1 or n < 1:
                 raise ParseError(lineno, "m and n must be >= 1")
             continue
@@ -122,15 +126,10 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
         if len(tokens) != n + 1:
             raise DimensionError(
                 lineno, f"expected {n + 1} numbers, got {len(tokens)}")
-        vals = None
-        if row_match(" ".join(tokens)):
-            try:
-                vals = [Fraction(tok) if "." in tok or "/" in tok
-                        else int(tok) for tok in tokens]
-            except ZeroDivisionError:   # p/0
-                pass
-        if vals is None:
-            vals = _numbers(tokens, lineno)
+        try:
+            vals = _values(tokens)
+        except (ValueError, ZeroDivisionError):
+            raise _bad_number(tokens, lineno) from None
         bounds.append(vals.pop())
         entries += vals
     if header is None:
@@ -169,9 +168,9 @@ def _report_obj(verdict, mode, tests_run, families, certificate) -> dict:
     }
 
 
-def report_to_jsonable(report, std, oracle_result=None) -> dict:
-    """The JSON report of `decide` on `std`, with the Farkas vector and the
-    oracle's witness mapped back to the file."""
+def report_to_jsonable(report, std) -> dict:
+    """The JSON report of `decide` on `std`, with the Farkas vector mapped
+    back to the file."""
     cert = None
     if report.certificate is not None:
         c = report.certificate
@@ -182,15 +181,32 @@ def report_to_jsonable(report, std, oracle_result=None) -> dict:
                          _endpoint_str(c.interval.hi)],
             "farkas_y": _vec_json(std.original_farkas(c.farkas_y)),
         }
-    out = _report_obj(report.verdict, report.mode, report.tests_run,
-                      dict(sorted(report.family_counts.items())), cert)
-    if oracle_result is not None:
-        out["oracle"] = {
-            "status": oracle_result.status,
-            "witness": _vec_json(std.original_point(oracle_result.witness))
-            if oracle_result.witness is not None else None,
-        }
-    return out
+    return _report_obj(report.verdict, report.mode, report.tests_run,
+                       dict(sorted(report.family_counts.items())), cert)
+
+
+def _oracle_answer(std) -> dict:
+    """The exact oracle's answer on a `standardize` result, as JSON: its
+    status and its witness in the file's variables, or None.  That is
+    presolve's answer, or Fourier-Motzkin's on the standard system."""
+    if isinstance(std, EarlyEmpty):
+        status, wit = INFEASIBLE, None
+    elif isinstance(std, TriviallyNonEmpty):
+        status, wit = FEASIBLE, std.witness
+    else:
+        res = fm_feasible(std.A, std.b)
+        status, wit = res.status, res.witness
+        if wit is not None:
+            wit = std.original_point(wit)
+    return {"status": status,
+            "witness": None if wit is None else _vec_json(wit)}
+
+
+def _witness_lines(obj) -> list:
+    """The text line of an oracle JSON answer's witness, if it has one."""
+    if obj["witness"] is None:
+        return []
+    return ["witness (original variables): " + " ".join(obj["witness"])]
 
 
 def _json_text(obj, indent: str = "") -> str:
@@ -271,10 +287,7 @@ def _check_lines(std, report, obj) -> list:
         lines.append(f"tests run: {report.tests_run}")
     oracle = obj.get("oracle")
     if oracle is not None:
-        lines.append("oracle: " + oracle["status"])
-        if oracle["witness"] is not None:
-            lines.append("witness (original variables): "
-                         + " ".join(oracle["witness"]))
+        lines += ["oracle: " + oracle["status"]] + _witness_lines(oracle)
     return lines
 
 
@@ -288,24 +301,17 @@ def cmd_check(args, out) -> int:
             "interval": None,
             "farkas_y": _vec_json(std.farkas_y),
         })
-        if args.oracle_check:
-            # presolve's answer, as `oracle` gives it
-            obj["oracle"] = {"status": INFEASIBLE, "witness": None}
     elif isinstance(std, TriviallyNonEmpty):
         obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
         obj["note"] = std.note
-        if args.oracle_check:
-            obj["oracle"] = {"status": FEASIBLE,
-                             "witness": _vec_json(std.witness)}
     else:
         report = decide(std, mode=args.mode, stated_order=args.stated_order)
-        oracle_result = None
-        if args.oracle_check:
-            oracle_result = fm_feasible(std.A, std.b)
-            if report.is_empty and oracle_result.status == FEASIBLE:
-                raise SoundnessViolation(
-                    "Empty verdict on an oracle-feasible system")
-        obj = report_to_jsonable(report, std, oracle_result)
+        obj = report_to_jsonable(report, std)
+    if args.oracle_check:
+        obj["oracle"] = _oracle_answer(std)
+        if obj["verdict"] == EMPTY and obj["oracle"]["status"] == FEASIBLE:
+            raise SoundnessViolation(
+                "Empty verdict on an oracle-feasible system")
     lines = None if args.json else _check_lines(std, report, obj)
     _emit(obj, lines, args, out)
     return EXIT_EMPTY if obj["verdict"] == EMPTY else EXIT_NOT_PROVEN_EMPTY
@@ -313,23 +319,11 @@ def cmd_check(args, out) -> int:
 
 def cmd_oracle(args, out) -> int:
     std = standardize(parse_system(_read_input(args.input), args.form))
+    obj = _oracle_answer(std)
+    lines = [obj["status"]] + _witness_lines(obj)
     if isinstance(std, EarlyEmpty):
-        obj = {"status": INFEASIBLE, "witness": None, "presolve": std.detail}
+        obj["presolve"] = std.detail
         lines = ["infeasible (presolve)"]
-    else:
-        if isinstance(std, TriviallyNonEmpty):
-            status, wit = FEASIBLE, std.witness
-        else:
-            res = fm_feasible(std.A, std.b)
-            status, wit = res.status, res.witness
-            if wit is not None:
-                wit = std.original_point(wit)
-        obj = {"status": status, "witness": None}
-        lines = [status]
-        if wit is not None:
-            obj["witness"] = _vec_json(wit)
-            lines.append("witness (original variables): "
-                         + " ".join(obj["witness"]))
     _emit(obj, lines, args, out)
     return EXIT_NOT_PROVEN_EMPTY if obj["status"] == FEASIBLE else EXIT_EMPTY
 

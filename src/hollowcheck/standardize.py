@@ -11,7 +11,8 @@ Three input forms are supported:
 Degenerate all-zero rows are decided early, in one pass: a zero row
 0 <= b_i with b_i < 0, or an equality zero row 0 = b_i with b_i != 0,
 proves emptiness outright, and EarlyEmpty carries its Farkas vector;
-every other zero row is redundant and dropped.
+every other zero row is redundant and dropped.  An integer file's
+systems are built from its own entries, so they stay in ints.
 
 An `ineq` system that is not standard is projected onto the pivot
 columns K of one elimination of [A | b]: Ax ranges over the column space
@@ -25,7 +26,9 @@ embedding, and `original_point` and `original_farkas` map a witness and
 a Farkas vector back there: a witness takes 0 in the columns outside K,
 and a Farkas vector 0 at each dropped row (in each copy of the rows for
 eq_nonneg).  A certificate of the kept rows is one of the embedding, and
-a certificate of A_K is one of A, unchanged.
+a certificate of A_K is one of A, unchanged.  So every Farkas vector,
+presolve's too, is one of the embedding: m, m + n or 2m + n entries,
+all >= 0.
 """
 from __future__ import annotations
 
@@ -55,9 +58,8 @@ class RawSystem(Record):
 
 class EarlyEmpty(Record):
     """Emptiness decided during presolve; `row` indexes the raw system.
-
-    `farkas_y` is +-1 on that row and 0 elsewhere, with t(y)b < 0.
-    """
+    `farkas_y` is 1 on that row of the file's embedding (for 0 = b_i > 0,
+    on its negated copy, row m + i) and 0 elsewhere, with t(y)b < 0."""
     __slots__ = _fields = ("row", "detail", "farkas_y")
 
     def __init__(self, row: int, detail: str, farkas_y: Vector):
@@ -189,16 +191,16 @@ def standardize(raw: RawSystem) -> StandardizeResult:
     At, bt = raw.Atilde, raw.btilde
     m, n = At.rows, At.cols
     eq = raw.form == FORM_EQ_NONNEG
+    dim = (2 * m if eq else m) + (0 if raw.form == FORM_INEQ else n)
     kept = []
     for i in range(m):
         if any(At.entries[i * n:(i + 1) * n]):
             kept.append(i)
-        elif bt[i] < 0 or (eq and bt[i] != 0):
-            # an equality multiplier may be negative; its sign makes t(y)b < 0
-            y = Vector.unit(m, i)
+        elif bt[i] < 0 or (eq and bt[i] > 0):
+            # 0 <= b_i < 0, or the negated copy 0 <= -b_i < 0 of 0 = b_i
             bound = "nonzero equality bound" if eq else f"negative bound {bt[i]}"
             return EarlyEmpty(i, f"zero row {i} with {bound}",
-                              y.neg() if bt[i] > 0 else y)
+                              Vector.unit(dim, i if bt[i] < 0 else m + i))
     if not kept:
         # every constraint was redundant: the set is R^n, or the orthant
         detail = ("whole space" if raw.form == FORM_INEQ
@@ -207,9 +209,9 @@ def standardize(raw: RawSystem) -> StandardizeResult:
             detail, "all constraints redundant; polyhedron is the " + detail,
             Vector.zero(n))
     if len(kept) < m:
-        rows = At.row_lists()
-        At = Matrix.from_rows([rows[i] for i in kept])
-        bt = Vector.from_list([bt[i] for i in kept])
+        At = Matrix(len(kept), n, tuple(
+            x for i in kept for x in At.entries[i * n:(i + 1) * n]))
+        bt = Vector(len(kept), tuple(bt.entries[i] for i in kept))
 
     if raw.form == FORM_INEQ:
         raw_rows = _frame(m, kept)
@@ -220,10 +222,11 @@ def standardize(raw: RawSystem) -> StandardizeResult:
     if eq:
         # A x = b becomes Ax <= b and -Ax <= -b, with x >= 0
         At = At.vstack(At.neg())
-        bt = Vector.from_list(list(bt.entries) + [-x for x in bt.entries])
+        bt = Vector(2 * bt.dim, bt.entries + bt.neg().entries)
         kept += [m + i for i in kept]
         m *= 2
     # x >= 0 as -x <= 0: no zero row is added, and -I gives full column rank
-    A = At.vstack(Matrix.identity(n).neg())
-    b = Vector.from_list(list(bt.entries) + [0] * n)
-    return StandardSystem(A, b, _frame(m + n, kept + list(range(m, m + n))))
+    A = At.vstack(Matrix(n, n, tuple(-1 if i == j else 0
+                                      for i in range(n) for j in range(n))))
+    b = Vector(bt.dim + n, bt.entries + (0,) * n)
+    return StandardSystem(A, b, _frame(dim, kept + list(range(m, dim))))

@@ -112,6 +112,25 @@ class TestParse:
             with pytest.raises(ParseError, match="bad number"):
                 parse_system(f"1 1\n1 {tok}\n")
 
+    @pytest.mark.parametrize("text, start, end", [
+        ("1 1\n" + "1" * 5000 + " 1\n",
+         "line 2: bad number '1111", "1' (column 1)"),
+        ("1 1\n1 -1/" + "3" * 5000 + "\n",
+         "line 2: bad number '-1/333", "3' (column 2)"),
+        ("1 1\n1 2." + "5" * 5000 + "\n",
+         "line 2: bad number '2.555", "5' (column 2)"),
+        ("1" * 5001 + " 1\n1 1\n", "line 1: bad header '1111", "1 1'"),
+    ], ids=["integer", "fraction", "decimal", "header"])
+    def test_numeral_past_the_int_digit_limit(self, tmp_path, capsys, text,
+                                              start, end):
+        # int() and Fraction() raise ValueError past 4300 digits: a usage
+        # error naming the token, as for any other bad numeral
+        path = tmp_path / "in.txt"
+        path.write_text(text)
+        assert run(["check", str(path)], out=io.StringIO()) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + start) and err.endswith(end + "\n")
+
     @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
     def test_comment_runs_to_the_line_break(self, tmp_path, char):
         path = tmp_path / "in.txt"
@@ -420,12 +439,13 @@ class TestCheck:
         assert obj["certificate"]["farkas_y"] == ["1/1", "0/1"]
 
     def test_eq_nonneg_presolve_multiplier_sign(self, tmp_path):
-        # 0 = 3 is infeasible; the equality multiplier must be -1 so that
-        # t(y)b = -3 < 0
+        # 0 = 3 is infeasible; in the embedding (A; -A; -I) the multiplier
+        # is 1 on the negated copy 0 <= -3, row m + 0, so t(y)b = -3 < 0
         code, out = run_cli(["check", "@IN@", "--form", "eq-nonneg", "--json"],
                             tmp_path=tmp_path, text="2 1\n0 3\n1 1\n")
         assert code == EXIT_EMPTY
-        assert json.loads(out)["certificate"]["farkas_y"] == ["-1/1", "0/1"]
+        assert json.loads(out)["certificate"]["farkas_y"] == [
+            "0/1", "0/1", "1/1", "0/1", "0/1"]
 
     @pytest.mark.parametrize("form, name", [
         ("ineq", "whole space"), ("ineq-nonneg", "nonnegative orthant"),
@@ -494,7 +514,7 @@ class TestCheck:
          "farkas_y = 1/1 0/1\noracle: infeasible\n"),
         ("2 1\n0 3\n1 1\n", "eq-nonneg", "infeasible",
          "EMPTY (presolve: zero row 0 with nonzero equality bound)\n"
-         "farkas_y = -1/1 0/1\noracle: infeasible\n"),
+         "farkas_y = 0/1 0/1 1/1 0/1 0/1\noracle: infeasible\n"),
         ("2 2\n0 0 0\n0 0 0\n", "ineq-nonneg", "feasible",
          "NOT-PROVEN-EMPTY (trivial: nonnegative orthant)\n"
          "oracle: feasible\nwitness (original variables): 0/1 0/1\n"),

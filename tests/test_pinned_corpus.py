@@ -113,9 +113,11 @@ TRIVIAL_TEXT = "2 2\n0 0 0\n0 0 0\n"
 # basis, `farkas_y` gained a 0 at each dropped zero row and `oracle` began
 # to print the trivial case's witness (31 outputs changed); again when
 # `check --oracle-check` began to report presolve's answer as the oracle's
-# (23 `check_oracle` outputs changed)
+# (23 `check_oracle` outputs changed); and again when presolve's
+# `farkas_y` moved into the embedding's rows (27 `farkas_y` lines of the
+# nonnegative forms changed)
 EXPECTED_TEXT_DIGEST = \
-    "50f1a30493bb0bb322dd645536aab9b7598195d031bc41d2a9cbcc6fbe76835b"
+    "b93fcfc13343ac91024243f5f6c094594e97e15edc65a58bf0d17eedcb0e2a35"
 # configuration -> [runs exiting 0, runs exiting 1]
 EXPECTED_TEXT_EXITS = {
     "check": [15, 30],

@@ -15,9 +15,10 @@ from hollowcheck.harness import system_from_rows
 from hollowcheck.cli import run
 from hollowcheck.oracle import (FEASIBLE, INFEASIBLE, fm_feasible,
                                 validate_certificate, validate_witness)
-from hollowcheck.standardize import (EarlyEmpty, NotStandard, RawSystem,
-                                     StandardSystem, TriviallyNonEmpty,
-                                     check_assumptions, standardize)
+from hollowcheck.standardize import (FORMS, EarlyEmpty, NotStandard,
+                                     RawSystem, StandardSystem,
+                                     TriviallyNonEmpty, check_assumptions,
+                                     standardize)
 
 
 def M(rows):
@@ -58,12 +59,14 @@ class TestZeroRows:
         ("ineq", -2, 1), ("ineq_nonneg", -2, 1),
         ("eq_nonneg", 2, -1), ("eq_nonneg", -2, 1)])
     def test_farkas_y_sign(self, form, bound, sign):
-        A, b = M([[1], [0], [0]]), V([1, 0, bound])
-        res = standardize(RawSystem(form, A, b))
+        # the 1 sits on the copy of zero row 2 whose bound is negative: the
+        # row itself, or (sign -1) the negated copy of 0 = 2, row m + 2
+        raw = RawSystem(form, M([[1], [0], [0]]), V([1, 0, bound]))
+        res = standardize(raw)
         assert isinstance(res, EarlyEmpty) and res.row == 2
-        # an equality row's multiplier is free in sign; t(y)b < 0 always
-        assert res.farkas_y == V([0, 0, sign])
-        assert res.farkas_y.dot(b) < 0
+        A, b = embedding(raw)
+        assert res.farkas_y == Vector.unit(A.rows, 2 if sign > 0 else 5)
+        assert validate_certificate(A, b, res.farkas_y)
 
 
 class TestCheckAssumptions:
@@ -202,6 +205,28 @@ class TestEliminationCount:
         std = standardize(RawSystem("ineq", M(rows), V(bounds)))
         decompose(std)
         assert std.raw_cols is not None and len(calls) == 3
+
+
+class TestIntegerFiles:
+    def test_every_form_stays_in_ints(self):
+        # kept rows, the eq_nonneg copy, -I and b's zeros are all ints for
+        # an integer file, so decide has no denominators to clear
+        rng = random.Random(22)
+        standard = 0
+        for form in FORMS:
+            for _ in range(150):
+                m, n = rng.randint(2, 6), rng.randint(1, 3)
+                rows = [[rng.randint(-3, 3) * rng.randint(0, 1)
+                         for _ in range(n)] for _ in range(m)]
+                bounds = [rng.randint(0, 3) for _ in range(m)]
+                raw = RawSystem(form, Matrix(m, n, tuple(sum(rows, []))),
+                                Vector(m, tuple(bounds)))
+                res = standardize(raw)
+                if isinstance(res, StandardSystem):
+                    standard += 1
+                    assert all(type(x) is int
+                               for x in res.A.entries + res.b.entries), raw
+        assert standard > 200
 
 
 class TestStandardize:
@@ -361,42 +386,30 @@ def run_json(cmd, path, form) -> tuple:
     return code, json.loads(buf.getvalue())
 
 
-def spread(raw: RawSystem, y: Vector) -> Vector:
-    """A presolve Farkas vector, on the file's rows and signed for an
-    equality, as a vector on the rows of its embedding."""
-    ents = list(y.entries)
-    if raw.form == "eq_nonneg":
-        ents = [max(x, 0) for x in ents] + [max(-x, 0) for x in ents]
-    if raw.form != "ineq":
-        ents += [0] * raw.Atilde.cols
-    return V(ents)
-
-
 class TestUserFrame:
     """`check` and `oracle` answer in the file's frame, on files with zero
-    rows and, for `ineq`, rank deficiency: every EMPTY `farkas_y` is a
-    certificate of the file's embedding, with one entry per row (presolve's
-    has one per file row; spread out, it is one too), every EMPTY agrees
-    with FM on the direct translation, and every `oracle` witness is a
-    point of the file."""
+    rows and, for `ineq`, rank deficiency: every EMPTY `farkas_y`,
+    presolve's included, is a certificate of the file's embedding as
+    written, every EMPTY agrees with FM on the direct translation, every
+    `oracle` witness is a point of the file, and `check --oracle-check`
+    reports the answer `oracle` gives."""
 
     def check_file(self, raw: RawSystem, directory) -> None:
         path = directory / "file.txt"
         path.write_text(file_text(raw))
         form = raw.form.replace("_", "-")
         A, b = embedding(raw)
-        code, report = run_json(["check"], path, form)
+        code, report = run_json(["check", "--oracle-check"], path, form)
         if report["verdict"] == "EMPTY":
             cert = report["certificate"]
             y = V(cert["farkas_y"])
-            if cert["family"] == "presolve":
-                assert y.dim == raw.Atilde.rows
-                y = spread(raw, y)
             assert y.dim == A.rows and validate_certificate(A, b, y)
             assert raw_feasible(raw).status == INFEASIBLE
         _, result = run_json(["oracle"], path, form)
         if result["witness"] is not None:
             assert validate_witness(A, b, V(result["witness"]))
+        result.pop("presolve", None)    # `oracle` also names the zero row
+        assert report["oracle"] == result
 
     @settings(max_examples=150, deadline=None)
     @given(raw=files(("ineq",), 8, 4))
@@ -410,5 +423,6 @@ class TestUserFrame:
     @given(raw=files(("ineq_nonneg", "eq_nonneg"), 4, 3))
     @example(raw=RawSystem("eq_nonneg", M([[0], [1], [1]]), V([0, 1, 2])))
     @example(raw=RawSystem("eq_nonneg", M([[0], [1]]), V([3, 1])))
+    @example(raw=RawSystem("ineq_nonneg", M([[0, 0], [0, 0]]), V([0, 0])))
     def test_nonneg(self, tmp_path_factory, raw):
         self.check_file(raw, tmp_path_factory.mktemp("nonneg"))
