@@ -382,7 +382,11 @@ def cmd_gen(args, out) -> int:
                                entry_range=args.range, b_range=args.range)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    sysg = harness.gen_random_system(spec)
+    try:
+        sysg = harness.gen_random_system(spec)
+    except harness.GenerationExhausted as exc:
+        # the spec is the user's flags: no draw meets them
+        raise UsageError(str(exc)) from exc
     lines = [f"# generated instance seed={args.seed}",
              f"{sysg.m} {sysg.n}"]
     for i in range(sysg.m):

@@ -43,16 +43,30 @@ class Record:
     import (it loads `inspect`, `ast`, `dis` and `tokenize`) costs a fresh
     `check` process far more than the emptiness test does.
 
-    A subclass names its fields in order in `_fields`, holds them in
-    `__slots__` and sets them in its own `__init__`.  Records are equal
-    when they are of one class and their fields are equal, and the repr
-    is `Name(field=value, ...)`, as for a dataclass.  A record is frozen:
-    it hashes its fields, and assigning one raises AttributeError, so
-    `__init__` sets them with `object.__setattr__`.  A mutable subclass
-    sets `__setattr__ = object.__setattr__` and `__hash__ = None`.
+    A subclass names its fields in order in `_fields` and holds them in
+    `__slots__`.  `Record.__init__` takes one value per field, in that
+    order, and stores each through its slot; a subclass that checks or
+    defaults an argument calls it from its own `__init__`.  Records are
+    equal when they are of one class and their fields are equal, and the
+    repr is `Name(field=value, ...)`, as for a dataclass.  A record is
+    frozen: it hashes its fields, and assigning one raises AttributeError.
+    A mutable subclass sets `__setattr__ = object.__setattr__` and
+    `__hash__ = None`.
     """
     __slots__ = ()
     _fields = ()
+    _store = ()     # the fields' slot setters, past the frozen __setattr__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._store = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._store):
+            raise TypeError(f"{self.__class__.__qualname__} takes "
+                            f"{len(self._store)} values, got {len(values)}")
+        for store, value in zip(self._store, values):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -88,8 +102,7 @@ class Vector(Record):
     __slots__ = _fields = ("dim", "entries")
 
     def __init__(self, dim: int, entries: tuple):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
+        Record.__init__(self, dim, entries)
         if dim < 1 or len(entries) != dim:
             raise DimensionMismatch(
                 f"vector of dim {dim} with {len(entries)} entries")
@@ -127,9 +140,7 @@ class Matrix(Record):
     __slots__ = _fields = ("rows", "cols", "entries")  # entries row-major
 
     def __init__(self, rows: int, cols: int, entries: tuple):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        Record.__init__(self, rows, cols, entries)
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"matrix shape {rows}x{cols}")
         if len(entries) != rows * cols:
@@ -362,27 +373,8 @@ def left_nullspace_basis(R: Matrix) -> list:
 
 
 def orth_complement_basis(v: Vector) -> list:
-    """dim-1 independent (w, s) pairs orthogonal to v; canonical for v = 0.
-
-    The basis of the 1 x dim row v, in closed form: rref(v) pivots on the
-    first nonzero v_p, and free column f gives w = v_p e_f - v_f e_p and
-    s = v_p, in lowest terms, as `_nullspace_basis` would.
-    """
-    if v.is_zero():
-        return [(tuple(int(i == j) for j in range(v.dim)), 1)
-                for i in range(v.dim)]
-    vz = int_scaled(v.entries)
-    p = next(i for i, x in enumerate(vz) if x)
-    vp = vz[p]
-    basis = []
-    for f, vf in enumerate(vz):
-        if f == p:
-            continue
-        g = math.gcd(vp, vf) * (-1 if vp < 0 else 1)
-        w = [0] * v.dim
-        w[f], w[p] = vp // g, -vf // g
-        basis.append((tuple(w), vp // g))
-    return basis
+    """dim-1 independent (w, s) pairs orthogonal to v; canonical for v = 0."""
+    return _nullspace_basis(Matrix(1, v.dim, v.entries))
 
 
 def mp_axioms_check(A: Matrix, P: Matrix) -> dict:

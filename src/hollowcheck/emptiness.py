@@ -90,15 +90,6 @@ class Decomposition(Record):
         "bz",           # a positive integer multiple of b_perm
     )
 
-    def __init__(self, row_perm: tuple, A: Matrix, b_perm: Vector, D: int,
-                 Rz: tuple, bz: tuple):
-        object.__setattr__(self, "row_perm", row_perm)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b_perm", b_perm)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "Rz", Rz)
-        object.__setattr__(self, "bz", bz)
-
     @property
     def m(self) -> int:
         return self.A.rows
@@ -124,14 +115,6 @@ class Certificate(Record):
         "farkas_y",     # original row order; y >= 0, t(y)A = 0, t(y)b < 0
     )
 
-    def __init__(self, family: str, params: tuple, kprime: Vector,
-                 interval: Interval, farkas_y: Vector):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "kprime", kprime)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "farkas_y", farkas_y)
-
     def label(self) -> str:
         return f"{self.family}{list(self.params)}"
 
@@ -141,14 +124,6 @@ class EmptinessReport(Record):
         "verdict",      # "EMPTY" | "NOT_PROVEN_EMPTY"
         "certificate", "tests_run", "family_counts", "mode",
     )
-
-    def __init__(self, verdict: str, certificate: Certificate | None,
-                 tests_run: int, family_counts: dict, mode: str):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "tests_run", tests_run)
-        object.__setattr__(self, "family_counts", family_counts)
-        object.__setattr__(self, "mode", mode)
 
     @property
     def is_empty(self) -> bool:

@@ -39,11 +39,7 @@ class GenSpec(Record):
 
     def __init__(self, seed: int, m: int, n: int, entry_range: int = 5,
                  b_range: int = 5):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entry_range", entry_range)
-        object.__setattr__(self, "b_range", b_range)
+        Record.__init__(self, seed, m, n, entry_range, b_range)
         if not (m > n >= 1):
             raise ValueError(f"need m > n >= 1, got m={m}, n={n}")
         if entry_range < 1 or b_range < 1:
@@ -57,14 +53,6 @@ class Discrepancy(Record):
     )
     __setattr__ = object.__setattr__
     __hash__ = None
-
-    def __init__(self, rows: list, bounds: list, verdict: str,
-                 oracle_status: str, seed: int):
-        self.rows = rows
-        self.bounds = bounds
-        self.verdict = verdict
-        self.oracle_status = oracle_status
-        self.seed = seed
 
     def to_jsonable(self) -> dict:
         return {
@@ -86,11 +74,9 @@ class AgreementStats(Record):
                  notproven_and_feasible: int = 0,
                  discrepancies: list | None = None,
                  family_failure_histogram: dict | None = None):
-        self.total = total
-        self.empty_agree = empty_agree
-        self.notproven_and_feasible = notproven_and_feasible
-        self.discrepancies = [] if discrepancies is None else discrepancies
-        self.family_failure_histogram = (
+        Record.__init__(
+            self, total, empty_agree, notproven_and_feasible,
+            [] if discrepancies is None else discrepancies,
             {} if family_failure_histogram is None
             else family_failure_histogram)
 

@@ -3,18 +3,17 @@
 The emptiness test only ever asks whether 0 lies in {t(z) a : a <= b}.
 That set is closed form in the signs of z: [-inf, t(z)b] if z >= 0,
 [t(z)b, +inf] if z <= 0 (the point [0, 0] when z = 0), and the whole
-line otherwise.  Finite endpoints are exact rationals, computed in ints
-and made a Fraction once; the only infinite ones are NEG_INF and
-POS_INF, which a plain == recognises.
+line otherwise.  A finite endpoint is the exact Fraction t(z)b; the
+only infinite ones are NEG_INF and POS_INF, which a plain == recognises.
+`emptiness.run_test` reads the same signs off ints; `iv_dot` is the
+reference that tests compare it against.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 
-from .densemat import (DimensionMismatch, Record, Vector, denominator_lcm,
-                       int_scaled)
+from .densemat import DimensionMismatch, Record, Vector
 
 NEG_INF = -math.inf
 POS_INF = math.inf
@@ -24,8 +23,7 @@ class Interval(Record):
     __slots__ = _fields = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        Record.__init__(self, lo, hi)
         if not lo <= hi:
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
 
@@ -38,10 +36,7 @@ def iv_dot(z: Vector, b: Vector) -> Interval:
     nonpos = all(e <= 0 for e in z.entries)
     if not (nonneg or nonpos):
         return Interval(NEG_INF, POS_INF)
-    # one Fraction: t(z)b = t(Lz z)(Lb b) / (Lz Lb), Lz and Lb the lcms
-    # of the denominators of z and b
-    zb = Fraction(sum(map(mul, int_scaled(z.entries), int_scaled(b.entries))),
-                  denominator_lcm(z.entries) * denominator_lcm(b.entries))
+    zb = Fraction(z.dot(b))
     return Interval(zb if nonpos else NEG_INF, zb if nonneg else POS_INF)
 
 

@@ -35,9 +35,7 @@ class FMResult(Record):
 
     def __init__(self, status: str, witness: Vector | None = None,
                  certificate: Vector | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "certificate", certificate)
+        Record.__init__(self, status, witness, certificate)
 
 
 class _Row:

@@ -48,9 +48,7 @@ class RawSystem(Record):
     __slots__ = _fields = ("form", "Atilde", "btilde")
 
     def __init__(self, form: str, Atilde: Matrix, btilde: Vector):
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "Atilde", Atilde)
-        object.__setattr__(self, "btilde", btilde)
+        Record.__init__(self, form, Atilde, btilde)
         if form not in FORMS:
             raise ValueError(f"unknown form {form!r}")
         check_rhs(Atilde, btilde)
@@ -62,11 +60,6 @@ class EarlyEmpty(Record):
     on its negated copy, row m + i) and 0 elsewhere, with t(y)b < 0."""
     __slots__ = _fields = ("row", "detail", "farkas_y")
 
-    def __init__(self, row: int, detail: str, farkas_y: Vector):
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "farkas_y", farkas_y)
-
 
 class TriviallyNonEmpty(Record):
     """Nonemptiness decided without the test battery."""
@@ -75,11 +68,6 @@ class TriviallyNonEmpty(Record):
         "note",     # one sentence for the report
         "witness",  # a point of the set, in the file's variables
     )
-
-    def __init__(self, detail: str, note: str, witness: Vector):
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "witness", witness)
 
 
 class NotStandard(ValueError):
@@ -136,10 +124,7 @@ class StandardSystem(Record):
 
     def __init__(self, A: Matrix, b: Vector, raw_rows: tuple | None = None,
                  raw_cols: tuple | None = None):
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "raw_rows", raw_rows)
-        object.__setattr__(self, "raw_cols", raw_cols)
+        Record.__init__(self, A, b, raw_rows, raw_cols)
         check_rhs(A, b)
         split = eliminate(A.transpose())
         bad = _violations(A, split)

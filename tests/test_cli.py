@@ -726,6 +726,14 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == ""
 
+    def test_gen_unsatisfiable_spec_exit_2(self, capsys):
+        # 40 rows drawn from {-1, 0, 1} all but surely hold a zero row
+        code, out = run_cli(["gen", "-", "-m", "40", "-n", "1",
+                             "--range", "1"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "error: no admissible system after 1000 draws\n")
+
     @pytest.mark.parametrize("fault", [Singular, DimensionMismatch, RankDeficient])
     def test_internal_fault_exit_3(self, tmp_path, monkeypatch, fault):
         def broken(*args, **kwargs):

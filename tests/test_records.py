@@ -1,6 +1,7 @@
 """The value types are slotted `densemat.Record` classes, with the
 equality, repr, hash, immutability, copying and constructor arguments
 that a dataclass would give them."""
+import ast
 import copy
 import importlib.util
 import math
@@ -19,7 +20,8 @@ from hollowcheck.oracle import FEASIBLE, FMResult
 from hollowcheck.standardize import (EarlyEmpty, RawSystem, StandardSystem,
                                      TriviallyNonEmpty)
 
-INSTANCES = Path(__file__).resolve().parent.parent / "bench" / "instances.py"
+ROOT = Path(__file__).resolve().parent.parent
+INSTANCES = ROOT / "bench" / "instances.py"
 
 ROWS, BOUNDS = [[1], [1], [-1]], [1, 2, -3]
 
@@ -153,6 +155,8 @@ def test_constructor_checks_and_defaults():
                           raw_cols=None) == system_from_rows(ROWS, BOUNDS)
     with pytest.raises(ValueError, match="out of order"):
         Interval(1, 0)
+    with pytest.raises(TypeError, match="EarlyEmpty"):
+        EarlyEmpty(1, "d")
 
 
 def test_genspec_as_the_benchmark_builds_it():
@@ -165,3 +169,15 @@ def test_genspec_as_the_benchmark_builds_it():
     assert [getattr(got, f) for f in GenSpec._fields] == [
         args["seed"], args["m"], args["n"], args["entry_range"],
         args["b_range"]]
+
+
+def test_fields_stored_by_record_init_alone():
+    # Record.__init__ stores every field; the one store outside it is
+    # StandardSystem's derived split
+    stores = []
+    for path in sorted((ROOT / "src" / "hollowcheck").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "object.__setattr__"):
+                stores.append((path.name, ast.unparse(node.args[1])))
+    assert stores == [("standardize.py", "'split'")]
