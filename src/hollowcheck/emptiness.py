@@ -24,23 +24,27 @@ a basis.  A complement vector of b1 or R b2 has two nonzeros, at the
 first nonzero p of that vector and at a free index f, so it is a pair
 test on rows p and f: mixed signs are settled in O(1), and the rest in
 O(n).  A kernel vector is read off one elimination of t(Rz): its tail w
-Rz is 0, so it is always in the cone, and t(z)bz = D w bz[:m-n].  Each
-family reports its count and its first failing params; the dense w, s,
-z and the first Fraction are built for that failure alone.
+Rz is 0, so it is always in the cone, and t(z)bz = D w bz[:m-n].  A
+single-signed kernel or complement vector has w >= 0, so -z is never in
+the cone and fails iff z does: the mode, which runs the orientations in
+the cone (the algorithm) or both (the theorem), sets only the count,
+never the verdict or the certificate.  Each family reports its count
+and its first failing params; the dense w, s, z and the first Fraction
+are built for that failure alone.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
 and `run_test`, with the bases of `left_nullspace_basis` and
 `orth_complement_basis`: the reference for the harness, the demo and
 the tests.
 
-As G = [I | -R], the failing test has t(k')G = z/s, and z has one sign,
-which decide reads once, off the ints.  The Farkas vector +-z/s is the
-certificate's m Fractions; k' is its head when z >= 0, and m - n more
-Fractions otherwise.  The interval's endpoint t(z)bz / (s L), for bz =
-L b_perm, is made one Fraction, and the exact check of the Farkas vector
-against sys runs in ints (`validate_certificate`).  decide makes that
-check before it returns Empty, so the Empty verdict is unconditionally
-sound; the converse rests on the enumeration being sufficient and is
-only measured (see harness).
+As G = [I | -R], the failing test has t(k')G = z/s, the certificate's
+one exact vector of m Fractions: k' is its head, the interval's side is
+read off the sign of z, and `farkas_from` turns it into the Farkas
+vector +-z/s (m more Fractions when z <= 0).  The interval's endpoint
+t(z)bz / (s L), for bz = L b_perm, is made one Fraction, and the exact
+check of the Farkas vector against sys runs in ints
+(`validate_certificate`).  decide makes that check before it returns
+Empty, so the Empty verdict is unconditionally sound; the converse rests
+on the enumeration being sufficient and is only measured (see harness).
 """
 from __future__ import annotations
 
@@ -300,25 +304,6 @@ def _scan_pairs(dec: Decomposition, r: tuple) -> tuple:
     return dec.n * per_j, None
 
 
-def _settle(mode: str, count: int, fails: bool, in_cone) -> tuple:
-    """(new count, whether the candidate fails) for a single-signed
-    candidate w >= 0 and its negation, by the counting rules of
-    `family_tests` with `run_test`.
-
-    z = [D w | -w Rz] fails iff it is in the cone and t(z)bz = w r < 0; -z
-    fails iff z does.  Algorithm mode runs only the orientation in the
-    cone, and theorem mode runs both, z first.  `in_cone` is a thunk, read
-    only where the count needs it.
-    """
-    if mode == MODE_THEOREM:
-        if fails and in_cone():
-            return count + 1, True
-        return count + 2, False
-    if not in_cone():
-        return count, False
-    return count + 1, fails
-
-
 def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
     """(tests run, first failure) of the kernel family.
 
@@ -328,7 +313,9 @@ def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
     So w is single-signed iff sgn(det) E[r][f] <= 0 for every pivot row r,
     and then w >= 0.  Its tail w Rz is 0, so z is in the cone, and t(z)bz
     = w r = D w bz[:d].  Without a free column, the basis is the zero
-    vector, whose z = 0 passes.
+    vector, whose z = 0 passes: one test in either mode.  Otherwise the
+    mode sets only the count: algorithm mode runs the z of each
+    single-signed w, and theorem mode both orientations of every w.
     """
     d = dec.m - dec.n
     E, pc, det = eliminate(Matrix(dec.n, d, tuple(
@@ -344,17 +331,16 @@ def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
     for idx, f in enumerate(free):
         col = [sd * row[f] for row in rows]
         if max(col, default=0) > 0:
-            count += 2 if mode == MODE_THEOREM else 0
-            continue
-        fails = abs(det) * b1[f] < sum(map(mul, col, b1_pc))
-        count, failed = _settle(mode, count, fails, lambda: True)
-        if failed:
+            continue        # a head of mixed signs
+        count += 1
+        if abs(det) * b1[f] < sum(map(mul, col, b1_pc)):
             w = [0] * d
             w[f] = det
             for row, p in zip(E, pc):
                 w[p] = -row[f]
-            return count, ((idx, 1), *lowest_terms(w, det))
-    return count, None
+            return (2 * idx + 1 if mode == MODE_THEOREM else count,
+                    ((idx, 1), *lowest_terms(w, det)))
+    return 2 * len(free) if mode == MODE_THEOREM else count, None
 
 
 def _scan_complement(dec: Decomposition, v: tuple, r: tuple,
@@ -366,7 +352,8 @@ def _scan_complement(dec: Decomposition, v: tuple, r: tuple,
     p the first nonzero of v, free index f != p gives w = a e_f + c e_p,
     a = |v_p| and c = -sgn(v_p) v_f, before lowest terms: a pair test on
     rows f and p.  For c < 0 its head has mixed signs.  Otherwise z is in
-    the cone iff a Rz_f + c Rz_p <= 0, and t(z)bz = a r_f + c r_p.
+    the cone iff a Rz_f + c Rz_p <= 0, and t(z)bz = a r_f + c r_p.  As
+    w >= 0, the mode sets only the count, as in `_scan_kernel`.
     """
     d = len(r)
     p = next((i for i, x in enumerate(v) if x), None)
@@ -379,18 +366,15 @@ def _scan_complement(dec: Decomposition, v: tuple, r: tuple,
     count = 0
     for idx, f in enumerate(free):
         c = -sp * v[f]
-        if c < 0:
-            count += 2 if mode == MODE_THEOREM else 0
-            continue
-        Rf = dec.Rz[f]
-        count, failed = _settle(
-            mode, count, a * r[f] + c * rp < 0,
-            lambda: all(a * x + c * y <= 0 for x, y in zip(Rf, Rp)))
-        if failed:
+        if c < 0 or any(a * x + c * y > 0 for x, y in zip(dec.Rz[f], Rp)):
+            continue        # a head of mixed signs, or a tail off the cone
+        count += 1
+        if a * r[f] + c * rp < 0:
             w = [0] * d
             w[p], w[f] = c, a
-            return count, ((idx, 1), *lowest_terms(w, a))
-    return count, None
+            return (2 * idx + 1 if mode == MODE_THEOREM else count,
+                    ((idx, 1), *lowest_terms(w, a)))
+    return 2 * len(free) if mode == MODE_THEOREM else count, None
 
 
 def _residual(dec: Decomposition) -> tuple:
@@ -448,30 +432,26 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
     dec = decompose(sys)
     residual = _residual(dec)
     counts = {f: 0 for f in order}
-    tests_run = 0
     for family in order:
-        run, failure = _scan(dec, family, mode, residual)
-        counts[family] = run
-        tests_run += run
+        counts[family], failure = _scan(dec, family, mode, residual)
         if failure is None:
             continue
         params, w, s = failure
         z, s = _z_of(w, s, dec)
-        sign = -1 if min(z) < 0 else 1
-        y_perm = Vector(dec.m, tuple(Fraction(sign * x, s) for x in z))
-        # G = [I | -R]: t(k')G = z / s begins with k'
+        kG = Vector(dec.m, tuple(Fraction(x, s) for x in z))    # t(k')G
         d = dec.m - dec.n
-        kprime = Vector(d, y_perm.entries[:d] if sign > 0
-                        else tuple(Fraction(x, s) for x in z[:d]))
         # t(z / s) b_perm, for bz = L b_perm
         zb = Fraction(sum(map(mul, z, dec.bz)),
                       s * denominator_lcm(dec.b_perm.entries))
-        cert = Certificate(family, params, kprime,
-                           Interval(NEG_INF, zb) if sign > 0
+        # G = [I | -R]: t(k')G begins with k'
+        cert = Certificate(family, params, Vector(d, kG.entries[:d]),
+                           Interval(NEG_INF, zb) if min(z) >= 0
                            else Interval(zb, POS_INF),
-                           farkas_from(y_perm, dec))
+                           farkas_from(kG, dec))
         if not validate_certificate(sys.A, sys.b, cert.farkas_y):
             raise SoundnessViolation(
                 f"Farkas vector from test {cert.label()} fails the exact check")
-        return EmptinessReport(EMPTY, cert, tests_run, counts, mode)
-    return EmptinessReport(NOT_PROVEN_EMPTY, None, tests_run, counts, mode)
+        return EmptinessReport(EMPTY, cert, sum(counts.values()), counts,
+                               mode)
+    return EmptinessReport(NOT_PROVEN_EMPTY, None, sum(counts.values()),
+                           counts, mode)

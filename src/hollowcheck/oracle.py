@@ -57,19 +57,21 @@ def _combine(pos: _Row, neg: _Row, j: int) -> _Row:
     return _Row(coeffs, bound, (pos, fp, neg, fn))
 
 
-def _dedupe(rows: list) -> list:
-    # identical coefficient vectors: only the tightest bound matters
+def _prune(rows: list) -> tuple:
+    """(rows, contradiction): the first constant row 0 <= bound < 0, else
+    None and the non-constant rows, the tightest bound kept for each
+    coefficient vector, in first-occurrence order."""
     best = {}
-    order = []
     for r in rows:
+        if not any(r.coeffs):
+            if r.bound < 0:
+                return [], r
+            continue    # 0 <= bound: noise
         key = tuple(r.coeffs)
         cur = best.get(key)
-        if cur is None:
+        if cur is None or r.bound < cur.bound:
             best[key] = r
-            order.append(key)
-        elif r.bound < cur.bound:
-            best[key] = r
-    return [best[k] for k in order]
+    return list(best.values()), None
 
 
 def _eliminate_rows(rows: list, j: int, row_cap: int):
@@ -83,20 +85,13 @@ def _eliminate_rows(rows: list, j: int, row_cap: int):
             pos.append(r)
         else:
             neg.append(r)
-    out = list(zero)
+    out = zero
     for p in pos:
         for q in neg:
             out.append(_combine(p, q, j))
             if len(out) > row_cap:
                 raise SizeExceeded(f"row cap {row_cap} exceeded eliminating x_{j}")
-    # constant rows: 0 <= bound is either a contradiction or noise
-    kept = []
-    for r in out:
-        if any(c != 0 for c in r.coeffs):
-            kept.append(r)
-        elif r.bound < 0:
-            return out, r
-    return _dedupe(kept), None
+    return _prune(out)
 
 
 def _farkas(row: _Row, m: int) -> Vector:
@@ -128,14 +123,8 @@ def _farkas(row: _Row, m: int) -> Vector:
 
 def _pick_column(rows: list, remaining: list) -> int:
     # smallest pos*neg product controls the FM blowup; ties by index
-    best_j, best_score = remaining[0], None
-    for j in remaining:
-        p = sum(1 for r in rows if r.coeffs[j] > 0)
-        q = sum(1 for r in rows if r.coeffs[j] < 0)
-        score = p * q
-        if best_score is None or score < best_score:
-            best_j, best_score = j, score
-    return best_j
+    return min(remaining, key=lambda j: sum(r.coeffs[j] > 0 for r in rows)
+               * sum(r.coeffs[j] < 0 for r in rows))
 
 
 def _witness_value(rows: list, j: int, values: dict) -> Fraction:
@@ -165,27 +154,18 @@ def fm_feasible_rows(coeff_rows: list, bounds: list, n: int,
                      row_cap: int = DEFAULT_ROW_CAP) -> FMResult:
     """Feasibility of {x : coeff_rows x <= bounds} with possibly zero rows."""
     m = len(coeff_rows)
-    rows = [_Row([Fraction(x) for x in coeff_rows[i]], Fraction(bounds[i]), i)
-            for i in range(m)]
-    # initial constant rows
-    live = []
-    for r in rows:
-        if all(c == 0 for c in r.coeffs):
-            if r.bound < 0:
-                return FMResult(INFEASIBLE, certificate=_farkas(r, m))
-        else:
-            live.append(r)
-    rows = _dedupe(live)
-
+    rows, contradiction = _prune([
+        _Row([Fraction(x) for x in coeff_rows[i]], Fraction(bounds[i]), i)
+        for i in range(m)])
     snapshots = []          # (var index, rows before eliminating it)
     remaining = list(range(n))
-    while remaining and rows:
+    while contradiction is None and remaining and rows:
         j = _pick_column(rows, remaining)
         snapshots.append((j, rows))
         rows, contradiction = _eliminate_rows(rows, j, row_cap)
-        if contradiction is not None:
-            return FMResult(INFEASIBLE, certificate=_farkas(contradiction, m))
         remaining.remove(j)
+    if contradiction is not None:
+        return FMResult(INFEASIBLE, certificate=_farkas(contradiction, m))
 
     # feasible: back-substitute in reverse elimination order
     values = {j: Fraction(0) for j in remaining}

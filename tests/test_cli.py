@@ -734,6 +734,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: no admissible system after 1000 draws\n")
 
+    @pytest.mark.parametrize("flags", [
+        ["--suite", "agreement", "--instances", "-1"],
+        ["--suite", "lemma1", "--trials", "-3"]])
+    def test_probe_negative_count_exit_2(self, capsys, flags):
+        code, out = run_cli(["probe"] + flags)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err == (
+            "error: --instances and --trials must be >= 0\n")
+
     @pytest.mark.parametrize("fault", [Singular, DimensionMismatch, RankDeficient])
     def test_internal_fault_exit_3(self, tmp_path, monkeypatch, fault):
         def broken(*args, **kwargs):

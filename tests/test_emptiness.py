@@ -404,9 +404,14 @@ class TestResidualForm:
     @example(sys_of(*RB2_ZERO))
     def test_same_as_z_form(self, sysr):
         dec = decompose(sysr)
-        for mode in (MODE_ALGORITHM, MODE_THEOREM):
-            for stated_order in (False, True):
+        for stated_order in (False, True):
+            algorithm, theorem = (
                 assert_decide_matches_reference(sysr, mode, stated_order)
+                for mode in (MODE_ALGORITHM, MODE_THEOREM))
+            # the mode sets only the count
+            assert (theorem.verdict, theorem.certificate) == (
+                algorithm.verdict, algorithm.certificate)
+        for mode in (MODE_ALGORITHM, MODE_THEOREM):
             assert_families_match_reference(dec, mode)
 
     def test_examples_cover_the_special_cases(self):
