@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys as _sys
 from fractions import Fraction
@@ -38,7 +39,6 @@ from json.encoder import encode_basestring_ascii
 from . import harness
 from .densemat import Matrix, Vector
 from .emptiness import EMPTY, MODE_ALGORITHM, MODES, SoundnessViolation, decide
-from .interval import NEG_INF, POS_INF
 from .oracle import FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible
 from .standardize import (EarlyEmpty, FORMS, RawSystem, TriviallyNonEmpty,
                           standardize)
@@ -140,16 +140,15 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
                      Vector(m, tuple(bounds)))
 
 
+def _ratio_str(x: int, s: int) -> str:
+    """The rational x / s, for ints x and s > 0, as "p/q" in lowest terms:
+    the one format of every number a report writes."""
+    g = math.gcd(x, s)
+    return f"{x // g}/{s // g}"
+
+
 def _frac_str(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _endpoint_str(x) -> str:
-    if x == NEG_INF:
-        return "-inf"
-    if x == POS_INF:
-        return "+inf"
-    return _frac_str(x)
+    return _ratio_str(x.numerator, x.denominator)
 
 
 def _vec_json(v: Vector) -> list:
@@ -170,16 +169,21 @@ def _report_obj(verdict, mode, tests_run, families, certificate) -> dict:
 
 def report_to_jsonable(report, std) -> dict:
     """The JSON report of `decide` on `std`, with the Farkas vector mapped
-    back to the file."""
+    back to the file.  The certificate's numbers are written from its
+    ints, each over its positive scale, with the side of
+    `Certificate.interval`: [-inf, end] iff the endpoint is negative."""
     cert = None
     if report.certificate is not None:
         c = report.certificate
+        s = c.s
+        end = _ratio_str(*c.endpoint)
         cert = {
             "family": c.family,
-            "k_prime": _vec_json(c.kprime),
-            "interval": [_endpoint_str(c.interval.lo),
-                         _endpoint_str(c.interval.hi)],
-            "farkas_y": _vec_json(std.original_farkas(c.farkas_y)),
+            "k_prime": [_ratio_str(x, s) for x in c.head],
+            "interval": (["-inf", end] if c.endpoint[0] < 0
+                         else [end, "+inf"]),
+            "farkas_y": [_ratio_str(x, s)
+                         for x in std.original_farkas(c.y).entries],
         }
     return _report_obj(report.verdict, report.mode, report.tests_run,
                        dict(sorted(report.family_counts.items())), cert)

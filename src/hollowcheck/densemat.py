@@ -1,10 +1,10 @@
 """Dense linear algebra over exact rationals.
 
 An entry is an int or a fractions.Fraction: `parse_system` keeps integer
-tokens as ints, while `to_scalar`, `Matrix.from_rows` and
-`Vector.from_list` make Fractions.  Every reader goes through
-numerator/denominator, comparisons and Fraction(x, d), which both types
-support.
+tokens as ints, and so do `Vector.zero` and `Vector.unit`, while
+`to_scalar`, `Matrix.from_rows` and `Vector.from_list` make Fractions.
+Every reader goes through numerator/denominator, comparisons and
+Fraction(x, d), which both types support.
 
 Everything here is a pure function of immutable values, and every zero
 test is exact.  Elimination (`eliminate` and all built on it) runs
@@ -114,12 +114,11 @@ class Vector(Record):
 
     @staticmethod
     def zero(dim: int) -> "Vector":
-        return Vector(dim, (Fraction(0),) * dim)
+        return Vector(dim, (0,) * dim)
 
     @staticmethod
     def unit(dim: int, i: int) -> "Vector":
-        one, zero = Fraction(1), Fraction(0)
-        return Vector(dim, tuple(one if j == i else zero for j in range(dim)))
+        return Vector(dim, (0,) * i + (1,) + (0,) * (dim - 1 - i))
 
     def __getitem__(self, i: int):
         return self.entries[i]

@@ -29,22 +29,25 @@ single-signed kernel or complement vector has w >= 0, so -z is never in
 the cone and fails iff z does: the mode, which runs the orientations in
 the cone (the algorithm) or both (the theorem), sets only the count,
 never the verdict or the certificate.  Each family reports its count
-and its first failing params; the dense w, s, z and the first Fraction
-are built for that failure alone.
+and its first failing params; the dense w, s and z are built for that
+failure alone.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
 and `run_test`, with the bases of `left_nullspace_basis` and
 `orth_complement_basis`: the reference for the harness, the demo and
 the tests.
 
-As G = [I | -R], the failing test has t(k')G = z/s, the certificate's
-one exact vector of m Fractions: k' is its head, the interval's side is
-read off the sign of z, and `farkas_from` turns it into the Farkas
-vector +-z/s (m more Fractions when z <= 0).  The interval's endpoint
-t(z)bz / (s L), for bz = L b_perm, is made one Fraction, and the exact
-check of the Farkas vector against sys runs in ints
-(`validate_certificate`).  decide makes that check before it returns
-Empty, so the Empty verdict is unconditionally sound; the converse rests
-on the enumeration being sufficient and is only measured (see harness).
+As G = [I | -R], the failing test has t(k')G = z / s, and the
+certificate keeps that one integer vector and its positive scale s: k'
+is z's head over s, `farkas_from` orients z into the Farkas vector
+y / s with y = +-z in original row order, and the interval's finite
+endpoint t(z)bz / (s L), for bz = L b_perm, is the int pair (t(z)bz, s L).
+Its side is read off the endpoint's sign.  The exact check of y against
+sys runs in ints (`validate_certificate`), since s moves no sign, and
+decide builds no Fraction: `Certificate.kprime`, `.interval` and
+`.farkas_y` build theirs only when the Python API reads them.  decide
+makes that check before it returns Empty, so the Empty verdict is
+unconditionally sound; the converse rests on the enumeration being
+sufficient and is only measured (see harness).
 """
 from __future__ import annotations
 
@@ -114,13 +117,37 @@ class Decomposition(Record):
 
 
 class Certificate(Record):
+    """The failing test of an Empty verdict, kept in ints over one
+    positive scale s; the exact Fractions are built when read."""
     __slots__ = _fields = (
-        "family", "params", "kprime", "interval",
-        "farkas_y",     # original row order; y >= 0, t(y)A = 0, t(y)b < 0
+        "family", "params",
+        "head",         # s k', a tuple of ints
+        "y",            # s times the Farkas vector, a Vector of ints in
+                        # original row order: y >= 0, t(y)A = 0, t(y)b < 0
+        "s",
+        "endpoint",     # the interval's finite endpoint as (num, den > 0)
     )
 
     def label(self) -> str:
         return f"{self.family}{list(self.params)}"
+
+    @property
+    def kprime(self) -> Vector:
+        return Vector(len(self.head),
+                      tuple(Fraction(x, self.s) for x in self.head))
+
+    @property
+    def farkas_y(self) -> Vector:
+        return Vector(self.y.dim,
+                      tuple(Fraction(x, self.s) for x in self.y.entries))
+
+    @property
+    def interval(self) -> Interval:
+        """{t(k')G a : a <= b}: a failing z >= 0 has t(z)b < 0 and
+        [-inf, t(z)b], a failing z <= 0 has t(z)b > 0 and [t(z)b, +inf]."""
+        end = Fraction(*self.endpoint)
+        return (Interval(NEG_INF, end) if self.endpoint[0] < 0
+                else Interval(end, POS_INF))
 
 
 class EmptinessReport(Record):
@@ -404,8 +431,8 @@ def _scan(dec: Decomposition, family: str, mode: str,
 
 
 def farkas_from(z: Vector, dec: Decomposition) -> Vector:
-    """Farkas vector +-z, for z the exact t(k')G of a failing test, in
-    original row order.
+    """Farkas vector +-z, for z a positive multiple of t(k')G of a failing
+    test (`decide` passes the ints s t(k')G), in original row order.
 
     A failing z has a single sign, read off its first nonzero entry; were
     it mixed, y would have a negative entry and decide's exact check would
@@ -422,9 +449,11 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
            stated_order: bool = False) -> EmptinessReport:
     """Run the full test battery; Empty at the first failing test vector.
 
-    Each family is decided in residual form; z is built for the first
-    failing test alone.  The Farkas vector is checked exactly against sys
-    before Empty is returned; a vector that fails raises
+    Each family is decided in residual form; the ints z = s t(k')G are
+    built for the first failing test alone, and the certificate keeps
+    them over s, so decide makes no Fraction on any verdict.  The integer
+    Farkas vector y, whose Farkas vector is y / s, is checked exactly
+    against sys before Empty is returned; a vector that fails raises
     SoundnessViolation.
     """
     order = STATED_ORDER if stated_order else DEFAULT_ORDER
@@ -437,18 +466,15 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
         if failure is None:
             continue
         params, w, s = failure
-        z, s = _z_of(w, s, dec)
-        kG = Vector(dec.m, tuple(Fraction(x, s) for x in z))    # t(k')G
-        d = dec.m - dec.n
-        # t(z / s) b_perm, for bz = L b_perm
-        zb = Fraction(sum(map(mul, z, dec.bz)),
-                      s * denominator_lcm(dec.b_perm.entries))
-        # G = [I | -R]: t(k')G begins with k'
-        cert = Certificate(family, params, Vector(d, kG.entries[:d]),
-                           Interval(NEG_INF, zb) if min(z) >= 0
-                           else Interval(zb, POS_INF),
-                           farkas_from(kG, dec))
-        if not validate_certificate(sys.A, sys.b, cert.farkas_y):
+        z, s = _z_of(w, s, dec)     # z = s t(k')G
+        # G = [I | -R]: t(k')G begins with k'.  t(z / s) b_perm is
+        # t(z)bz / (s L), for bz = L b_perm
+        cert = Certificate(family, params, z[:dec.m - dec.n],
+                           farkas_from(Vector(dec.m, z), dec), s,
+                           (sum(map(mul, z, dec.bz)),
+                            s * denominator_lcm(dec.b_perm.entries)))
+        # y / s is the Farkas vector, and the positive s moves no sign
+        if not validate_certificate(sys.A, sys.b, cert.y):
             raise SoundnessViolation(
                 f"Farkas vector from test {cert.label()} fails the exact check")
         return EmptinessReport(EMPTY, cert, sum(counts.values()), counts,

@@ -12,7 +12,9 @@ Degenerate all-zero rows are decided early, in one pass: a zero row
 0 <= b_i with b_i < 0, or an equality zero row 0 = b_i with b_i != 0,
 proves emptiness outright, and EarlyEmpty carries its Farkas vector;
 every other zero row is redundant and dropped.  An integer file's
-systems are built from its own entries, so they stay in ints.
+systems are built from its own entries, so they stay in ints; so do
+presolve's Farkas vector, the whole space's witness and the zeros that
+`original_point` and `original_farkas` insert.
 
 An `ineq` system that is not standard is projected onto the pivot
 columns K of one elimination of [A | b]: Ax ranges over the column space
@@ -105,7 +107,7 @@ def _lift(v: Vector, frame: tuple | None) -> Vector:
     if frame is None:
         return v
     dim, kept = frame
-    ents = list(Vector.zero(dim).entries)
+    ents = [0] * dim
     for i, x in zip(kept, v.entries):
         ents[i] = x
     return Vector(dim, tuple(ents))

@@ -608,9 +608,9 @@ class TestCandidateCost:
                 assert calls == [], (sysr.A.rows, mode)
 
     def test_empty_verdict_fraction_count(self, monkeypatch):
-        # an EMPTY verdict makes the m Fractions of t(k')G = z / s, m more
-        # when the Farkas vector is -z / s, and the interval's endpoint;
-        # the exact check of the certificate runs in ints
+        # no verdict makes a Fraction, for integer or rational input: the
+        # certificate keeps the ints z = s t(k')G over s, and the exact
+        # check of its Farkas vector runs in ints
         shapes = ((6, 2), (8, 2), (12, 3), (13, 3))
         fixtures = {
             "integer": [feasible_system(seed, m, n, lower=2)
@@ -631,16 +631,16 @@ class TestCandidateCost:
                 for mode in (MODE_ALGORITHM, MODE_THEOREM):
                     calls.clear()
                     report = decide(sysr, mode=mode)
-                    if report.verdict == EMPTY:
-                        empties += 1
-                        assert len(calls) <= 2 * sysr.A.rows + 1, (
-                            kind, sysr.A.rows, mode, len(calls))
+                    empties += report.verdict == EMPTY
+                    assert calls == [], (kind, sysr.A.rows, mode,
+                                         report.verdict, len(calls))
             assert empties >= 8, kind
 
     def test_cli_check_fraction_budget(self, tmp_path, monkeypatch):
         # `check --json` on an all-integer file keeps its ints from the
-        # parse to the written report: a NOT_PROVEN_EMPTY report makes no
-        # Fraction, and an EMPTY one only decide's certificate
+        # parse to the written report, whatever the verdict: presolve's
+        # Farkas vector, the whole space's witness and decide's certificate
+        # are all ints
         files = []
         for seed, (m, n) in enumerate(((10, 2), (11, 2), (12, 3), (13, 3),
                                        (14, 3)) * 2):
@@ -650,7 +650,16 @@ class TestCandidateCost:
                 path.write_text(f"{m} {n}\n" + "".join(
                     " ".join(str(x) for x in row + [bi]) + "\n"
                     for row, bi in zip(sysr.A.row_lists(), sysr.b.entries)))
-                files.append((path, m))
+                files.append(path)
+        # a zero row with a negative bound (presolve EMPTY), only zero rows
+        # with nonnegative bounds (the whole space), and a rank-deficient
+        # file, projected onto one column
+        for name, text in (("presolve.txt", "3 2\n1 1 4\n0 0 -1\n-1 2 3\n"),
+                           ("whole.txt", "2 2\n0 0 1\n0 0 0\n"),
+                           ("deficient.txt",
+                            "3 2\n1 2 1\n2 4 3\n-1 -2 -5\n")):
+            files.append(tmp_path / name)
+            files[-1].write_text(text)
         calls = []
         real_new = Fraction.__new__
 
@@ -659,16 +668,22 @@ class TestCandidateCost:
             return real_new(cls, *args, **kwargs)
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         verdicts = {EMPTY: 0, NOT_PROVEN_EMPTY: 0}
-        for path, m in files:
+        outs = {}
+        for path in files:
             calls.clear()
             buf = io.StringIO()
             code = cli.run(["check", str(path), "--json"], out=buf)
-            verdict = json.loads(buf.getvalue())["verdict"]
+            assert calls == [], (path.name, len(calls))
+            outs[path.name] = json.loads(buf.getvalue())
+            verdict = outs[path.name]["verdict"]
             assert code == (verdict == EMPTY)
             verdicts[verdict] += 1
-            assert len(calls) <= (2 * m + 1 if verdict == EMPTY else 0), (
-                path.name, verdict, len(calls))
         assert min(verdicts.values()) >= 5, verdicts
+        assert outs["presolve.txt"]["certificate"]["farkas_y"] == [
+            "0/1", "1/1", "0/1"]
+        assert "whole space" in outs["whole.txt"]["note"]
+        assert outs["deficient.txt"]["certificate"]["farkas_y"] == [
+            "1/1", "0/1", "1/1"]
 
 
 class TestDecide:

@@ -41,8 +41,8 @@ def frozen_records():
         return Interval(-math.inf, Fraction(-2))
 
     def cert():
-        return Certificate("canonical", (0,), vec(), interval(),
-                           Vector(3, (1, 0, 1)))
+        return Certificate("canonical", (0,), (2, 1), Vector(3, (2, 0, 2)),
+                           2, (-4, 2))
 
     builds = [
         vec,

@@ -5,14 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import hollowcheck
 from hollowcheck.densemat import DimensionMismatch, Matrix, Vector, rank
 from hollowcheck.emptiness import decide, decompose
 from hollowcheck.harness import system_from_rows
-from hollowcheck.cli import run
+from hollowcheck.interval import NEG_INF, POS_INF
+from hollowcheck.cli import _frac_str, run
 from hollowcheck.oracle import (FEASIBLE, INFEASIBLE, fm_feasible,
                                 validate_certificate, validate_witness)
 from hollowcheck.standardize import (FORMS, EarlyEmpty, NotStandard,
@@ -426,3 +427,43 @@ class TestUserFrame:
     @example(raw=RawSystem("ineq_nonneg", M([[0, 0], [0, 0]]), V([0, 0])))
     def test_nonneg(self, tmp_path_factory, raw):
         self.check_file(raw, tmp_path_factory.mktemp("nonneg"))
+
+
+def endpoint_str(x) -> str:
+    return {NEG_INF: "-inf", POS_INF: "+inf"}.get(x) or _frac_str(x)
+
+
+class TestTwoReaders:
+    """`check --json` writes a certificate from its ints over one scale,
+    and the Python API reads the same certificate as Fractions: both give
+    one value, and the API's Farkas vector passes the exact check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=files(FORMS, 8, 3))
+    # a pair test whose head is negative (z <= 0, y = -z), with a rational
+    # row and a dropped zero row
+    @example(raw=RawSystem("ineq", M([[0, -1], [0, 0], [-1, 1], [2, 1],
+                                      [-1, 2]]),
+                           V([Fraction(-1, 2), 1, 2, -2, 2])))
+    def test_same_certificate(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("readers") / "file.txt"
+        path.write_text(file_text(raw))
+        _, report = run_json(["check"], path, raw.form.replace("_", "-"))
+        std = standardize(raw)
+        if not isinstance(std, StandardSystem):
+            return      # presolve: no test failed
+        cert = decide(std).certificate
+        event("EMPTY" if cert else "NOT_PROVEN_EMPTY")
+        if cert is None:
+            assert report["certificate"] is None
+            return
+        event("z <= 0" if min(cert.kprime.entries) < 0 else "z >= 0")
+        y = cert.farkas_y
+        assert report["certificate"]["k_prime"] == [
+            _frac_str(x) for x in cert.kprime.entries]
+        assert report["certificate"]["interval"] == [
+            endpoint_str(cert.interval.lo), endpoint_str(cert.interval.hi)]
+        assert report["certificate"]["farkas_y"] == [
+            _frac_str(x) for x in std.original_farkas(y).entries]
+        assert validate_certificate(std.A, std.b, y)
+        assert validate_certificate(*embedding(raw), std.original_farkas(y))
