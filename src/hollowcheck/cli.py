@@ -372,8 +372,7 @@ def cmd_probe(args, out) -> int:
         results["theorem1"] = {"rows_checked": total, "rows_agree": agree}
     if args.suite in ("agreement", "all"):
         specs = _agreement_specs(args.instances, args.seed)
-        stats = harness.agreement_run(specs, mode=args.mode)
-        results["agreement"] = stats.to_jsonable()
+        results["agreement"] = harness.agreement_run(specs).to_jsonable()
     _emit_json(results, out)
     return EXIT_NOT_PROVEN_EMPTY
 
@@ -443,7 +442,6 @@ def _parsers() -> tuple:
     sp.add_argument("--instances", type=int, default=harness.DEFAULT_INSTANCES)
     sp.add_argument("--trials", type=int, default=harness.DEFAULT_TRIALS)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mode", choices=MODES, default=MODE_ALGORITHM)
     sp.set_defaults(fn=cmd_probe)
 
     sp = subparsers["gen"] = sub.add_parser(

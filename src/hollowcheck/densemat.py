@@ -48,10 +48,9 @@ class Record:
     order, and stores each through its slot; a subclass that checks or
     defaults an argument calls it from its own `__init__`.  Records are
     equal when they are of one class and their fields are equal, and the
-    repr is `Name(field=value, ...)`, as for a dataclass.  A record is
-    frozen: it hashes its fields, and assigning one raises AttributeError.
-    A mutable subclass sets `__setattr__ = object.__setattr__` and
-    `__hash__ = None`.
+    repr is `Name(field=value, ...)`, as for a dataclass.  Every record is
+    frozen: assigning a field raises AttributeError, and the hash is that
+    of its fields, so a record holding a list or dict is unhashable.
     """
     __slots__ = ()
     _fields = ()

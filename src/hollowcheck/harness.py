@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from .densemat import (Matrix, Record, Vector, mat_mul, mat_vec,
                        pinv_append_row, pinv_full_col_rank, rank, rref)
-from .emptiness import (EMPTY, FAMILY_CANONICAL, MODE_ALGORITHM,
-                        SoundnessViolation, build_U, decide, decompose,
-                        family_tests, run_test)
+from .emptiness import (EMPTY, FAMILY_CANONICAL, SoundnessViolation,
+                        build_U, decide, decompose, family_tests, run_test)
 from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
                      validate_certificate, validate_witness)
 from .standardize import NotStandard, StandardSystem
@@ -51,8 +50,6 @@ class Discrepancy(Record):
         "rows",         # integer-ish matrix rows of the shrunk instance
         "bounds", "verdict", "oracle_status", "seed",
     )
-    __setattr__ = object.__setattr__
-    __hash__ = None
 
     def to_jsonable(self) -> dict:
         return {
@@ -67,18 +64,6 @@ class Discrepancy(Record):
 class AgreementStats(Record):
     __slots__ = _fields = ("total", "empty_agree", "notproven_and_feasible",
                            "discrepancies", "family_failure_histogram")
-    __setattr__ = object.__setattr__
-    __hash__ = None
-
-    def __init__(self, total: int = 0, empty_agree: int = 0,
-                 notproven_and_feasible: int = 0,
-                 discrepancies: list | None = None,
-                 family_failure_histogram: dict | None = None):
-        Record.__init__(
-            self, total, empty_agree, notproven_and_feasible,
-            [] if discrepancies is None else discrepancies,
-            {} if family_failure_histogram is None
-            else family_failure_histogram)
 
     def to_jsonable(self) -> dict:
         return {
@@ -300,7 +285,7 @@ def shrink_discrepancy(rows, bounds):
     return rows, bounds
 
 
-def agreement_run(specs, mode: str = MODE_ALGORITHM) -> AgreementStats:
+def agreement_run(specs) -> AgreementStats:
     """decide vs oracle across generated instances.
 
     Empty verdicts are hard-asserted sound: the oracle must find the
@@ -308,33 +293,37 @@ def agreement_run(specs, mode: str = MODE_ALGORITHM) -> AgreementStats:
     certificate exactly against the same A and b.  The NotProvenEmpty
     tallies are the empirical completeness measurement.  A discrepancy
     counts only when the oracle's infeasibility certificate checks exactly.
+    decide runs in its default mode: the mode sets only `tests_run`, which
+    no tally reads.
     """
-    stats = AgreementStats()
+    total = empty_agree = notproven_and_feasible = 0
+    discrepancies = []
+    histogram = {}
     for spec in specs:
         sys = gen_random_system(spec)
-        report = decide(sys, mode=mode)
+        report = decide(sys)
         res = fm_feasible(sys.A, sys.b)
-        stats.total += 1
+        total += 1
         if report.verdict == EMPTY:
             if res.status != INFEASIBLE:
                 raise SoundnessViolation(
                     f"Empty verdict on oracle-feasible instance (seed={spec.seed})")
             fam = report.certificate.family
-            stats.family_failure_histogram[fam] = \
-                stats.family_failure_histogram.get(fam, 0) + 1
-            stats.empty_agree += 1
+            histogram[fam] = histogram.get(fam, 0) + 1
+            empty_agree += 1
         elif res.status == FEASIBLE:
             if not validate_witness(sys.A, sys.b, res.witness):
                 raise SoundnessViolation(
                     f"oracle witness fails its own system (seed={spec.seed})")
-            stats.notproven_and_feasible += 1
+            notproven_and_feasible += 1
         else:
             if not validate_certificate(sys.A, sys.b, res.certificate):
                 raise SoundnessViolation(
                     f"oracle certificate fails its own system (seed={spec.seed})")
             rows, bounds = shrink_discrepancy(sys.A.row_lists(),
                                               list(sys.b.entries))
-            stats.discrepancies.append(Discrepancy(
+            discrepancies.append(Discrepancy(
                 rows, bounds, report.verdict, res.status, spec.seed))
-    stats.discrepancies.sort(key=lambda d: (len(d.rows), d.seed))
-    return stats
+    discrepancies.sort(key=lambda d: (len(d.rows), d.seed))
+    return AgreementStats(total, empty_agree, notproven_and_feasible,
+                          discrepancies, histogram)

@@ -119,13 +119,13 @@ def test_criterion_4_rowwise_interval_vs_subsystem():
 _AGREEMENT_CACHE = {}
 
 
-def _agreement(mode, count, seed0):
-    key = (mode, count, seed0)
+def _agreement(count, seed0):
+    key = (count, seed0)
     if key not in _AGREEMENT_CACHE:
         shapes = _shapes(8, 3)
         specs = [GenSpec(seed=seed0 + i, m=shapes[i % len(shapes)][0],
                          n=shapes[i % len(shapes)][1]) for i in range(count)]
-        _AGREEMENT_CACHE[key] = agreement_run(specs, mode=mode)
+        _AGREEMENT_CACHE[key] = agreement_run(specs)
     return _AGREEMENT_CACHE[key]
 
 
@@ -133,7 +133,7 @@ def test_criterion_5_soundness_hard_assert():
     t0 = time.monotonic()
     # agreement_run raises SoundnessViolation on any unsound Empty verdict
     # or invalid certificate, so finishing is the assertion
-    stats = _agreement("algorithm", 500, 5000)
+    stats = _agreement(500, 5000)
     elapsed = time.monotonic() - t0
     ok = stats.total == 500 and elapsed < 60
     _report(5, "soundness of Empty verdicts", ok,
@@ -144,8 +144,7 @@ def test_criterion_5_soundness_hard_assert():
 
 
 def test_criterion_6_completeness_tallies():
-    alg = _agreement("algorithm", 500, 5000)
-    thm = _agreement("theorem", 150, 5000)
+    alg = _agreement(500, 5000)
 
     empty_sys = system_from_rows([[1], [1], [-1]], [1, 2, -3])
     ok_sys = system_from_rows([[1], [1], [-1]], [1, 2, 0])
@@ -156,12 +155,9 @@ def test_criterion_6_completeness_tallies():
     detail = (f"algorithm: {alg.empty_agree} empty / "
               f"{alg.notproven_and_feasible} feasible / "
               f"{len(alg.discrepancies)} discrepancies; "
-              f"theorem: {thm.empty_agree} empty / "
-              f"{thm.notproven_and_feasible} feasible / "
-              f"{len(thm.discrepancies)} discrepancies; "
               f"hand instances {'ok' if hand_ok else 'WRONG'}")
     _report(6, "completeness measurement", hand_ok, detail)
-    for d in alg.discrepancies + thm.discrepancies:  # reported, not thresholded
+    for d in alg.discrepancies:  # reported, not thresholded
         print(f"[acceptance 6] discrepancy: {d.to_jsonable()}", flush=True)
     assert hand_ok
 

@@ -680,6 +680,23 @@ class TestModuleEntryPoint:
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+class TestReadme:
+    def test_cli_synopsis_lists_each_long_option(self):
+        text = (SRC.parent / "README.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+        block = block.split("```", 1)[0]
+        synopsis = {}
+        for entry in re.split(r"^hollowcheck ", block, flags=re.M)[1:]:
+            name, rest = entry.split(None, 1)
+            synopsis[name] = set(re.findall(r"--[a-z][a-z-]*", rest))
+        defined = {
+            name: {opt for action in sp._actions
+                   for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, sp in cli._parsers()[1].items()}
+        assert synopsis == defined
+
+
 class TestOtherSubcommands:
     def test_oracle_subcommand(self, tmp_path):
         code, out = run_cli(["oracle", "@IN@", "--json"],
@@ -742,6 +759,14 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert capsys.readouterr().err == (
             "error: --instances and --trials must be >= 0\n")
+
+    def test_probe_mode_exit_2(self, capsys):
+        # the agreement run has no mode: `--mode` is a check option only
+        code, out = run_cli(["probe", "--suite", "agreement",
+                             "--instances", "1", "--mode", "theorem"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert ("error: unrecognized arguments: --mode theorem"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("fault", [Singular, DimensionMismatch, RankDeficient])
     def test_internal_fault_exit_3(self, tmp_path, monkeypatch, fault):

@@ -7,10 +7,10 @@ import pytest
 
 from hollowcheck import emptiness, harness
 from hollowcheck.densemat import Matrix, Vector, mat_mul, rank
-from hollowcheck.emptiness import EMPTY, MODE_THEOREM, SoundnessViolation
-from hollowcheck.harness import (AgreementStats, GenSpec, GenerationExhausted,
-                                 ProbeFailure, agreement_run,
-                                 gen_random_system, pinv_rank_factorization,
+from hollowcheck.emptiness import EMPTY, SoundnessViolation
+from hollowcheck.harness import (GenSpec, GenerationExhausted, ProbeFailure,
+                                 agreement_run, gen_random_system,
+                                 pinv_rank_factorization,
                                  probe_lemma1, probe_lemma2, probe_theorem1,
                                  shrink_discrepancy, system_from_rows)
 from hollowcheck.oracle import FEASIBLE, INFEASIBLE, FMResult, fm_feasible
@@ -145,11 +145,6 @@ class TestAgreement:
         a = agreement_run(specs).to_jsonable()
         b = agreement_run(specs).to_jsonable()
         assert a == b
-
-    def test_theorem_mode_runs(self):
-        specs = [GenSpec(seed=i, m=5, n=2) for i in range(10)]
-        stats = agreement_run(specs, mode=MODE_THEOREM)
-        assert stats.total == 10
 
     def test_unchecked_oracle_infeasible_raises(self, monkeypatch):
         # a discrepancy needs the oracle's certificate to check exactly

@@ -77,7 +77,7 @@ def test_reprs():
         "FMResult(status='feasible', witness=None, certificate=None)")
     assert repr(GenSpec(0, 6, 2)) == (
         "GenSpec(seed=0, m=6, n=2, entry_range=5, b_range=5)")
-    assert repr(AgreementStats()) == (
+    assert repr(AgreementStats(0, 0, 0, [], {})) == (
         "AgreementStats(total=0, empty_agree=0, notproven_and_feasible=0, "
         "discrepancies=[], family_failure_histogram={})")
 
@@ -99,8 +99,8 @@ def test_frozen_equal_fields_equal_hash(a, b):
     ids=["copy", "deepcopy", "pickle"])
 def test_copies_equal(copier):
     records = [a for a, _ in frozen_records()] + [
-        AgreementStats(1, discrepancies=[
-            Discrepancy([[1]], [0], "NOT_PROVEN_EMPTY", "infeasible", 3)])]
+        AgreementStats(1, 0, 0, [
+            Discrepancy([[1]], [0], "NOT_PROVEN_EMPTY", "infeasible", 3)], {})]
     for record in records:
         assert copier(record) == record
 
@@ -125,23 +125,29 @@ def test_another_class_never_equal():
     assert Interval(0, 1) != Record()
 
 
-def test_mutable_types():
-    stats, other = AgreementStats(), AgreementStats()
-    assert stats.discrepancies is not other.discrepancies
-    assert (stats.family_failure_histogram
-            is not other.family_failure_histogram)
-    stats.total += 1
-    stats.discrepancies.append(
-        Discrepancy([[1]], [0], "NOT_PROVEN_EMPTY", "infeasible", 3))
-    assert other.total == 0 and other.discrepancies == []
-    assert stats != other
-    for obj in (stats, stats.discrepancies[0]):
-        with pytest.raises(TypeError):
-            hash(obj)
-    d = Discrepancy([[1]], [0], "NOT_PROVEN_EMPTY", "infeasible", 3)
-    assert d == stats.discrepancies[0]
-    d.seed = 4
-    assert d != stats.discrepancies[0]
+def agreement_records():
+    """Two builds, from equal but distinct fields, of each type that holds
+    a list or a dict."""
+    def disc():
+        return Discrepancy([[1]], [0], "NOT_PROVEN_EMPTY", "infeasible", 3)
+
+    def stats():
+        return AgreementStats(1, 0, 0, [disc()], {})
+
+    return [(build(), build()) for build in (disc, stats)]
+
+
+@pytest.mark.parametrize("a, b", agreement_records(),
+                         ids=lambda r: type(r).__name__)
+def test_frozen_equal_fields_unhashable(a, b):
+    assert a is not b and a == b
+    for field in type(a)._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    assert a == b
+    # the hash is the fields', and a list field has none
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_constructor_checks_and_defaults():
