@@ -7,14 +7,15 @@ vector k' of a finite family (canonical basis, left kernel of R,
 orthogonal complements of b1 and R b2, and the pairwise elimination
 vectors).  The verdict for k' reads only the signs of z = t(k')G and of
 t(z)b, which a positive scaling leaves alone, so the battery runs in
-Python ints: `decompose` keeps Rz = D R (D > 0 the lcm of R's
-denominators) and bz, a positive integer multiple of b.  For k' = w / s
-with w an int vector, z = [D w | -w Rz] is s D t(k')G, and t(z)bz = w r
-for the residual r = D bz[:m-n] - Rz bz[m-n:]: r_i is a positive
-multiple of the slack of row i at the vertex x_B = A2^-1 b2.
+Python ints: `decompose` returns the tableau at A2 in the split's
+fraction-free scale (Bareiss 1968), Rz = D R with D = |det A2| for
+integer A, bz, a positive integer multiple of b, and the slack column
+r = D bz[:m-n] - Rz bz[m-n:]: r_i is a positive multiple of the slack of
+row i at the vertex x_B = A2^-1 b2.  For k' = w / s with w an int
+vector, z = [D w | -w Rz] is s D t(k')G, and t(z)bz = w r.
 
-`decide` computes r once and decides each candidate from its head w and
-r (the `_scan_*` functions), by the paper's rule: a test fails iff z has
+`decide` decides each candidate from its head w and the tableau (the
+`_scan_*` functions), by the paper's rule: a test fails iff z has
 one sign and t(z)bz the other.  Canonical test i fails iff Rz_i <= 0 and
 r_i < 0.  A pair test, with head entries -a D and c D, passes if they
 have mixed signs; otherwise the head has the sign of h = c or -a (h = 0
@@ -33,8 +34,7 @@ and its first failing params; the dense w, s and z are built for that
 failure alone.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
 and `run_test`, with the bases of `left_nullspace_basis` and
-`orth_complement_basis`: the reference for the harness, the demo and
-the tests.
+`orth_complement_basis`: the reference for the demo and the tests.
 
 As G = [I | -R], the failing test has t(k')G = z / s, and the
 certificate keeps that one integer vector and its positive scale s: k'
@@ -92,9 +92,11 @@ class Decomposition(Record):
         "row_perm",     # permuted position -> original row index
         "A",            # the system's A, in original row order
         "b_perm",       # (b1; b2)
-        "D",            # lcm of the denominators of R = A1 A2^-1
-        "Rz",           # D R, one tuple of ints per row
+        "D",            # |d| for the split's Bareiss scale d: |det A2|
+                        # for integer A
+        "Rz",           # D R for R = A1 A2^-1, one tuple of ints per row
         "bz",           # a positive integer multiple of b_perm
+        "r",            # D bz[:m-n] - Rz bz[m-n:], the slack column
     )
 
     @property
@@ -178,14 +180,17 @@ def decompose(sys: StandardSystem) -> Decomposition:
     unselected = [i for i in range(m) if i not in sel]
     perm = tuple(unselected + selected)
     # column u of rref(t(A)) = basis_rows / d writes row u of A in the rows
-    # of A2, so row i of R = A1 A2^-1 is column unselected[i]; in lowest
-    # terms, D is the lcm of R's denominators.  For integer A, D divides
-    # |det A2|: Rz is no larger than A1 adj(A2)
-    flat, D = lowest_terms([row[u] for u in unselected
-                            for row in basis_rows], d)
-    Rz = tuple(flat[i * n:(i + 1) * n] for i in range(m - n))
+    # of A2, so row i of R = A1 A2^-1 is column unselected[i] over d.  For
+    # integer A, |d| = |det A2|, and Rz = A1 adj(A2) up to sign
+    if d < 0:
+        basis_rows, d = [[-x for x in row] for row in basis_rows], -d
+    cols = list(zip(*basis_rows))
+    Rz = tuple(cols[u] for u in unselected)
     b_perm = Vector(m, tuple(b[i] for i in perm))
-    return Decomposition(perm, A, b_perm, D, Rz, int_scaled(b_perm.entries))
+    bz = int_scaled(b_perm.entries)
+    b2z = bz[m - n:]
+    r = tuple(d * x - sum(map(mul, row, b2z)) for x, row in zip(bz, Rz))
+    return Decomposition(perm, A, b_perm, d, Rz, bz, r)
 
 
 def build_U(dec: Decomposition) -> Matrix:
@@ -216,10 +221,6 @@ def _z_of(w: tuple, s: int, dec: Decomposition) -> tuple:
                     for k in range(dec.n)), s * dec.D)
 
 
-def _unit(d: int, i: int) -> tuple:
-    return (0,) * i + (1,) + (0,) * (d - 1 - i)
-
-
 def _pair_w(dec: Decomposition, j: int, i: int, i2: int) -> tuple:
     """D k' for k' = -R_i'j e_i + R_ij e_i', which kills column j of R."""
     w = [0] * (dec.m - dec.n)
@@ -228,9 +229,8 @@ def _pair_w(dec: Decomposition, j: int, i: int, i2: int) -> tuple:
 
 
 def _rb2(dec: Decomposition) -> tuple:
-    """Rz bz[m-n:], a positive multiple of R b2."""
-    b2z = dec.bz[dec.m - dec.n:]
-    return tuple(sum(map(mul, row, b2z)) for row in dec.Rz)
+    """Rz bz[m-n:] = D bz[:m-n] - r, a positive multiple of R b2."""
+    return tuple(dec.D * x - y for x, y in zip(dec.bz, dec.r))
 
 
 def _basis(dec: Decomposition, family: str, rb2: tuple) -> list:
@@ -264,7 +264,7 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
 
     z is a tuple of ints and s > 0 an int with z = s t(k')G exactly, so
     k' = z[:m-n] / s.  This is the z form of the battery that `decide`
-    runs in residual form: `decide` gives the verdict, the tests run and
+    runs on the tableau: `decide` gives the verdict, the tests run and
     the family counts of this enumeration read through `run_test`.
     Raises ValueError for a mode or a family it does not know.
     """
@@ -273,7 +273,8 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
     for family in order:
         if family == FAMILY_CANONICAL:
             for i in range(d):
-                yield (FAMILY_CANONICAL, (i + 1,), *_z_of(_unit(d, i), 1, dec))
+                yield (FAMILY_CANONICAL, (i + 1,),
+                       *_z_of(Vector.unit(d, i).entries, 1, dec))
         elif family == FAMILY_PAIR:
             for j in range(dec.n):
                 for i in range(d - 1):
@@ -295,22 +296,24 @@ def run_test(z: tuple, dec: Decomposition) -> bool:
     return zb >= 0 if nonneg else zb <= 0
 
 
-def _scan_canonical(dec: Decomposition, r: tuple) -> tuple:
+def _scan_canonical(dec: Decomposition) -> tuple:
     """(tests run, first failure) of the canonical family: test i fails
     iff row i is violated at x_B and Rz_i <= 0."""
-    for i, (ri, row) in enumerate(zip(r, dec.Rz)):
+    d = len(dec.r)
+    for i, (ri, row) in enumerate(zip(dec.r, dec.Rz)):
         if ri < 0 and max(row) <= 0:
-            return i + 1, ((i + 1,), _unit(len(r), i), 1)
-    return len(r), None
+            return i + 1, ((i + 1,), Vector.unit(d, i).entries, 1)
+    return d, None
 
 
-def _scan_pairs(dec: Decomposition, r: tuple) -> tuple:
+def _scan_pairs(dec: Decomposition) -> tuple:
     """(tests run, first failure) of the pair family.
 
     Test (j, i, i') has head -a D at i and c D at i', for a = Rz_i'j and
     c = Rz_ij, tail a Rz_i - c Rz_i' and t(z)bz = c r_i' - a r_i.
     """
-    d, Rz = len(r), dec.Rz
+    r, Rz = dec.r, dec.Rz
+    d = len(r)
     per_j = d * (d - 1) // 2
     for j in range(dec.n):
         col = [row[j] for row in Rz]
@@ -370,8 +373,7 @@ def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
     return 2 * len(free) if mode == MODE_THEOREM else count, None
 
 
-def _scan_complement(dec: Decomposition, v: tuple, r: tuple,
-                     mode: str) -> tuple:
+def _scan_complement(dec: Decomposition, v: tuple, mode: str) -> tuple:
     """(tests run, first failure) of the orthogonal complement of v.
 
     v = bz[:d] for b1_perp and Rz bz[d:] for rb2_perp, positive multiples
@@ -382,6 +384,7 @@ def _scan_complement(dec: Decomposition, v: tuple, r: tuple,
     the cone iff a Rz_f + c Rz_p <= 0, and t(z)bz = a r_f + c r_p.  As
     w >= 0, the mode sets only the count, as in `_scan_kernel`.
     """
+    r = dec.r
     d = len(r)
     p = next((i for i, x in enumerate(v) if x), None)
     if p is None:
@@ -404,30 +407,17 @@ def _scan_complement(dec: Decomposition, v: tuple, r: tuple,
     return 2 * len(free) if mode == MODE_THEOREM else count, None
 
 
-def _residual(dec: Decomposition) -> tuple:
-    """(Rz bz[m-n:], r), computed once per decomposition.
-
-    r = D bz[:m-n] - Rz bz[m-n:]: r_i = t(z)bz for the canonical z of row
-    i, a positive multiple of the slack b_i - R_i b2 at the vertex
-    x_B = A2^-1 b2.
-    """
-    rb2 = _rb2(dec)
-    return rb2, tuple(dec.D * x - y for x, y in zip(dec.bz[:len(rb2)], rb2))
-
-
-def _scan(dec: Decomposition, family: str, mode: str,
-          residual: tuple) -> tuple:
+def _scan(dec: Decomposition, family: str, mode: str) -> tuple:
     """(tests run, first failure) of one family, as `family_tests` with
     `run_test` would find them; a failure is (params, w, s), k' = w / s."""
-    rb2, r = residual
     if family == FAMILY_CANONICAL:
-        return _scan_canonical(dec, r)
+        return _scan_canonical(dec)
     if family == FAMILY_PAIR:
-        return _scan_pairs(dec, r)
+        return _scan_pairs(dec)
     if family == FAMILY_KERNEL:
         return _scan_kernel(dec, mode)
-    return _scan_complement(
-        dec, dec.bz[:len(r)] if family == FAMILY_B1_PERP else rb2, r, mode)
+    return _scan_complement(dec, dec.bz[:len(dec.r)]
+                            if family == FAMILY_B1_PERP else _rb2(dec), mode)
 
 
 def farkas_from(z: Vector, dec: Decomposition) -> Vector:
@@ -449,7 +439,7 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
            stated_order: bool = False) -> EmptinessReport:
     """Run the full test battery; Empty at the first failing test vector.
 
-    Each family is decided in residual form; the ints z = s t(k')G are
+    Each family is decided on the tableau; the ints z = s t(k')G are
     built for the first failing test alone, and the certificate keeps
     them over s, so decide makes no Fraction on any verdict.  The integer
     Farkas vector y, whose Farkas vector is y / s, is checked exactly
@@ -459,10 +449,9 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
     order = STATED_ORDER if stated_order else DEFAULT_ORDER
     _check_battery(mode, order)
     dec = decompose(sys)
-    residual = _residual(dec)
     counts = {f: 0 for f in order}
     for family in order:
-        counts[family], failure = _scan(dec, family, mode, residual)
+        counts[family], failure = _scan(dec, family, mode)
         if failure is None:
             continue
         params, w, s = failure

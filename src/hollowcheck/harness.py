@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .densemat import (Matrix, Record, Vector, mat_mul, mat_vec,
                        pinv_append_row, pinv_full_col_rank, rank, rref)
-from .emptiness import (EMPTY, FAMILY_CANONICAL, SoundnessViolation,
-                        build_U, decide, decompose, family_tests, run_test)
+from .emptiness import (EMPTY, SoundnessViolation, build_U, decide,
+                        decompose)
 from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
                      validate_certificate, validate_witness)
 from .standardize import NotStandard, StandardSystem
@@ -201,23 +201,25 @@ def probe_lemma2(n: int, k: int, trials: int = DEFAULT_TRIALS,
 
 
 def probe_theorem1(sys: StandardSystem) -> dict:
-    """Row-wise interval test vs oracle feasibility of the touched subsystem."""
+    """Row-wise interval test vs oracle feasibility of the touched subsystem.
+
+    Row i's canonical test reads the tableau at A2: it fails iff the slack
+    r_i < 0 and Rz_i <= 0.  Its z = [D e_i | -Rz_i] touches row i and the
+    basis rows where Rz_i is nonzero.
+    """
     dec = decompose(sys)
     A_rows = dec.permuted_A().row_lists()
+    d = dec.m - dec.n
     results = []
-    for _, (idx,), z, _ in family_tests(dec, order=(FAMILY_CANONICAL,)):
-        # z is a positive multiple of t(e_i)G, row i of U; its support
-        # B_i is the touched rows
-        passed = run_test(z, dec)
-        B_i = [j for j in range(dec.m) if z[j] != 0]
-        sub_rows = [A_rows[j] for j in B_i]
-        sub_b = [dec.b_perm[j] for j in B_i]
-        res = fm_feasible(Matrix.from_rows(sub_rows),
-                          Vector.from_list(sub_b))
-        agree = passed == (res.status == FEASIBLE)
-        results.append({"i": idx, "interval_pass": passed,
-                        "subsystem_feasible": res.status == FEASIBLE,
-                        "agree": agree})
+    for i, (ri, row) in enumerate(zip(dec.r, dec.Rz)):
+        passed = ri >= 0 or max(row) > 0
+        B_i = [i] + [d + k for k, x in enumerate(row) if x]
+        res = fm_feasible(Matrix.from_rows([A_rows[j] for j in B_i]),
+                          Vector.from_list([dec.b_perm[j] for j in B_i]))
+        feasible = res.status == FEASIBLE
+        results.append({"i": i + 1, "interval_pass": passed,
+                        "subsystem_feasible": feasible,
+                        "agree": passed == feasible})
     return {"rows": results, "all_agree": all(r["agree"] for r in results)}
 
 

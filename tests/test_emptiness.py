@@ -1,7 +1,6 @@
 import io
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -10,9 +9,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hollowcheck import cli, emptiness
-from hollowcheck.densemat import (Matrix, Vector, eliminate, invert,
-                                  left_nullspace_basis, mat_mul, mat_vec,
-                                  orth_complement_basis, rank, vec_mat)
+from hollowcheck.densemat import (Matrix, Vector, denominator_lcm, eliminate,
+                                  invert, left_nullspace_basis, mat_mul,
+                                  mat_vec, orth_complement_basis, rank,
+                                  vec_mat)
 from hollowcheck.emptiness import (DEFAULT_ORDER, EMPTY, FAMILY_B1_PERP,
                                    FAMILY_CANONICAL, FAMILY_KERNEL,
                                    FAMILY_PAIR, FAMILY_RB2_PERP,
@@ -66,6 +66,25 @@ def exact_image(z, s):
 def kprime_of(dec, z, s):
     """k' = z[:m-n] / s, as G = [I | -R]."""
     return Vector(dec.m - dec.n, exact_image(z, s).entries[:dec.m - dec.n])
+
+
+def det(M):
+    """The determinant of a square Matrix, by Gaussian elimination in
+    Fraction."""
+    rows = [[Fraction(x) for x in row] for row in M.row_lists()]
+    out = Fraction(1)
+    for c in range(len(rows)):
+        p = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for row in rows[c + 1:]:
+            f = row[c] / rows[c][c]
+            row[:] = [x - f * y for x, y in zip(row, rows[c])]
+    return out
 
 
 def blocks(dec):
@@ -170,12 +189,24 @@ class TestDecomposeReadsR:
         systems = decompose_corpus()
         assert len(systems) >= 48
         assert any(s.raw_cols is not None for s in systems)
+        integer = 0
         for sysr in systems:
             dec = decompose(sysr)
             A1, A2 = blocks(dec)
             assert dec.R == mat_mul(A1, invert(A2))
-            assert dec.D == math.lcm(*(x.denominator for x in dec.R.entries))
+            # the split's Bareiss scale, not rescaled
+            assert dec.D == abs(sysr.split[2])
+            if all(Fraction(x).denominator == 1 for x in sysr.A.entries):
+                assert dec.D == abs(det(A2))
+                integer += 1
             assert all(type(x) is int for row in dec.Rz for x in row)
+            # r_i = D L (b_i - R_i b2), the slack at x_B, for bz = L b_perm
+            d = dec.m - dec.n
+            L = denominator_lcm(dec.b_perm.entries)
+            b1, b2 = dec.b_perm.entries[:d], dec.b_perm.entries[d:]
+            assert dec.r == tuple(dec.D * L * (bi - dot(Ri, b2))
+                                  for bi, Ri in zip(b1, dec.R.row_lists()))
+        assert integer >= 20
 
 
 class TestBuildU:
@@ -341,10 +372,9 @@ def assert_decide_matches_reference(sysr, mode, stated_order):
 def assert_families_match_reference(dec, mode):
     """Each family alone, so that a pair family runs beside a failing
     canonical test, which decide's orders never reach."""
-    residual = emptiness._residual(dec)
     for family in DEFAULT_ORDER:
         run, _, failure = reference_run(dec, mode, (family,))
-        got_run, got = emptiness._scan(dec, family, mode, residual)
+        got_run, got = emptiness._scan(dec, family, mode)
         assert got_run == run, family
         if failure is None:
             assert got is None, family
@@ -463,7 +493,6 @@ class TestResidualForm:
         # the bases, checked against the bases family_tests builds
         dec = decompose(sysr)
         d = dec.m - dec.n
-        _, r = emptiness._residual(dec)
         b1 = dec.bz[:d]
         kernel = left_nullspace_basis(
             Matrix(d, dec.n, tuple(x for row in dec.Rz for x in row)))
@@ -471,7 +500,7 @@ class TestResidualForm:
         for w, _ in kernel:
             assert all(sum(x * row[k] for x, row in zip(w, dec.Rz)) == 0
                        for k in range(dec.n))
-            assert dot(w, r) == dec.D * dot(w, b1)
+            assert dot(w, dec.r) == dec.D * dot(w, b1)
         for v in (b1, emptiness._rb2(dec)):
             basis = orth_complement_basis(Vector(d, v))
             p = next((i for i, x in enumerate(v) if x), None)

@@ -122,6 +122,34 @@ class TestProbes:
             rep = probe_theorem1(s)
             assert rep["all_agree"], rep
 
+    def test_theorem1_reads_the_canonical_z(self, monkeypatch):
+        # each row's verdict is run_test on its canonical z, and the oracle
+        # sees the rows in z's support, in permuted order
+        subsystems = []
+
+        def recording(A, b):
+            subsystems.append((A.row_lists(), list(b.entries)))
+            return fm_feasible(A, b)
+        monkeypatch.setattr(harness, "fm_feasible", recording)
+        partial = 0
+        for seed in range(30):
+            s = gen_random_system(GenSpec(seed=seed, m=7, n=3))
+            subsystems.clear()
+            rows = probe_theorem1(s)["rows"]
+            dec = emptiness.decompose(s)
+            A_rows = dec.permuted_A().row_lists()
+            tests = list(emptiness.family_tests(
+                dec, order=(emptiness.FAMILY_CANONICAL,)))
+            assert len(rows) == len(tests) == len(subsystems)
+            for row, (_, (i,), z, _), sub in zip(rows, tests, subsystems):
+                support = [j for j, x in enumerate(z) if x]
+                assert row["i"] == i
+                assert row["interval_pass"] == emptiness.run_test(z, dec)
+                assert sub == ([A_rows[j] for j in support],
+                               [dec.b_perm[j] for j in support])
+                partial += len(support) < 1 + dec.n
+        assert partial > 0
+
 
 class TestAgreement:
     def test_hand_instances_classified(self):

@@ -1,6 +1,7 @@
 """Every name a hollowcheck module imports is used in that module, unless
 the benchmark tracer patches the name there (bench/tracer.py SITES); no
-module imports another package module's private (`_name`) names; every
+module imports another package module's private (`_name`) names; no
+module but `emptiness` and `__init__` imports the z-form battery; every
 parameter of a package function or lambda is read in its body; and no
 module imports `dataclasses` or `typing`, which a `check` run never
 loads."""
@@ -95,6 +96,32 @@ def test_private_import_is_caught():
         "_signed_filtered"]
     assert private_imports("from __future__ import annotations\n"
                            "from .densemat import eliminate\n") == []
+
+
+# the z form of the battery: a reference for the tests, the demo and the
+# tracer, which product code reads off the tableau instead
+Z_FORM = ("family_tests", "run_test", "in_cone_G")
+
+
+def z_form_imports(source: str) -> list:
+    """The Z_FORM names a module imports."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in Z_FORM]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in PACKAGE.glob("*.py")
+    if p.stem not in ("emptiness", "__init__")), ids=lambda p: p.stem)
+def test_no_z_form_import(path):
+    assert z_form_imports(path.read_text()) == []
+
+
+def test_z_form_import_is_caught():
+    assert z_form_imports("from .emptiness import (decide, family_tests,\n"
+                          "                        run_test)\n") == [
+        "family_tests", "run_test"]
+    assert z_form_imports("from .emptiness import decide, decompose\n") == []
 
 
 def unread_parameters(source: str) -> list:
