@@ -243,9 +243,9 @@ def denominator_lcm(xs) -> int:
 
 
 def int_scaled(xs) -> tuple:
-    """The rationals xs times `denominator_lcm(xs)`, as ints; ints as they
-    are."""
-    if all(type(x) is int for x in xs):
+    """The rationals xs times `denominator_lcm(xs)`, as ints; ints (not
+    bools) as they are."""
+    if {int}.issuperset(map(type, xs)):
         return tuple(xs)
     scale = denominator_lcm(xs)
     return tuple(x.numerator * (scale // x.denominator) for x in xs)
@@ -270,12 +270,12 @@ def eliminate(M: Matrix):
             for i in range(M.rows)]
     piv_cols = []
     prev = 1
+    r = 0               # the next pivot row: len(piv_cols)
     for c in range(M.cols):
-        r = len(piv_cols)
-        if r == M.rows:
-            break
-        p = next((i for i in range(r, M.rows) if rows[i][c]), None)
-        if p is None:
+        for p in range(r, M.rows):
+            if rows[p][c]:
+                break
+        else:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         prow = rows[r]
@@ -288,6 +288,9 @@ def eliminate(M: Matrix):
             rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
         piv_cols.append(c)
         prev = pv
+        r += 1
+        if r == M.rows:
+            break
     return rows, piv_cols, prev
 
 

@@ -17,15 +17,18 @@ vector, z = [D w | -w Rz] is s D t(k')G, and t(z)bz = w r.
 `decide` decides each candidate from its head w and the tableau (the
 `_scan_*` functions), by the paper's rule: a test fails iff z has
 one sign and t(z)bz the other.  Canonical test i fails iff Rz_i <= 0 and
-r_i < 0.  A pair test, with head entries -a D and c D, passes if they
-have mixed signs; otherwise the head has the sign of h = c or -a (h = 0
-when z = 0, a pass).  It costs O(1) unless t(z)bz has the sign of -h,
-and only then scans its tail.  Neither of the two remaining scans builds
-a basis.  A complement vector of b1 or R b2 has two nonzeros, at the
-first nonzero p of that vector and at a free index f, so it is a pair
-test on rows p and f: mixed signs are settled in O(1), and the rest in
-O(n).  A kernel vector is read off one elimination of t(Rz): its tail w
-Rz is 0, so it is always in the cone, and t(z)bz = D w bz[:m-n].  A
+r_i < 0.  A pair test (j, i, i'), with head entries -a D and c D for
+a = Rz_i'j and c = Rz_ij, is read by the sign of c: for c > 0 it can
+fail only if a <= 0 and t(z)bz < 0, for c < 0 only if a >= 0 and t(z)bz
+> 0, and only then is its tail scanned, so it costs one comparison in
+the common case.  For c = 0 it fails iff a != 0 and canonical test i
+fails, so the run (j, i, .) has no inner loop when canonical i passes.
+Neither of the two remaining scans builds a basis.  A complement vector
+of b1 or R b2 has two nonzeros, at the first nonzero p of that vector
+and at a free index f, so it is a pair test on rows p and f: mixed signs
+are settled in O(1), and the rest in O(n).  A kernel vector is read off
+one elimination of t(Rz): its tail w Rz is 0, so it is always in the
+cone, and t(z)bz = D w bz[:m-n].  A
 single-signed kernel or complement vector has w >= 0, so -z is never in
 the cone and fails iff z does: the mode, which runs the orientations in
 the cone (the algorithm) or both (the theorem), sets only the count,
@@ -173,7 +176,7 @@ def decompose(sys: StandardSystem) -> Decomposition:
     Selected rows are moved after the unselected ones, both blocks keeping
     their relative input order; b is permuted identically.
     """
-    A, b, m, n = sys.A, sys.b, sys.m, sys.n
+    A, b, m = sys.A, sys.b.entries, sys.A.rows
     # the n pivot columns of t(A) are the first n independent rows of A
     basis_rows, selected, d = sys.split
     sel = set(selected)
@@ -185,11 +188,11 @@ def decompose(sys: StandardSystem) -> Decomposition:
     if d < 0:
         basis_rows, d = [[-x for x in row] for row in basis_rows], -d
     cols = list(zip(*basis_rows))
-    Rz = tuple(cols[u] for u in unselected)
-    b_perm = Vector(m, tuple(b[i] for i in perm))
+    Rz = tuple([cols[u] for u in unselected])
+    b_perm = Vector(m, tuple([b[i] for i in perm]))
     bz = int_scaled(b_perm.entries)
-    b2z = bz[m - n:]
-    r = tuple(d * x - sum(map(mul, row, b2z)) for x, row in zip(bz, Rz))
+    b2z = bz[m - A.cols:]
+    r = tuple([d * x - sum(map(mul, row, b2z)) for x, row in zip(bz, Rz)])
     return Decomposition(perm, A, b_perm, d, Rz, bz, r)
 
 
@@ -306,32 +309,54 @@ def _scan_canonical(dec: Decomposition) -> tuple:
     return d, None
 
 
+def _pair_failure(dec: Decomposition, j: int, i: int, i2: int) -> tuple:
+    """(tests run, failure) of `_scan_pairs` when (j, i, i') fails first."""
+    d = len(dec.r)
+    run = j * d * (d - 1) // 2 + i * (d - 1) - i * (i - 1) // 2 + i2 - i
+    return run, ((j + 1, i + 1, i2 + 1), _pair_w(dec, j, i, i2), dec.D)
+
+
 def _scan_pairs(dec: Decomposition) -> tuple:
     """(tests run, first failure) of the pair family.
 
     Test (j, i, i') has head -a D at i and c D at i', for a = Rz_i'j and
-    c = Rz_ij, tail a Rz_i - c Rz_i' and t(z)bz = c r_i' - a r_i.
+    c = Rz_ij, tail a Rz_i - c Rz_i' and t(z)bz = c r_i' - a r_i.  It is
+    read by the sign of c.  For c > 0 it fails iff a <= 0, c r_i' < a r_i
+    and a Rz_ik >= c Rz_i'k for every k; for c < 0 iff a >= 0, c r_i' >
+    a r_i and a Rz_ik <= c Rz_i'k for every k (a of the other sign is a
+    head of mixed signs).  For c = 0 it fails iff a != 0 and canonical test
+    i fails, so the run (j, i, .) is settled once: by its first nonzero a
+    when canonical i fails, and as all passes otherwise.
     """
     r, Rz = dec.r, dec.Rz
     d = len(r)
-    per_j = d * (d - 1) // 2
     for j in range(dec.n):
         col = [row[j] for row in Rz]
         for i in range(d - 1):
-            c, ri = col[i], r[i]
-            for i2 in range(i + 1, d):
-                a = col[i2]
-                if a * c > 0:
-                    continue        # a head of mixed signs
-                h = c or -a         # the head's sign; 0 for z = 0, a pass
-                if (c * r[i2] - a * ri) * h >= 0 or any(
-                        h * (a * x - c * y) < 0
-                        for x, y in zip(Rz[i], Rz[i2])):
-                    continue
-                run = j * per_j + i * (d - 1) - i * (i - 1) // 2 + i2 - i
-                return run, ((j + 1, i + 1, i2 + 1),
-                             _pair_w(dec, j, i, i2), dec.D)
-    return dec.n * per_j, None
+            c, ri, Ri = col[i], r[i], Rz[i]
+            if c > 0:
+                for i2 in range(i + 1, d):
+                    a = col[i2]
+                    if a <= 0 and c * r[i2] < a * ri:
+                        for x, y in zip(Ri, Rz[i2]):
+                            if a * x < c * y:
+                                break
+                        else:
+                            return _pair_failure(dec, j, i, i2)
+            elif c < 0:
+                for i2 in range(i + 1, d):
+                    a = col[i2]
+                    if a >= 0 and c * r[i2] > a * ri:
+                        for x, y in zip(Ri, Rz[i2]):
+                            if a * x > c * y:
+                                break
+                        else:
+                            return _pair_failure(dec, j, i, i2)
+            elif ri < 0 and max(Ri) <= 0:
+                for i2 in range(i + 1, d):
+                    if col[i2]:
+                        return _pair_failure(dec, j, i, i2)
+    return dec.n * d * (d - 1) // 2, None
 
 
 def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
@@ -350,23 +375,23 @@ def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
     d = dec.m - dec.n
     E, pc, det = eliminate(Matrix(dec.n, d, tuple(
         chain.from_iterable(zip(*dec.Rz)))))
-    sd = 1 if det > 0 else -1
     free = [f for f in range(d) if f not in pc]
     if not free:
         return 1, None
     rows = E[:len(pc)]
     b1 = dec.bz[:d]
     b1_pc = [b1[p] for p in pc]
+    sd, adet = (1, det) if det > 0 else (-1, -det)
     count = 0
     for idx, f in enumerate(free):
-        col = [sd * row[f] for row in rows]
-        if max(col, default=0) > 0:
+        col = [row[f] for row in rows]
+        if col and (max(col) > 0 if sd > 0 else min(col) < 0):
             continue        # a head of mixed signs
         count += 1
-        if abs(det) * b1[f] < sum(map(mul, col, b1_pc)):
+        if adet * b1[f] < sd * sum(map(mul, col, b1_pc)):
             w = [0] * d
             w[f] = det
-            for row, p in zip(E, pc):
+            for row, p in zip(rows, pc):
                 w[p] = -row[f]
             return (2 * idx + 1 if mode == MODE_THEOREM else count,
                     ((idx, 1), *lowest_terms(w, det)))
@@ -396,14 +421,18 @@ def _scan_complement(dec: Decomposition, v: tuple, mode: str) -> tuple:
     count = 0
     for idx, f in enumerate(free):
         c = -sp * v[f]
-        if c < 0 or any(a * x + c * y > 0 for x, y in zip(dec.Rz[f], Rp)):
-            continue        # a head of mixed signs, or a tail off the cone
-        count += 1
-        if a * r[f] + c * rp < 0:
-            w = [0] * d
-            w[p], w[f] = c, a
-            return (2 * idx + 1 if mode == MODE_THEOREM else count,
-                    ((idx, 1), *lowest_terms(w, a)))
+        if c < 0:
+            continue        # a head of mixed signs
+        for x, y in zip(dec.Rz[f], Rp):
+            if a * x + c * y > 0:
+                break       # a tail off the cone
+        else:
+            count += 1
+            if a * r[f] + c * rp < 0:
+                w = [0] * d
+                w[p], w[f] = c, a
+                return (2 * idx + 1 if mode == MODE_THEOREM else count,
+                        ((idx, 1), *lowest_terms(w, a)))
     return 2 * len(free) if mode == MODE_THEOREM else count, None
 
 

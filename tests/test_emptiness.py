@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import scan_reference
 from hollowcheck import cli, emptiness
 from hollowcheck.densemat import (Matrix, Vector, denominator_lcm, eliminate,
-                                  invert, left_nullspace_basis, mat_mul,
-                                  mat_vec, orth_complement_basis, rank,
-                                  vec_mat)
+                                  int_scaled, invert, left_nullspace_basis,
+                                  mat_mul, mat_vec, orth_complement_basis,
+                                  rank, vec_mat)
 from hollowcheck.emptiness import (DEFAULT_ORDER, EMPTY, FAMILY_B1_PERP,
                                    FAMILY_CANONICAL, FAMILY_KERNEL,
                                    FAMILY_PAIR, FAMILY_RB2_PERP,
@@ -39,6 +40,16 @@ B1_PERP_PAIR = ([[-1], [1], [1]], [-1, -1, 1])
 RB2_PERP_PAIR = ([[1], [1], [-1]], [-1, 0, -1])
 B1_ZERO = ([[-1], [1], [1]], [-1, 0, 0])
 RB2_ZERO = ([[-1], [1], [1]], [0, -1, 0])
+# the pair family's first failure in each sign branch of c = Rz_ij and
+# a = Rz_i'j (TestResidualForm.test_examples_cover_the_special_cases);
+# with a = 0 or c = 0 a canonical test fails too, and only the family
+# alone reaches the pair
+PAIR_A0 = ([[1, 0], [0, 1], [1, 1], [0, -1]], [0, 0, 5, -1])
+PAIR_C0 = ([[1, 0], [0, 1], [0, -1], [1, 1]], [0, 0, -1, 5])
+PAIR_C0_A_NEG = ([[1, 0], [0, 1], [0, -1], [-1, 1]], [0, 0, -1, 5])
+PAIR_A_NEG = ([[1, 0], [0, 1], [1, -2], [-2, -1], [1, -2]], [0, -1, 0, 1, 1])
+PAIR_C_NEG_A0 = ([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 0, -1])
+PAIR_C_NEG = ([[1, 0], [0, 1], [1, 1], [-1, 0], [1, -2]], [0, -2, 1, 2, 0])
 
 
 def sys_of(rows, b):
@@ -411,12 +422,15 @@ class TestResidualForm:
     @example(sys_of([[1, 0], [0, 1], [1, 1]], [1, 1, -3]))
     # R = A2^-1 has full row rank: the zero-kernel sentinel
     @example(sys_of([[1, 2], [3, 1], [1, 0], [0, 1]], [1, 2, -1, 3]))
-    # pair (1, 1, 2) with a = 0 and canonical 2 failing
-    @example(sys_of([[1, 0], [0, 1], [1, 1], [0, -1]], [0, 0, 5, -1]))
-    # pair (1, 1, 2) with c = 0 and canonical 1 failing
-    @example(sys_of([[1, 0], [0, 1], [0, -1], [1, 1]], [0, 0, -1, 5]))
-    # the same with a < 0: the head's sign is -a, not c
-    @example(sys_of([[1, 0], [0, 1], [0, -1], [-1, 1]], [0, 0, -1, 5]))
+    # the pair family's first failure with c > 0 and a = 0, c = 0 and
+    # a > 0, c = 0 and a < 0, c > 0 and a < 0, c < 0 and a = 0, and c < 0
+    # and a > 0
+    @example(sys_of(*PAIR_A0))
+    @example(sys_of(*PAIR_C0))
+    @example(sys_of(*PAIR_C0_A_NEG))
+    @example(sys_of(*PAIR_A_NEG))
+    @example(sys_of(*PAIR_C_NEG_A0))
+    @example(sys_of(*PAIR_C_NEG))
     # a = c = 0 in column 1
     @example(sys_of([[1, 0], [0, 1], [0, -1], [0, -1]], [0, 0, -1, -1]))
     @example(sys_of(*RATIONAL_1D))
@@ -445,17 +459,19 @@ class TestResidualForm:
             assert_families_match_reference(dec, mode)
 
     def test_examples_cover_the_special_cases(self):
-        pair_a0 = decompose(sys_of([[1, 0], [0, 1], [1, 1], [0, -1]],
-                                   [0, 0, 5, -1]))
-        pair_c0 = decompose(sys_of([[1, 0], [0, 1], [0, -1], [1, 1]],
-                                   [0, 0, -1, 5]))
-        pair_c0_a_neg = decompose(sys_of([[1, 0], [0, 1], [0, -1], [-1, 1]],
-                                         [0, 0, -1, 5]))
-        for dec, (a, c) in ((pair_a0, (0, 1)), (pair_c0, (1, 0)),
-                            (pair_c0_a_neg, (-1, 0))):
-            assert (dec.Rz[1][0], dec.Rz[0][0]) == (a, c)
+        for fixture, params, (c, a), first in (
+                (PAIR_A0, (1, 1, 2), (1, 0), FAMILY_CANONICAL),
+                (PAIR_C0, (1, 1, 2), (0, 1), FAMILY_CANONICAL),
+                (PAIR_C0_A_NEG, (1, 1, 2), (0, -1), FAMILY_CANONICAL),
+                (PAIR_A_NEG, (1, 1, 2), (1, -2), FAMILY_PAIR),
+                (PAIR_C_NEG_A0, (1, 1, 2), (-1, 0), FAMILY_CANONICAL),
+                (PAIR_C_NEG, (1, 2, 3), (-1, 1), FAMILY_PAIR)):
+            dec = decompose(sys_of(*fixture))
+            j, i, i2 = (p - 1 for p in params)
+            assert (dec.Rz[i][j], dec.Rz[i2][j]) == (c, a)
             _, _, failure = reference_run(dec, MODE_ALGORITHM, (FAMILY_PAIR,))
-            assert failure[:2] == (FAMILY_PAIR, (1, 1, 2))
+            assert failure[:2] == (FAMILY_PAIR, params)
+            assert decide(sys_of(*fixture)).certificate.family == first
         sentinel = decompose(sys_of([[1, 2], [3, 1], [1, 0], [0, 1]],
                                     [1, 2, -1, 3]))
         assert [p for f, p, *_ in family_tests(sentinel)
@@ -531,6 +547,62 @@ class TestResidualForm:
             assert verdicts == [NOT_PROVEN_EMPTY] * 3
         else:
             assert EMPTY in verdicts
+
+
+def assert_scans_match_frozen(dec):
+    """Each scan and both eliminations of decide against the frozen copies
+    in scan_reference, in both modes."""
+    d = dec.m - dec.n
+    assert emptiness._scan_pairs(dec) == scan_reference.scan_pairs(dec)
+    for mode in (MODE_ALGORITHM, MODE_THEOREM):
+        assert (emptiness._scan_kernel(dec, mode)
+                == scan_reference.scan_kernel(dec, mode)), mode
+        for v in (dec.bz[:d], emptiness._rb2(dec)):
+            assert (emptiness._scan_complement(dec, v, mode)
+                    == scan_reference.scan_complement(dec, v, mode)), mode
+    for M in (dec.A.transpose(), Matrix(dec.n, d, tuple(
+            itertools.chain.from_iterable(zip(*dec.Rz))))):
+        assert eliminate(M) == scan_reference.eliminate(M)
+
+
+class TestFrozenScans:
+    """The sign-split scans return exactly what the scans they replaced
+    return: tests run, params, w and s."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(battery_systems())
+    @example(sys_of(*PAIR_A0))
+    @example(sys_of(*PAIR_C0_A_NEG))
+    @example(sys_of(*PAIR_A_NEG))
+    @example(sys_of(*PAIR_C_NEG_A0))
+    @example(sys_of(*PAIR_C_NEG))
+    @example(sys_of(*KERNEL_NEG_DET))
+    @example(sys_of(*KERNEL_LOW_RANK))
+    @example(sys_of(*B1_ZERO))
+    @example(sys_of(*RB2_ZERO))
+    def test_small_systems(self, sysr):
+        assert_scans_match_frozen(decompose(sysr))
+
+    @pytest.mark.parametrize("m, n, lower", [
+        (12, 3, 0), (12, 3, 2), (20, 4, 0), (20, 4, 2), (40, 6, 0)])
+    def test_seeded_draws(self, m, n, lower):
+        # feasible draws run every pair; lowered ones fail early, and each
+        # family alone then runs beside failing canonical tests
+        for seed in range(4 if m < 40 else 2):
+            assert_scans_match_frozen(decompose(
+                feasible_system(seed, m, n, x0_range=5, lower=lower)))
+
+    def test_rational_draws(self):
+        for seed, (m, n) in enumerate(((6, 2), (8, 2), (12, 3), (13, 3)) * 2):
+            assert_scans_match_frozen(decompose(rational_system(seed, m, n)))
+
+    @pytest.mark.parametrize("xs", [
+        (), (1, -2, 0), (True, 2), (Fraction(4, 2), 3),
+        (Fraction(1, 2), -1, Fraction(-2, 3))])
+    def test_int_scaled(self, xs):
+        got = int_scaled(xs)
+        assert got == scan_reference.int_scaled(xs)
+        assert {type(x) for x in got} <= {int}
 
 
 class TestCandidateCost:
