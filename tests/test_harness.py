@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hollowcheck.harness import (GenSpec, GenerationExhausted, ProbeFailure,
                                  shrink_discrepancy, system_from_rows)
 from hollowcheck.oracle import FEASIBLE, INFEASIBLE, FMResult, fm_feasible
 from hollowcheck.standardize import check_assumptions
+from test_acceptance import _agreement
 
 # (m, n, entry_range, b_range); the entry_range 1 shapes reject many draws
 GEN_SHAPES = ((4, 2, 1, 1), (5, 4, 1, 3), (6, 3, 1, 2), (8, 2, 5, 5),
@@ -25,6 +27,9 @@ GEN_SPECS = [GenSpec(seed, m, n, er, br)
 # decided each A with check_assumptions before drawing b
 EXPECTED_GEN_DIGEST = \
     "35e8517fede3637ee71f43ac8fae14dc405685da00932a8b36bf417c6a1ed152"
+# sha256 of the shrunk discrepancies of criterion 6's agreement run
+EXPECTED_CRITERION_6_DIGEST = \
+    "388491ecbe6ff7ab5440f81f3d147872bdc328a907e1c3ada096076100939485"
 
 
 def reference_gen(spec: GenSpec):
@@ -181,6 +186,17 @@ class TestAgreement:
             INFEASIBLE, certificate=Vector.zero(A.rows)))
         with pytest.raises(SoundnessViolation, match="oracle certificate"):
             agreement_run([spec])
+
+    def test_criterion_6_pinned(self):
+        # criterion 6 prints its tallies; this pins them and the shrunk
+        # instances, seeds 5000-5499 over test_acceptance._shapes(8, 3)
+        stats = _agreement(500, 5000)
+        assert (stats.total, stats.empty_agree, stats.notproven_and_feasible,
+                len(stats.discrepancies)) == (500, 284, 209, 7)
+        shrunk = json.dumps([d.to_jsonable() for d in stats.discrepancies],
+                            sort_keys=True)
+        assert (hashlib.sha256(shrunk.encode()).hexdigest()
+                == EXPECTED_CRITERION_6_DIGEST)
 
     def test_tampered_empty_certificate_raises(self, monkeypatch):
         # decide's exact check is the only check of its Farkas vector
