@@ -131,7 +131,7 @@ def parse_system(text: str, form: str = "ineq") -> RawSystem:
         except (ValueError, ZeroDivisionError):
             raise _bad_number(tokens, lineno) from None
         bounds.append(vals.pop())
-        entries += vals
+        entries.append(tuple(vals))
     if header is None:
         raise ParseError(0, "empty input")
     if len(bounds) != m:
@@ -390,10 +390,8 @@ def cmd_gen(args, out) -> int:
         raise UsageError(str(exc)) from exc
     lines = [f"# generated instance seed={args.seed}",
              f"{sysg.m} {sysg.n}"]
-    for i in range(sysg.m):
-        row = [str(sysg.A.at(i, j)) for j in range(sysg.n)]
-        row.append(str(sysg.b[i]))
-        lines.append(" ".join(row))
+    for row, x in zip(sysg.A.entries, sysg.b.entries):
+        lines.append(" ".join(map(str, row + (x,))))
     text = "\n".join(lines) + "\n"
     if args.output == "-":
         out.write(text)

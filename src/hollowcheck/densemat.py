@@ -1,6 +1,7 @@
 """Dense linear algebra over exact rationals.
 
-An entry is an int or a fractions.Fraction: `parse_system` keeps integer
+A `Matrix` holds its entries as one tuple per row, `rows` tuples of
+`cols` entries each; a `Vector` holds one tuple of `dim` entries.  An entry is an int or a fractions.Fraction: `parse_system` keeps integer
 tokens as ints, and so do `Vector.zero` and `Vector.unit`, while
 `to_scalar`, `Matrix.from_rows` and `Vector.from_list` make Fractions.
 Every reader goes through numerator/denominator, comparisons and
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import chain
 
 ScalarLike = int | Fraction | str
 
@@ -135,59 +135,51 @@ class Vector(Record):
 
 
 class Matrix(Record):
-    __slots__ = _fields = ("rows", "cols", "entries")  # entries row-major
+    __slots__ = _fields = ("rows", "cols", "entries")  # one tuple per row
 
     def __init__(self, rows: int, cols: int, entries: tuple):
         Record.__init__(self, rows, cols, entries)
         if rows < 1 or cols < 1:
             raise DimensionMismatch(f"matrix shape {rows}x{cols}")
-        if len(entries) != rows * cols:
-            raise DimensionMismatch("entry count does not match shape")
+        if len(entries) != rows or not all(
+                type(row) is tuple and len(row) == cols for row in entries):
+            raise DimensionMismatch(
+                f"entries are not {rows} tuples of {cols} entries")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[ScalarLike]]) -> "Matrix":
-        nrows = len(rows)
-        if nrows == 0:
+        if len(rows) == 0:
             raise DimensionMismatch("matrix needs at least one row")
-        ncols = len(rows[0])
-        ents = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-            ents.extend(to_scalar(x) for x in r)
-        return Matrix(nrows, ncols, tuple(ents))
+        ents = tuple(tuple(to_scalar(x) for x in r) for r in rows)
+        return Matrix(len(ents), len(ents[0]), ents)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
         one, zero = Fraction(1), Fraction(0)
-        return Matrix(n, n, tuple(one if i == j else zero
-                                  for i in range(n) for j in range(n)))
+        return Matrix(n, n, tuple(tuple(one if i == j else zero
+                                        for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zeros(m: int, n: int) -> "Matrix":
-        return Matrix(m, n, (Fraction(0),) * (m * n))
+        return Matrix(m, n, ((Fraction(0),) * n,) * m)
 
     def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        return self.entries[i][j]
 
     def row(self, i: int) -> Vector:
-        return Vector(self.cols, self.entries[i * self.cols:(i + 1) * self.cols])
+        return Vector(self.cols, self.entries[i])
 
     def row_lists(self) -> list:
-        return [[self.at(i, j) for j in range(self.cols)] for i in range(self.rows)]
+        return [list(row) for row in self.entries]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, tuple(chain.from_iterable(
-            [self.entries[j::self.cols] for j in range(self.cols)])))
+        return Matrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        ents = []
-        for i in range(self.rows):
-            ents.extend(self.entries[i * self.cols:(i + 1) * self.cols])
-            ents.extend(other.entries[i * other.cols:(i + 1) * other.cols])
-        return Matrix(self.rows, self.cols + other.cols, tuple(ents))
+        return Matrix(self.rows, self.cols + other.cols, tuple(
+            a + b for a, b in zip(self.entries, other.entries)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -196,10 +188,11 @@ class Matrix(Record):
                       self.entries + other.entries)
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return all(e == 0 for row in self.entries for e in row)
 
     def neg(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return Matrix(self.rows, self.cols,
+                      tuple(tuple(-e for e in row) for row in self.entries))
 
 
 def check_rhs(A: Matrix, b: Vector) -> None:
@@ -213,10 +206,9 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         raise DimensionMismatch(
             f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
     ents = []
-    for i in range(A.rows):
-        arow = A.entries[i * A.cols:(i + 1) * A.cols]
-        for j in range(B.cols):
-            ents.append(sum(arow[k] * B.at(k, j) for k in range(A.cols)))
+    for arow in A.entries:
+        ents.append(tuple(sum(arow[k] * B.at(k, j) for k in range(A.cols))
+                          for j in range(B.cols)))
     return Matrix(A.rows, B.cols, tuple(ents))
 
 
@@ -266,8 +258,7 @@ def eliminate(M: Matrix):
     columns, d): the first len(pivot columns) rows are d times rref(M),
     and the rest are zero.
     """
-    rows = [list(int_scaled(M.entries[i * M.cols:(i + 1) * M.cols]))
-            for i in range(M.rows)]
+    rows = [list(int_scaled(row)) for row in M.entries]
     piv_cols = []
     prev = 1
     r = 0               # the next pivot row: len(piv_cols)
@@ -314,7 +305,7 @@ def invert(M: Matrix) -> Matrix:
     if piv_cols != list(range(n)):
         r = sum(1 for c in piv_cols if c < n)
         raise Singular(f"matrix is singular (rank {r} < {n})")
-    return Matrix(n, n, tuple(x for row in rows for x in row[n:]))
+    return Matrix(n, n, tuple(tuple(row[n:]) for row in rows))
 
 
 def pinv_full_col_rank(A: Matrix) -> Matrix:
@@ -345,11 +336,11 @@ def pinv_append_row(A2t_pinv: Matrix, A2t: Matrix, a: Vector) -> Matrix:
     v = mat_vec(A2t_pinv.transpose(), a)
     h = Fraction(1) + v.dot(v)
     pv = mat_vec(A2t_pinv, v)                     # A2t_pinv v, length n
-    first_col = Matrix(n, 1, tuple(x / h for x in pv.entries))
+    first_col = Matrix(n, 1, tuple((x / h,) for x in pv.entries))
     # A2t_pinv - h^-1 (A2t_pinv v) t(v)
     rest = Matrix(n, k,
-                  tuple(A2t_pinv.at(i, j) - pv[i] * v[j] / h
-                        for i in range(n) for j in range(k)))
+                  tuple(tuple(A2t_pinv.at(i, j) - pv[i] * v[j] / h
+                              for j in range(k)) for i in range(n)))
     return first_col.hstack(rest)
 
 
@@ -375,7 +366,7 @@ def left_nullspace_basis(R: Matrix) -> list:
 
 def orth_complement_basis(v: Vector) -> list:
     """dim-1 independent (w, s) pairs orthogonal to v; canonical for v = 0."""
-    return _nullspace_basis(Matrix(1, v.dim, v.entries))
+    return _nullspace_basis(Matrix(1, v.dim, (v.entries,)))
 
 
 def mp_axioms_check(A: Matrix, P: Matrix) -> dict:

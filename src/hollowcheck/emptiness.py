@@ -56,7 +56,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 
 from .densemat import (Matrix, Record, Vector, denominator_lcm, eliminate,
@@ -113,8 +112,8 @@ class Decomposition(Record):
     @property
     def R(self) -> Matrix:
         """The exact A1 A2^-1, rebuilt from Rz / D."""
-        return Matrix(self.m - self.n, self.n,
-                      tuple(Fraction(x, self.D) for row in self.Rz for x in row))
+        return Matrix(self.m - self.n, self.n, tuple(
+            tuple(Fraction(x, self.D) for x in row) for row in self.Rz))
 
     def permuted_A(self) -> Matrix:
         rows = self.A.row_lists()
@@ -242,8 +241,7 @@ def _basis(dec: Decomposition, family: str, rb2: tuple) -> list:
     `family_tests` builds it; `decide` reads the same vectors in place."""
     d = dec.m - dec.n
     if family == FAMILY_KERNEL:
-        return left_nullspace_basis(
-            Matrix(d, dec.n, tuple(x for row in dec.Rz for x in row)))
+        return left_nullspace_basis(Matrix(d, dec.n, dec.Rz))
     # bz = L (b1; b2) and rb2 = L D R b2, L > 0
     return orth_complement_basis(
         Vector(d, dec.bz[:d] if family == FAMILY_B1_PERP else rb2))
@@ -373,8 +371,7 @@ def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
     single-signed w, and theorem mode both orientations of every w.
     """
     d = dec.m - dec.n
-    E, pc, det = eliminate(Matrix(dec.n, d, tuple(
-        chain.from_iterable(zip(*dec.Rz)))))
+    E, pc, det = eliminate(Matrix(dec.n, d, tuple(zip(*dec.Rz))))
     free = [f for f in range(d) if f not in pc]
     if not free:
         return 1, None

@@ -250,41 +250,38 @@ def _toward_zero(x):
     return 0
 
 
+def _split(ab) -> tuple:
+    """(rows, bounds) of the rows of [A | b]."""
+    return [r[:-1] for r in ab], [r[-1] for r in ab]
+
+
 def shrink_discrepancy(rows, bounds):
-    """Greedy row removal, then entry magnitudes pulled toward zero."""
-    rows = [list(r) for r in rows]
-    bounds = list(bounds)
+    """Greedy row removal, then entry magnitudes pulled toward zero, on
+    the rows of [A | b]: each row's coefficients, then its bound."""
+    ab = [list(r) + [x] for r, x in zip(rows, bounds)]
     changed = True
     while changed:
         changed = False
-        for i in range(len(rows)):
-            cand_rows = rows[:i] + rows[i + 1:]
-            cand_bounds = bounds[:i] + bounds[i + 1:]
-            if len(cand_rows) > 0 and _discrepancy_holds(cand_rows, cand_bounds):
-                rows, bounds = cand_rows, cand_bounds
+        for i in range(len(ab)):
+            cand = ab[:i] + ab[i + 1:]
+            if cand and _discrepancy_holds(*_split(cand)):
+                ab = cand
                 changed = True
                 break
     changed = True
     while changed:
         changed = False
-        for i in range(len(rows)):
-            for j in range(len(rows[i])):
-                x = rows[i][j]
+        for i in range(len(ab)):
+            for j in range(len(ab[i])):
+                x = ab[i][j]
                 if x == 0:
                     continue
-                cand = [list(r) for r in rows]
+                cand = [list(r) for r in ab]
                 cand[i][j] = _toward_zero(x)
-                if _discrepancy_holds(cand, bounds):
-                    rows = cand
+                if _discrepancy_holds(*_split(cand)):
+                    ab = cand
                     changed = True
-            x = bounds[i]
-            if x != 0:
-                cand_b = list(bounds)
-                cand_b[i] = _toward_zero(x)
-                if _discrepancy_holds(rows, cand_b):
-                    bounds = cand_b
-                    changed = True
-    return rows, bounds
+    return _split(ab)
 
 
 def agreement_run(specs) -> AgreementStats:

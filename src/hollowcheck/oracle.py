@@ -177,8 +177,7 @@ def fm_feasible_rows(coeff_rows: list, bounds: list, n: int,
 
 def fm_feasible(A: Matrix, b: Vector, row_cap: int = DEFAULT_ROW_CAP) -> FMResult:
     check_rhs(A, b)
-    coeff_rows = A.row_lists()
-    return fm_feasible_rows(coeff_rows, list(b.entries), A.cols, row_cap)
+    return fm_feasible_rows(A.entries, list(b.entries), A.cols, row_cap)
 
 
 def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
@@ -197,7 +196,7 @@ def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
     if any(x < 0 for x in yz):
         return False
     n = A.cols
-    Az = int_scaled([a for i in rows for a in A.entries[i * n:(i + 1) * n]])
+    Az = int_scaled([a for i in rows for a in A.entries[i]])
     if any(sum(map(mul, yz, Az[j::n])) for j in range(n)):
         return False
     return sum(map(mul, yz, int_scaled([b[i] for i in rows]))) < 0
@@ -207,7 +206,7 @@ def validate_witness(A: Matrix, b: Vector, x: Vector) -> bool:
     check_rhs(A, b)
     if x.dim != A.cols:
         return False
-    for i in range(A.rows):
-        if sum(A.at(i, j) * x[j] for j in range(A.cols)) > b[i]:
+    for row, bi in zip(A.entries, b.entries):
+        if sum(row[j] * x[j] for j in range(A.cols)) > bi:
             return False
     return True

@@ -160,7 +160,8 @@ def _project(A: Matrix, b: Vector, raw_rows: tuple | None):
     """{x : Ax <= b} on the pivot columns K of eliminate([A | b]), for A
     with no zero row; see the module docstring."""
     n = A.cols
-    rows, piv_cols, d = eliminate(A.hstack(Matrix(A.rows, 1, b.entries)))
+    rows, piv_cols, d = eliminate(
+        A.hstack(Matrix(A.rows, 1, tuple((x,) for x in b.entries))))
     K = [c for c in piv_cols if c < n]
     raw_cols = _frame(n, K)
     if len(K) == A.rows:
@@ -170,7 +171,7 @@ def _project(A: Matrix, b: Vector, raw_rows: tuple | None):
             "full row rank", "A has full row rank; a solution of Ax = b "
             "lies in the polyhedron", _lift(u, raw_cols))
     AK = Matrix(A.rows, len(K),
-                tuple(A.at(i, c) for i in range(A.rows) for c in K))
+                tuple(tuple(row[c] for c in K) for row in A.entries))
     return StandardSystem(AK, b, raw_rows, raw_cols)
 
 
@@ -181,7 +182,7 @@ def standardize(raw: RawSystem) -> StandardizeResult:
     dim = (2 * m if eq else m) + (0 if raw.form == FORM_INEQ else n)
     kept = []
     for i in range(m):
-        if any(At.entries[i * n:(i + 1) * n]):
+        if any(At.entries[i]):
             kept.append(i)
         elif bt[i] < 0 or (eq and bt[i] > 0):
             # 0 <= b_i < 0, or the negated copy 0 <= -b_i < 0 of 0 = b_i
@@ -196,8 +197,7 @@ def standardize(raw: RawSystem) -> StandardizeResult:
             detail, "all constraints redundant; polyhedron is the " + detail,
             Vector.zero(n))
     if len(kept) < m:
-        At = Matrix(len(kept), n, tuple(
-            x for i in kept for x in At.entries[i * n:(i + 1) * n]))
+        At = Matrix(len(kept), n, tuple(At.entries[i] for i in kept))
         bt = Vector(len(kept), tuple(bt.entries[i] for i in kept))
 
     if raw.form == FORM_INEQ:
@@ -213,7 +213,7 @@ def standardize(raw: RawSystem) -> StandardizeResult:
         kept += [m + i for i in kept]
         m *= 2
     # x >= 0 as -x <= 0: no zero row is added, and -I gives full column rank
-    A = At.vstack(Matrix(n, n, tuple(-1 if i == j else 0
-                                      for i in range(n) for j in range(n))))
+    A = At.vstack(Matrix(n, n, tuple(Vector.unit(n, i).neg().entries
+                                      for i in range(n))))
     b = Vector(bt.dim + n, bt.entries + (0,) * n)
     return StandardSystem(A, b, _frame(dim, kept + list(range(m, dim))))

@@ -3,7 +3,6 @@ they read before the scans were split by sign: the reference that
 `test_emptiness.TestFrozenScans` checks the package's versions against.
 Change nothing here to make a test pass; a difference is a finding.
 """
-from itertools import chain
 from operator import mul
 
 from hollowcheck.densemat import Matrix, denominator_lcm, lowest_terms
@@ -18,8 +17,7 @@ def int_scaled(xs) -> tuple:
 
 
 def eliminate(M: Matrix):
-    rows = [list(int_scaled(M.entries[i * M.cols:(i + 1) * M.cols]))
-            for i in range(M.rows)]
+    rows = [list(int_scaled(row)) for row in M.entries]
     piv_cols = []
     prev = 1
     for c in range(M.cols):
@@ -68,8 +66,7 @@ def scan_pairs(dec) -> tuple:
 
 def scan_kernel(dec, mode: str) -> tuple:
     d = dec.m - dec.n
-    E, pc, det = eliminate(Matrix(dec.n, d, tuple(
-        chain.from_iterable(zip(*dec.Rz)))))
+    E, pc, det = eliminate(Matrix(dec.n, d, tuple(zip(*dec.Rz))))
     sd = 1 if det > 0 else -1
     free = [f for f in range(d) if f not in pc]
     if not free:

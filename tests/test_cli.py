@@ -93,7 +93,7 @@ class TestParse:
 
     def test_documented_numerals_parse(self):
         raw = parse_system("+2 1\n5. -.5\n+3/4 -0.25\n")
-        assert raw.Atilde.entries == (Fraction(5), Fraction(3, 4))
+        assert raw.Atilde.entries == ((Fraction(5),), (Fraction(3, 4),))
         assert raw.btilde.entries == (Fraction(-1, 2), Fraction(-1, 4))
         with pytest.raises(ParseError, match="bad number"):
             parse_system("1 1\n1/0 1\n")
@@ -102,7 +102,7 @@ class TestParse:
         # an integer token stays an int; a p/q or decimal token is a Fraction
         toks = ("+3", "-0", "007", "-12", "5", "3/1", "-4/6", "2.", "-.5")
         raw = parse_system("1 8\n" + " ".join(toks) + "\n")
-        got = raw.Atilde.entries + raw.btilde.entries
+        got = raw.Atilde.entries[0] + raw.btilde.entries
         assert got == tuple(Fraction(tok) for tok in toks)
         assert [type(x) for x in got] == [int] * 5 + [Fraction] * 4
 
@@ -140,7 +140,7 @@ class TestParse:
     @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
     def test_row_runs_to_the_line_break(self, char):
         raw = parse_system(f"1 2\n1 2{char}3\n")
-        assert raw.Atilde.entries == (1, 2) and raw.btilde.entries == (3,)
+        assert raw.Atilde.entries == ((1, 2),) and raw.btilde.entries == (3,)
 
 
 # the per-token parser `parse_system` used before a data line was matched
@@ -203,7 +203,8 @@ def parse_outcome(parse, text: str):
         return type(exc), str(exc)
     if not isinstance(got, tuple):
         got = (got.Atilde.rows, got.Atilde.cols,
-               list(got.Atilde.entries + got.btilde.entries))
+               [x for row in got.Atilde.entries for x in row]
+               + list(got.btilde.entries))
     return got, [type(x) for x in got[2]]
 
 
@@ -272,7 +273,7 @@ class TestLineParse:
 
     def test_mixed_line_types(self):
         raw = parse_system("1 5\n+3 -4/6 2. 007 -.5 1/1\n")
-        got = raw.Atilde.entries + raw.btilde.entries
+        got = raw.Atilde.entries[0] + raw.btilde.entries
         assert got == (3, Fraction(-2, 3), 2, 7, Fraction(-1, 2), 1)
         assert [type(x) for x in got] == [int, Fraction, Fraction, int,
                                           Fraction, Fraction]

@@ -330,7 +330,7 @@ class TestOrthComplement:
             assert basis == [(tuple(int(i == j) for j in range(v.dim)), 1)
                              for i in range(v.dim)]
         else:
-            assert basis == _nullspace_basis(Matrix(1, v.dim, v.entries))
+            assert basis == _nullspace_basis(Matrix(1, v.dim, (v.entries,)))
         assert all(type(x) is int for w, s in basis for x in (*w, s))
 
     def test_independent(self):
@@ -360,3 +360,52 @@ class TestMPAxiomsCheck:
         with pytest.raises(DimensionMismatch):
             mp_axioms_check(M([[1, 2]]), M([[1, 2]]))
 
+
+
+class TestLayout:
+    """A Matrix holds `rows` tuples of `cols` entries each."""
+
+    @pytest.mark.parametrize("rows, cols, entries", [
+        (1, 2, (1, 2)),                 # the flat row-major layout
+        (2, 1, (1, 2)),
+        (2, 2, ((1, 2), (3,))),         # ragged
+        (1, 1, ((1,), (2,))),           # one row too many
+        (1, 2, ([1, 2],)),              # a list row, unhashable
+    ])
+    def test_not_rows_of_cols_raises(self, rows, cols, entries):
+        with pytest.raises(DimensionMismatch):
+            Matrix(rows, cols, entries)
+
+    def test_ragged_from_rows_raises(self):
+        with pytest.raises(DimensionMismatch):
+            M([[1, 2], [3]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_list_reference(self, data):
+        entry = st.one_of(st.integers(-6, 6), RATIONALS)
+
+        def lists(m, n):
+            return data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                      min_size=m, max_size=m))
+        m, n, k = (data.draw(st.integers(1, 4)) for _ in range(3))
+        rows = lists(m, n)
+        A = M(rows)
+        assert (A.rows, A.cols, len(A.entries)) == (m, n, m)
+        assert all(type(row) is tuple and len(row) == n
+                   and all(type(x) is Fraction for x in row)
+                   for row in A.entries)
+        assert A.row_lists() == rows
+        assert [[A.at(i, j) for j in range(n)] for i in range(m)] == rows
+        assert [list(A.row(i).entries) for i in range(m)] == rows
+        assert A.transpose().row_lists() == [[r[j] for r in rows]
+                                             for j in range(n)]
+        assert A.neg().row_lists() == [[-x for x in r] for r in rows]
+        right, below = lists(m, k), lists(k, n)
+        assert A.hstack(M(right)).row_lists() == [r + s for r, s
+                                                  in zip(rows, right)]
+        assert A.vstack(M(below)).row_lists() == rows + below
+        with pytest.raises(DimensionMismatch):
+            A.hstack(M(lists(m + 1, k)))
+        with pytest.raises(DimensionMismatch):
+            A.vstack(M(lists(k, n + 1)))

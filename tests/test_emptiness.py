@@ -207,7 +207,8 @@ class TestDecomposeReadsR:
             assert dec.R == mat_mul(A1, invert(A2))
             # the split's Bareiss scale, not rescaled
             assert dec.D == abs(sysr.split[2])
-            if all(Fraction(x).denominator == 1 for x in sysr.A.entries):
+            if all(Fraction(x).denominator == 1
+                   for row in sysr.A.entries for x in row):
                 assert dec.D == abs(det(A2))
                 integer += 1
             assert all(type(x) is int for row in dec.Rz for x in row)
@@ -510,8 +511,7 @@ class TestResidualForm:
         dec = decompose(sysr)
         d = dec.m - dec.n
         b1 = dec.bz[:d]
-        kernel = left_nullspace_basis(
-            Matrix(d, dec.n, tuple(x for row in dec.Rz for x in row)))
+        kernel = left_nullspace_basis(Matrix(d, dec.n, dec.Rz))
         assert kernel == left_nullspace_basis(dec.R)
         for w, _ in kernel:
             assert all(sum(x * row[k] for x, row in zip(w, dec.Rz)) == 0
@@ -560,8 +560,7 @@ def assert_scans_match_frozen(dec):
         for v in (dec.bz[:d], emptiness._rb2(dec)):
             assert (emptiness._scan_complement(dec, v, mode)
                     == scan_reference.scan_complement(dec, v, mode)), mode
-    for M in (dec.A.transpose(), Matrix(dec.n, d, tuple(
-            itertools.chain.from_iterable(zip(*dec.Rz))))):
+    for M in (dec.A.transpose(), Matrix(dec.n, d, tuple(zip(*dec.Rz)))):
         assert eliminate(M) == scan_reference.eliminate(M)
 
 
@@ -874,6 +873,46 @@ class TestFarkas:
                 assert not run_test(tuple(-e for e in z), dec)
                 y = farkas_from(exact_image(z, s).neg(), dec)
                 assert y == Vector.from_list([1, 0, 1])
+
+
+IIS_FAMILIES = (FAMILY_CANONICAL, FAMILY_KERNEL, FAMILY_PAIR)
+
+
+def iis_families(sysr) -> list:
+    """The families of decide's certificates of sysr, in both orders, each
+    checked for a support S that names an irreducible infeasible subsystem:
+    rank(A_S) = |S| - 1.  The only row dependency of A_S is then y_S > 0,
+    with t(y_S)b_S < 0, and dropping any row leaves independent rows,
+    which Ax = b solves.  Complement certificates are left out: their
+    supports need not have this rank."""
+    families = []
+    for stated_order in (False, True):
+        cert = decide(sysr, stated_order=stated_order).certificate
+        if cert is None or cert.family not in IIS_FAMILIES:
+            continue
+        support = [i for i, x in enumerate(cert.y.entries) if x]
+        A_S = Matrix(len(support), sysr.n,
+                     tuple(sysr.A.entries[i] for i in support))
+        assert rank(A_S) == len(support) - 1, cert.label()
+        families.append(cert.family)
+    return families
+
+
+class TestIIS:
+    @settings(max_examples=300, deadline=None)
+    @given(battery_systems())
+    def test_small_systems(self, sysr):
+        iis_families(sysr)
+
+    def test_seeded_draws(self):
+        families = set()
+        for seed in range(40):
+            for m, n in ((6, 2), (8, 2), (12, 3), (13, 3)):
+                for lower in (0, 1, 2):
+                    families.update(iis_families(feasible_system(
+                        seed, m, n, x0_range=5, lower=lower)))
+                families.update(iis_families(rational_system(seed, m, n)))
+        assert families == set(IIS_FAMILIES)
 
 
 class TestLemma1Identity:

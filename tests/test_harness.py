@@ -66,7 +66,8 @@ class TestGen:
         h = hashlib.sha256()
         for spec in GEN_SPECS:
             s = gen_random_system(spec)
-            h.update((" ".join(map(str, s.A.entries)) + " | "
+            h.update((" ".join(str(x) for row in s.A.entries for x in row)
+                      + " | "
                       + " ".join(map(str, s.b.entries)) + "\n").encode())
         assert h.hexdigest() == EXPECTED_GEN_DIGEST
 

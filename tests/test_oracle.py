@@ -137,7 +137,7 @@ def reference_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
 
 def raw_matrix(rows):
     """A Matrix that keeps int entries as ints, as Matrix() allows."""
-    return Matrix(len(rows), len(rows[0]), tuple(x for r in rows for x in r))
+    return Matrix(len(rows), len(rows[0]), tuple(map(tuple, rows)))
 
 
 CERTIFICATE_EXAMPLES = {

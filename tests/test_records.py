@@ -46,9 +46,9 @@ def frozen_records():
 
     builds = [
         vec,
-        lambda: Matrix(1, 2, (1, 2)),
+        lambda: Matrix(1, 2, ((1, 2),)),
         interval,
-        lambda: RawSystem("ineq", Matrix(1, 1, (1,)), Vector(1, (2,))),
+        lambda: RawSystem("ineq", Matrix(1, 1, ((1,),)), Vector(1, (2,))),
         lambda: EarlyEmpty(1, "zero row 1", vec()),
         lambda: TriviallyNonEmpty("whole space", "note", vec()),
         std,
@@ -64,13 +64,13 @@ def frozen_records():
 
 def test_reprs():
     assert repr(Vector(2, (1, 2))) == "Vector(dim=2, entries=(1, 2))"
-    assert repr(Matrix(1, 2, (1, Fraction(1, 2)))) == (
-        "Matrix(rows=1, cols=2, entries=(1, Fraction(1, 2)))")
+    assert repr(Matrix(1, 2, ((1, Fraction(1, 2)),))) == (
+        "Matrix(rows=1, cols=2, entries=((1, Fraction(1, 2)),))")
     assert repr(Interval(-math.inf, 0)) == "Interval(lo=-inf, hi=0)"
     # split is derived, and stays out of the repr
     assert repr(system_from_rows(ROWS, BOUNDS)) == (
-        "StandardSystem(A=Matrix(rows=3, cols=1, entries=(Fraction(1, 1), "
-        "Fraction(1, 1), Fraction(-1, 1))), b=Vector(dim=3, entries=("
+        "StandardSystem(A=Matrix(rows=3, cols=1, entries=((Fraction(1, 1),), "
+        "(Fraction(1, 1),), (Fraction(-1, 1),))), b=Vector(dim=3, entries=("
         "Fraction(1, 1), Fraction(2, 1), Fraction(-3, 1))), raw_rows=None, "
         "raw_cols=None)")
     assert repr(FMResult(FEASIBLE)) == (

@@ -220,13 +220,13 @@ class TestIntegerFiles:
                 rows = [[rng.randint(-3, 3) * rng.randint(0, 1)
                          for _ in range(n)] for _ in range(m)]
                 bounds = [rng.randint(0, 3) for _ in range(m)]
-                raw = RawSystem(form, Matrix(m, n, tuple(sum(rows, []))),
+                raw = RawSystem(form, Matrix(m, n, tuple(map(tuple, rows))),
                                 Vector(m, tuple(bounds)))
                 res = standardize(raw)
                 if isinstance(res, StandardSystem):
                     standard += 1
-                    assert all(type(x) is int
-                               for x in res.A.entries + res.b.entries), raw
+                    assert all(type(x) is int for row in res.A.entries
+                               + (res.b.entries,) for x in row), raw
         assert standard > 200
 
 
