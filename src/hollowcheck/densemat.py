@@ -1,7 +1,9 @@
 """Dense linear algebra over exact rationals.
 
 A `Matrix` holds its entries as one tuple per row, `rows` tuples of
-`cols` entries each; a `Vector` holds one tuple of `dim` entries.  An entry is an int or a fractions.Fraction: `parse_system` keeps integer
+`cols` entries each; a `Vector` holds one tuple of `dim` entries.
+
+An entry is an int or a fractions.Fraction: `parse_system` keeps integer
 tokens as ints, and so do `Vector.zero` and `Vector.unit`, while
 `to_scalar`, `Matrix.from_rows` and `Vector.from_list` make Fractions.
 Every reader goes through numerator/denominator, comparisons and

@@ -250,8 +250,8 @@ def _toward_zero(x):
     return 0
 
 
-def _split(ab) -> tuple:
-    """(rows, bounds) of the rows of [A | b]."""
+def _A_b(ab) -> tuple:
+    """(rows of A, entries of b) of the rows of [A | b]."""
     return [r[:-1] for r in ab], [r[-1] for r in ab]
 
 
@@ -264,7 +264,7 @@ def shrink_discrepancy(rows, bounds):
         changed = False
         for i in range(len(ab)):
             cand = ab[:i] + ab[i + 1:]
-            if cand and _discrepancy_holds(*_split(cand)):
+            if cand and _discrepancy_holds(*_A_b(cand)):
                 ab = cand
                 changed = True
                 break
@@ -278,10 +278,10 @@ def shrink_discrepancy(rows, bounds):
                     continue
                 cand = [list(r) for r in ab]
                 cand[i][j] = _toward_zero(x)
-                if _discrepancy_holds(*_split(cand)):
+                if _discrepancy_holds(*_A_b(cand)):
                     ab = cand
                     changed = True
-    return _split(ab)
+    return _A_b(ab)
 
 
 def agreement_run(specs) -> AgreementStats:
