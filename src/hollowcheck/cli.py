@@ -6,11 +6,14 @@ Subcommands:
   probe   randomized lemma/theorem probes and oracle agreement runs
   gen     write a random admissible instance file
 
-`run` hands the arguments after a known subcommand name straight to that
-subcommand's parser, which is what the top-level parser would do with
-them; the top level parses only what that leaves unsettled (an unknown or
-missing subcommand, leftover arguments), so every usage error reads as
-before.  Under --json, `check` builds no text report.
+`run` settles a `check` argv of one input and `check`'s switches (each
+at most once) without argparse, which such a call never imports.  Any
+other argv goes to argparse: the arguments after a known subcommand name
+go straight to that subcommand's parser, which is what the top-level
+parser would do with them, and the top level parses only what that
+leaves unsettled (an unknown or missing subcommand, leftover arguments),
+so every usage error reads as before.  Under --json, `check` builds no
+text report.
 
 Exit codes: 0 not-proven-empty, 1 empty, 2 input/usage error, 3 internal
 error, including an Empty certificate that fails its exact self-check, 4
@@ -24,17 +27,19 @@ Certificates and witnesses are written in the file's own frame: a
 Input format: first data line "m n", then m lines of n+1 numbers (row of
 A then b_i).  Numbers are integers, decimals, or fractions "p/q" in ASCII
 digits, with no exponent notation, within int's 4300-digit limit; "#"
-starts a comment; blank lines are ignored; path "-" reads stdin.
+starts a comment; blank lines are ignored; path "-" reads stdin.  A
+well-formed file is read in one pass; a file with an error is read again,
+line by line, for the first error.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import re
 import sys as _sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import harness
 from .densemat import Matrix, Vector
@@ -74,14 +79,18 @@ _ROW = re.compile(f"{_NUMERAL}(?: {_NUMERAL})*")
 
 
 def _values(tokens: list) -> list:
-    """The numbers of a line's tokens: a token with no "." or "/" is an
-    int, any other a Fraction.  ValueError unless every token is a
-    documented numeral, ZeroDivisionError for p/0; int and Fraction also
-    raise ValueError past int's digit limit (4300 digits by default)."""
-    if not _ROW.fullmatch(" ".join(tokens)):
+    """The numbers of tokens, a line's or a whole file's: one match of
+    `_ROW`, then a token with no "." or "/" is an int, any other a
+    Fraction.  ValueError unless every token is a documented numeral,
+    ZeroDivisionError for p/0; int and Fraction also raise ValueError past
+    int's digit limit (4300 digits by default)."""
+    joined = " ".join(tokens)
+    if not _ROW.fullmatch(joined):
         raise ValueError(tokens)
-    return [Fraction(tok) if "." in tok or "/" in tok else int(tok)
-            for tok in tokens]
+    if "." in joined or "/" in joined:
+        return [Fraction(tok) if "." in tok or "/" in tok else int(tok)
+                for tok in tokens]
+    return list(map(int, tokens))
 
 
 def _bad_number(tokens: list, lineno: int) -> ParseError:
@@ -94,50 +103,78 @@ def _bad_number(tokens: list, lineno: int) -> ParseError:
             return ParseError(lineno, f"bad number {tok!r} (column {col})")
 
 
-def parse_system(text: str, form: str = "ineq") -> RawSystem:
-    """The system of an instance file, each line read by `_values`: one
-    match of `_ROW`, then an int or a Fraction per token.  The header's two
-    numbers must be ints.  A line ends only at LF, CRLF or CR;
-    str.splitlines would also end one at form feed, U+0085 and other
-    characters that a data line's `split` reads as spaces."""
+def _first_error(lines: list) -> ParseError:
+    """The error of the first bad line of a file that `parse_system`'s one
+    pass rejects, each line read by `_values`."""
     header = None
-    entries = []
-    bounds = []
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = 0
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         if header is None:
             if len(tokens) != 2:
-                raise ParseError(lineno, "expected header 'm n'")
+                return ParseError(lineno, "expected header 'm n'")
             try:
                 m, n = header = _values(tokens)
                 if type(m) is not int or type(n) is not int:
                     raise ValueError(tokens)
             except (ValueError, ZeroDivisionError):
                 line = raw.split("#", 1)[0].strip()
-                raise ParseError(lineno, f"bad header {line!r}") from None
+                return ParseError(lineno, f"bad header {line!r}")
             if m < 1 or n < 1:
-                raise ParseError(lineno, "m and n must be >= 1")
+                return ParseError(lineno, "m and n must be >= 1")
             continue
-        if len(bounds) == m:
-            raise ParseError(lineno, f"more than {m} data rows")
+        if rows == m:
+            return ParseError(lineno, f"more than {m} data rows")
         if len(tokens) != n + 1:
-            raise DimensionError(
+            return DimensionError(
                 lineno, f"expected {n + 1} numbers, got {len(tokens)}")
         try:
-            vals = _values(tokens)
+            _values(tokens)
         except (ValueError, ZeroDivisionError):
-            raise _bad_number(tokens, lineno) from None
-        bounds.append(vals.pop())
-        entries.append(tuple(vals))
+            return _bad_number(tokens, lineno)
+        rows += 1
     if header is None:
-        raise ParseError(0, "empty input")
-    if len(bounds) != m:
-        raise ParseError(0, f"expected {m} rows, got {len(bounds)}")
-    return RawSystem(form, Matrix(m, n, tuple(entries)),
-                     Vector(m, tuple(bounds)))
+        return ParseError(0, "empty input")
+    return ParseError(0, f"expected {m} rows, got {rows}")
+
+
+def _read_rows(rows: list, form: str):
+    """The system of a file's nonblank lines, each a list of tokens, when
+    the file is well formed, else None.  One `_values` call reads every
+    token, the header's two and each data line's n + 1."""
+    if not rows or len(rows[0]) != 2:
+        return None
+    try:
+        vals = _values([tok for row in rows for tok in row])
+    except (ValueError, ZeroDivisionError):
+        return None
+    m, n = vals[0], vals[1]
+    w = n + 1
+    if not (type(m) is int and type(n) is int and m >= 1 and n >= 1
+            and len(rows) == m + 1 and all(len(row) == w for row in rows[1:])):
+        return None
+    return RawSystem(form,
+                     Matrix(m, n, tuple(tuple(vals[k:k + n])
+                                        for k in range(2, len(vals), w))),
+                     Vector(m, tuple(vals[2 + n::w])))
+
+
+def parse_system(text: str, form: str = "ineq") -> RawSystem:
+    """The system of an instance file.  A well-formed file is read in one
+    pass (`_read_rows`); any other is read line by line for its first
+    error (`_first_error`).  The header's two numbers must be ints.  A
+    line ends only at LF, CRLF or CR; str.splitlines would also end one at
+    form feed, U+0085 and other characters that a data line's `split`
+    reads as spaces."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    system = _read_rows([tokens for tokens in (line.split("#", 1)[0].split()
+                                               for line in lines) if tokens],
+                        form)
+    if system is None:
+        raise _first_error(lines)
+    return system
 
 
 def _ratio_str(x: int, s: int) -> str:
@@ -401,10 +438,22 @@ def cmd_gen(args, out) -> int:
     return EXIT_NOT_PROVEN_EMPTY
 
 
+# `check`'s store-true switches and their help.  `_read_check` reads a
+# `check` argv of these and one input; `_parsers` adds them to the `check`
+# parser, and the first to `oracle`'s too
+_SWITCHES = (("--json", None),
+             ("--stated-order", "test families in the originally stated order"),
+             ("--oracle-check", None))
+# each switch's dest, as argparse derives it: "--stated-order" sets
+# stated_order
+_SWITCH_DESTS = {opt: opt[2:].replace("-", "_") for opt, _ in _SWITCHES}
+
+
 @functools.cache
 def _parsers() -> tuple:
     """(the top-level parser, {subcommand: its parser}), built once per
     process, on the first call."""
+    import argparse
     p = argparse.ArgumentParser(prog="hollowcheck",
                                 description="algebraic polyhedron emptiness test")
     sub = p.add_subparsers(dest="subcommand", required=True)
@@ -412,19 +461,21 @@ def _parsers() -> tuple:
 
     form_choices = sorted(set(FORMS) | {f.replace("_", "-") for f in FORMS})
 
+    def add_switches(sp, switches):
+        for opt, help_text in switches:
+            sp.add_argument(opt, action="store_true", help=help_text)
+
     def common_io(sp):
         sp.add_argument("input", help="instance file, or - for stdin")
         sp.add_argument("--form", choices=form_choices, default="ineq",
                         type=lambda s: s.replace("-", "_"))
-        sp.add_argument("--json", action="store_true")
+        add_switches(sp, _SWITCHES[:1])
 
     sp = subparsers["check"] = sub.add_parser(
         "check", help="run the emptiness test")
     common_io(sp)
     sp.add_argument("--mode", choices=MODES, default=MODE_ALGORITHM)
-    sp.add_argument("--stated-order", action="store_true", dest="stated_order",
-                    help="test families in the originally stated order")
-    sp.add_argument("--oracle-check", action="store_true", dest="oracle_check")
+    add_switches(sp, _SWITCHES[1:])
     sp.set_defaults(fn=cmd_check)
 
     sp = subparsers["oracle"] = sub.add_parser(
@@ -453,16 +504,43 @@ def _parsers() -> tuple:
     return p, subparsers
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level argparse parser."""
     return _parsers()[0]
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
-    """build_parser().parse_args(argv), without the top-level pass when
-    argv[0] names a subcommand: the top level would hand all of argv[1:] to
-    that subcommand's parser anyway.  Arguments that parser leaves over, and
-    an unknown or missing subcommand, go through the top level, whose error
+def _read_check(argv: list):
+    """What the `check` parser makes of argv[1:], when argv is "check", one
+    input (a token that does not start with "-", or "-") and switches of
+    `_SWITCHES`, each at most once; else None."""
+    if argv[:1] != ["check"]:
+        return None
+    args = dict.fromkeys(_SWITCH_DESTS.values(), False)
+    inputs = []
+    for tok in argv[1:]:
+        dest = _SWITCH_DESTS.get(tok)
+        if dest is None and (tok == "-" or not tok.startswith("-")):
+            inputs.append(tok)
+        elif dest is None or args[dest]:
+            return None
+        else:
+            args[dest] = True
+    if len(inputs) != 1:
+        return None
+    return SimpleNamespace(input=inputs[0], form="ineq", mode=MODE_ALGORITHM,
+                           fn=cmd_check, **args)
+
+
+def _parse_args(argv: list):
+    """build_parser().parse_args(argv).  `_read_check` settles a plain
+    `check` argv without argparse.  Otherwise argv[1:] goes straight to
+    the parser of the subcommand argv[0] names: the top level would hand
+    it all of argv[1:] anyway.  Arguments that parser leaves over, and an
+    unknown or missing subcommand, go through the top level, whose error
     names the program rather than the subcommand."""
+    args = _read_check(argv)
+    if args is not None:
+        return args
     top, subparsers = _parsers()
     sub = subparsers.get(argv[0]) if argv else None
     if sub is not None:

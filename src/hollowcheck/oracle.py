@@ -11,10 +11,12 @@ through the elimination stages.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
-from .densemat import Matrix, Record, Vector, check_rhs, int_scaled
+from .densemat import (Matrix, Record, Vector, check_rhs, denominator_lcm,
+                       int_scaled)
 
 DEFAULT_ROW_CAP = 100_000
 
@@ -184,9 +186,9 @@ def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
     """Exact check of a Farkas certificate against the original system.
 
     A row with y_i = 0 adds nothing to t(y)A or t(y)b.  On the other rows,
-    y, A and b are each scaled to ints by the positive lcm of their own
-    denominators, which leaves the signs of y, t(y)A and t(y)b alone, and
-    the check runs in ints.
+    y, b and the rows of A are each scaled to ints by one positive lcm of
+    their denominators, which leaves the signs of y, t(y)A and t(y)b
+    alone, and the check runs in ints.
     """
     check_rhs(A, b)
     if y.dim != A.rows:
@@ -195,9 +197,12 @@ def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
     yz = int_scaled([y[i] for i in rows])
     if any(x < 0 for x in yz):
         return False
-    n = A.cols
-    Az = int_scaled([a for i in rows for a in A.entries[i]])
-    if any(sum(map(mul, yz, Az[j::n])) for j in range(n)):
+    Az = [A.entries[i] for i in rows]
+    if not all({int}.issuperset(map(type, row)) for row in Az):
+        scale = math.lcm(*map(denominator_lcm, Az))
+        Az = [[a.numerator * (scale // a.denominator) for a in row]
+              for row in Az]
+    if any(sum(map(mul, yz, col)) for col in zip(*Az)):
         return False
     return sum(map(mul, yz, int_scaled([b[i] for i in rows]))) < 0
 

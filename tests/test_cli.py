@@ -1,12 +1,15 @@
 import argparse
+import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -259,6 +262,12 @@ class TestLineParse:
     @example(text="2 1\r\n1 1/0\r\n-1 -2\r\n")
     @example(text="2 1\r1\xa02.\r-1\t-.5\r")
     @example(text="2 2\n1 2\x0c3\n-1 -2\x854\n")
+    # the one-pass read: integer-only with CRLF ends, a trailing "#", a
+    # data token past int's digit limit, and a signed, zero-padded header
+    @example(text="2 1\r\n1 -2\r\n-3 4\r\n")
+    @example(text="2 1\n1 2#\n-3 4 #\n#")
+    @example(text="1 1\n1 " + "7" * 4301 + "\n")
+    @example(text="+2 01\n1 2\n-3 4\n")
     def test_matches_the_per_token_reference(self, tmp_path_factory, text):
         assert (parse_outcome(parse_system, text)
                 == parse_outcome(reference_parse, text))
@@ -556,9 +565,11 @@ class TestOneParser:
         def counting_init(self, *args, **kwargs):
             built.append(1)
             init(self, *args, **kwargs)
-        run_cli(["check", "@IN@"], tmp_path=tmp_path, text=OK_1D)
+        # `oracle` builds the parsers; a plain `check` argv needs none
+        run_cli(["oracle", "@IN@"], tmp_path=tmp_path, text=OK_1D)
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path, text=OK_1D)
+        run_cli(["check", "@IN@", "--js"], tmp_path=tmp_path, text=OK_1D)
         run_cli(["oracle", "@IN@"], tmp_path=tmp_path, text=EMPTY_1D)
         assert built == []
 
@@ -581,9 +592,9 @@ class TestOneParser:
         assert proc.returncode == 0, proc.stderr
 
 
-    def test_check_json_parses_once_and_writes_no_text(self, tmp_path,
-                                                       monkeypatch):
-        # argv goes straight to the subcommand's parser, and --json builds
+    def test_check_json_makes_no_parse_and_writes_no_text(self, tmp_path,
+                                                          monkeypatch):
+        # a plain `check` argv is read without argparse, and --json builds
         # no text report, so the failing test is never named
         parses, labels = [], []
         parse = argparse.ArgumentParser.parse_known_args
@@ -602,11 +613,16 @@ class TestOneParser:
         code, out = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path,
                             text=EMPTY_1D)
         assert (code, out) == (EXIT_EMPTY, GOLDEN_EMPTY)
-        assert parses == ["hollowcheck check"]
+        assert parses == []
         assert labels == []
         _, out = run_cli(["check", "@IN@"], tmp_path=tmp_path, text=EMPTY_1D)
         assert "failing family: canonical[" in out
         assert labels == ["canonical"]
+        # an abbreviation is argparse's to settle
+        code, out = run_cli(["check", "@IN@", "--js"], tmp_path=tmp_path,
+                            text=EMPTY_1D)
+        assert (code, out) == (EXIT_EMPTY, GOLDEN_EMPTY)
+        assert parses == ["hollowcheck check"]
 
 
 def old_parse_args(argv):
@@ -658,6 +674,66 @@ class TestDispatch:
         want = (run(list(argv)),) + tuple(capsys.readouterr())
         assert got == want
         assert got[1] or got[2]
+
+    # "@IN@" and "@OK@" are files; "-" reads EMPTY_1D from stdin
+    ARGV_PARTS = st.sampled_from([
+        ["--json"], ["--stated-order"], ["--oracle-check"], ["--js"],
+        ["--form", "bad"], ["--mode", "theorem"], ["-"], ["--"], ["-5"],
+        ["-h"]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(head=st.sampled_from(["check", "oracle"]),
+           parts=st.lists(ARGV_PARTS, max_size=5),
+           paths=st.lists(st.sampled_from(["@IN@", "@OK@", "-"]),
+                          min_size=1, max_size=2),
+           order=st.randoms(use_true_random=False))
+    @example(head="check", parts=[["--json"], ["--oracle-check"],
+                                  ["--stated-order"]],
+             paths=["-"], order=random.Random(0))
+    @example(head="check", parts=[["--json"], ["--json"]], paths=["@IN@"],
+             order=random.Random(0))
+    def test_argv_reader_matches_argparse(self, tmp_path_factory, head,
+                                          parts, paths, order):
+        files = tmp_path_factory.getbasetemp() / "argv-reader"
+        files.mkdir(exist_ok=True)
+        named = {"@IN@": files / "empty.txt", "@OK@": files / "ok.txt"}
+        named["@IN@"].write_text(EMPTY_1D)
+        named["@OK@"].write_text(OK_1D)
+        parts = parts + [[str(named.get(p, p))] for p in paths]
+        order.shuffle(parts)
+        argv = [head] + [tok for part in parts for tok in part]
+        outcomes = []
+        for parse_args in (cli._parse_args, old_parse_args):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(cli, "_parse_args", parse_args), \
+                    mock.patch.object(sys, "stdin", io.StringIO(EMPTY_1D)), \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = run(list(argv))
+            outcomes.append((code, out.getvalue(), err.getvalue()))
+        assert outcomes[0] == outcomes[1]
+        read = cli._read_check(argv)
+        if read is not None:
+            sub = cli._parsers()[1][head]
+            assert vars(read) == vars(sub.parse_known_args(argv[1:])[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "in.txt"],
+        ["check", "--json", "-"],
+        ["check", "--oracle-check", "in.txt", "--stated-order", "--json"],
+    ])
+    def test_argv_reader_settles_a_plain_check(self, argv):
+        assert cli._read_check(argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["oracle", "in.txt"], ["check"], ["check", "a", "b"],
+        ["check", "in.txt", "--js"], ["check", "in.txt", "--json", "--json"],
+        ["check", "in.txt", "--stated_order"], ["check", "--", "in.txt"],
+        ["check", "in.txt", "--form", "ineq"], ["check", "-5"],
+        ["check", "in.txt", "-h"],
+    ])
+    def test_argv_reader_leaves_the_rest_to_argparse(self, argv):
+        assert cli._read_check(argv) is None
 
 
 class TestModuleEntryPoint:

@@ -191,7 +191,8 @@ def test_heavy_import_is_caught():
 
 
 def test_check_loads_no_heavy_module(tmp_path):
-    # -S: no site module, so only what hollowcheck itself imports is loaded
+    # -S: no site module, so only what hollowcheck itself imports is loaded;
+    # a plain `check` argv is read without argparse
     path = tmp_path / "in.txt"
     path.write_text("3 1\n1 1\n1 2\n-1 -3\n")
     script = (
@@ -199,8 +200,8 @@ def test_check_loads_no_heavy_module(tmp_path):
         f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
         "from hollowcheck import cli\n"
         f"code = cli.run(['check', {str(path)!r}, '--json'], out=io.StringIO())\n"
-        "print(code, sorted(m for m in ('dataclasses', 'inspect', 'typing')\n"
-        "                   if m in sys.modules))\n")
+        "print(code, sorted(m for m in ('argparse', 'dataclasses', 'inspect',\n"
+        "                                'typing') if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, timeout=60,
                           check=True)
