@@ -51,6 +51,27 @@ decide builds no Fraction: `Certificate.kprime`, `.interval` and
 makes that check before it returns Empty, so the Empty verdict is
 unconditionally sound; the converse rests on the enumeration being
 sufficient and is only measured (see harness).
+
+`walk` carries the split along a path of A2s: Lemke's dual simplex on
+Ax <= b with a zero objective, under Bland's rule on row indices.  A
+basis B of n independent rows is one A2, and the walk pivots copies of
+the ints Rz, r and D of `decompose`.  At each basis it runs the
+canonical family on the violated rows (r_i < 0): a failure is the
+integer Farkas vector y_i = D, y_B = -Rz_i.  With no row violated, x_B
+is a point of the set, solved by one `eliminate([A_B | b_B])`.
+Otherwise the least violated row i enters, in place of the least basis
+row B_l with Rz_il > 0 (one exists, or canonical test i fails), and with
+p = Rz_il every other row k becomes (p Rz_k - Rz_kl Rz_i) // D, with
+entry l kept as Rz_kl, r_k becomes (p r_k - Rz_kl r_i) // D, row i
+becomes -Rz_i with entry l set to D, r_i becomes -r_i, and D becomes p.
+Rz is then D R at the new basis, with D its determinant for integer A
+(the split scales each column of A to ints, which leaves R alone), so
+every division is exact (Edmonds 1967; Bareiss 1968).  With a zero
+objective every ratio ties at 0, so this is Bland's rule on the dual
+(Bland 1977), which never returns to a basis: the walk ends, after at
+most C(m, n) pivots, in an Empty or a feasible answer.  A pivot budget
+turns the rare long path (Klee and Minty 1972) into an explicit
+outcome.  Each answer is checked exactly before `walk` returns it.
 """
 from __future__ import annotations
 
@@ -65,7 +86,7 @@ from .interval import NEG_INF, POS_INF, Interval
 # unused here, but bench/tracer.py patches them by these names in this module
 from .densemat import invert, mat_mul, vec_mat  # noqa: F401
 from .interval import iv_dot  # noqa: F401
-from .oracle import validate_certificate
+from .oracle import validate_certificate, validate_witness
 from .standardize import StandardSystem
 
 MODE_ALGORITHM = "algorithm"
@@ -108,6 +129,14 @@ class Decomposition(Record):
     @property
     def n(self) -> int:
         return self.A.cols
+
+    @property
+    def b(self) -> Vector:
+        """The system's b, in original row order."""
+        b = [None] * self.m
+        for p, orig in enumerate(self.row_perm):
+            b[orig] = self.b_perm[p]
+        return Vector(self.m, tuple(b))
 
     @property
     def R(self) -> Matrix:
@@ -496,3 +525,98 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
                                mode)
     return EmptinessReport(NOT_PROVEN_EMPTY, None, sum(counts.values()),
                            counts, mode)
+
+
+NONEMPTY = "NONEMPTY"
+BUDGET_SPENT = "BUDGET_SPENT"
+# pivots a walk may make; a Bland path at m <= 14 and n <= 3, the
+# harness's shapes, makes at most C(14, 3) = 364
+PIVOT_BUDGET = 1000
+
+
+class WalkResult(Record):
+    """The end of a Bland walk: Empty, a point, or the budget spent."""
+    __slots__ = _fields = (
+        "status",       # EMPTY | NONEMPTY | BUDGET_SPENT
+        "pivots",
+        "basis",        # the rows of the last A2, by position, original
+                        # row indices
+        "row",          # EMPTY: the row whose canonical test failed
+        "y",            # EMPTY: the integer Farkas vector, original row
+                        # order: y >= 0, t(y)A = 0, t(y)b < 0
+        "witness",      # NONEMPTY: x_B, with A x_B <= b
+    )
+
+
+def _vertex(dec: Decomposition, basis: list) -> Vector:
+    """x_B = A_B^-1 b_B, read off one elimination of [A_B | b_B]: its rows
+    are det [I | x_B]."""
+    b = dec.b
+    rows, _, det = eliminate(Matrix(dec.n, dec.n + 1, tuple(
+        dec.A.entries[i] + (b[i],) for i in basis)))
+    return Vector(dec.n, tuple(Fraction(row[dec.n], det) for row in rows))
+
+
+def _bland_path(dec: Decomposition, budget: int) -> WalkResult:
+    """The walk of `walk`, unchecked."""
+    d = dec.m - dec.n
+    rows = list(dec.row_perm[:d])   # the original row of each tableau row
+    basis = list(dec.row_perm[d:])  # the original row at each position
+    Rz = [list(row) for row in dec.Rz]
+    r = list(dec.r)
+    D = dec.D
+    pivots = 0
+    while True:
+        violated = sorted((rows[k], k) for k in range(d) if r[k] < 0)
+        if not violated:
+            return WalkResult(NONEMPTY, pivots, tuple(basis), None, None,
+                              _vertex(dec, basis))
+        for orig, k in violated:
+            if max(Rz[k]) <= 0:
+                y = [0] * dec.m
+                y[orig] = D
+                for x, row in zip(Rz[k], basis):
+                    y[row] = -x
+                return WalkResult(EMPTY, pivots, tuple(basis), orig,
+                                  Vector(dec.m, tuple(y)), None)
+        if pivots == budget:
+            return WalkResult(BUDGET_SPENT, pivots, tuple(basis), None, None,
+                              None)
+        i = violated[0][1]
+        Ri, ri = Rz[i], r[i]
+        l = min((l for l, x in enumerate(Ri) if x > 0),
+                key=basis.__getitem__)
+        p = Ri[l]
+        for k, Rk in enumerate(Rz):
+            f = Rk[l]
+            if k == i or not f and p == D:
+                continue
+            Rz[k] = [(p * a - f * c) // D for a, c in zip(Rk, Ri)]
+            Rz[k][l] = f
+            r[k] = (p * r[k] - f * ri) // D
+        Rz[i] = [-x for x in Ri]
+        Rz[i][l] = D
+        r[i] = -ri
+        rows[i], basis[l] = basis[l], rows[i]
+        D = p
+        pivots += 1
+
+
+def walk(dec: Decomposition, budget: int = PIVOT_BUDGET) -> WalkResult:
+    """Bland's walk from the basis of `dec` (see the module docstring):
+    Empty with an integer Farkas vector, NONEMPTY with a point, or
+    BUDGET_SPENT after `budget` pivots with neither.  Each answer is
+    checked exactly against the system first; one that fails raises
+    SoundnessViolation."""
+    res = _bland_path(dec, budget)
+    if res.status == EMPTY:
+        ok = validate_certificate(dec.A, dec.b, res.y)
+    elif res.status == NONEMPTY:
+        ok = validate_witness(dec.A, dec.b, res.witness)
+    else:
+        return res
+    if not ok:
+        raise SoundnessViolation(
+            f"walk answer {res.status} after {res.pivots} pivots fails the "
+            f"exact check")
+    return res

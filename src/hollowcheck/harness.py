@@ -1,9 +1,15 @@
 """Randomized probes for every lemma/theorem behind the emptiness test,
 plus agreement runs against the Fourier-Motzkin oracle.
 
-All probes use exact rational arithmetic.  Soundness (Empty implies the
-oracle agrees) is hard-asserted; completeness of the enumeration is only
-tallied, with discrepancies shrunk to small reportable instances.
+All probes use exact arithmetic; the generator's systems are in ints.
+Soundness (Empty implies the oracle agrees) is hard-asserted;
+completeness of the enumeration is only tallied, with discrepancies
+shrunk to small reportable instances.  Two exact oracles serve: FM
+(`oracle.fm_feasible`) decides each instance of an agreement run and
+each row of `probe_theorem1`, and it confirms each shrunk discrepancy
+once; the shrinker's predicate asks `emptiness.walk`, whose answers are
+checked exactly before they are read.  Both decide the same question
+exactly, so the shrink takes the same steps under either.
 """
 from __future__ import annotations
 
@@ -13,9 +19,9 @@ from fractions import Fraction
 from .densemat import (Matrix, Record, Vector, mat_mul, mat_vec,
                        pinv_append_row, pinv_full_col_rank, rank, rref)
 from .emptiness import (EMPTY, SoundnessViolation, build_U, decide,
-                        decompose)
-from .oracle import (FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible,
-                     validate_certificate, validate_witness)
+                        decompose, walk)
+from .oracle import (FEASIBLE, INFEASIBLE, fm_feasible, validate_certificate,
+                     validate_witness)
 from .standardize import NotStandard, StandardSystem
 
 DEFAULT_INSTANCES = 100
@@ -81,16 +87,26 @@ def system_from_rows(rows, bounds) -> StandardSystem:
     return StandardSystem(Matrix.from_rows(rows), Vector.from_list(bounds))
 
 
+def _system(rows, bounds) -> StandardSystem:
+    """The system of rows and bounds with their entries as they are."""
+    return StandardSystem(Matrix(len(rows), len(rows[0]),
+                                 tuple(map(tuple, rows))),
+                          Vector(len(bounds), tuple(bounds)))
+
+
 def gen_random_system(spec: GenSpec) -> StandardSystem:
-    """Integer system satisfying the standing assumptions; seed-deterministic."""
+    """Integer system satisfying the standing assumptions; seed-deterministic.
+    Its entries are the ints drawn."""
     rng = random.Random(spec.seed)
+    er, br = spec.entry_range, spec.b_range
     for _ in range(MAX_REJECTS):
-        A = Matrix.from_rows([[rng.randint(-spec.entry_range, spec.entry_range)
-                               for _ in range(spec.n)] for _ in range(spec.m)])
+        A = Matrix(spec.m, spec.n, tuple(
+            tuple(rng.randint(-er, er) for _ in range(spec.n))
+            for _ in range(spec.m)))
         # b is drawn only for an accepted A: a rejected draw rewinds it
         state = rng.getstate()
-        b = Vector.from_list([rng.randint(-spec.b_range, spec.b_range)
-                              for _ in range(spec.m)])
+        b = Vector(spec.m, tuple(rng.randint(-br, br)
+                                 for _ in range(spec.m)))
         try:
             return StandardSystem(A, b)
         except NotStandard:
@@ -224,21 +240,19 @@ def probe_theorem1(sys: StandardSystem) -> dict:
 
 
 def _discrepancy_holds(rows, bounds) -> bool:
-    """The shrink predicate: still NotProvenEmpty yet oracle-infeasible.
+    """The shrink predicate: still NotProvenEmpty, yet the walk proves the
+    system empty.
 
-    Only the oracle's row cap counts as "does not hold"; any other error,
-    a SoundnessViolation above all, propagates.
+    A walk that spends its pivot budget (BUDGET_SPENT) counts as "does
+    not hold"; any error, a SoundnessViolation above all, propagates.
     """
     try:
-        sys = system_from_rows(rows, bounds)
+        sys = _system(rows, bounds)
     except NotStandard:
         return False
     if decide(sys).verdict == EMPTY:
         return False
-    try:
-        return fm_feasible(sys.A, sys.b).status == INFEASIBLE
-    except SizeExceeded:
-        return False
+    return walk(decompose(sys)).status == EMPTY
 
 
 def _toward_zero(x):
@@ -257,7 +271,8 @@ def _A_b(ab) -> tuple:
 
 def shrink_discrepancy(rows, bounds):
     """Greedy row removal, then entry magnitudes pulled toward zero, on
-    the rows of [A | b]: each row's coefficients, then its bound."""
+    the rows of [A | b]: each row's coefficients, then its bound.  Each
+    step keeps `_discrepancy_holds`."""
     ab = [list(r) + [x] for r, x in zip(rows, bounds)]
     changed = True
     while changed:
@@ -291,7 +306,9 @@ def agreement_run(specs) -> AgreementStats:
     system infeasible, and decide has already checked the Farkas
     certificate exactly against the same A and b.  The NotProvenEmpty
     tallies are the empirical completeness measurement.  A discrepancy
-    counts only when the oracle's infeasibility certificate checks exactly.
+    counts only when the oracle's infeasibility certificate checks
+    exactly, and it is shrunk and reported only when the oracle finds the
+    shrunk system infeasible too, with a certificate that checks exactly.
     decide runs in its default mode: the mode sets only `tests_run`, which
     no tally reads.
     """
@@ -321,6 +338,13 @@ def agreement_run(specs) -> AgreementStats:
                     f"oracle certificate fails its own system (seed={spec.seed})")
             rows, bounds = shrink_discrepancy(sys.A.row_lists(),
                                               list(sys.b.entries))
+            shrunk = _system(rows, bounds)
+            confirm = fm_feasible(shrunk.A, shrunk.b)
+            if not (confirm.status == INFEASIBLE and validate_certificate(
+                    shrunk.A, shrunk.b, confirm.certificate)):
+                raise SoundnessViolation(
+                    f"oracle does not confirm the shrunk discrepancy "
+                    f"(seed={spec.seed})")
             discrepancies.append(Discrepancy(
                 rows, bounds, report.verdict, res.status, spec.seed))
     discrepancies.sort(key=lambda d: (len(d.rows), d.seed))

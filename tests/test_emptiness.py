@@ -14,17 +14,20 @@ from hollowcheck.densemat import (Matrix, Vector, denominator_lcm, eliminate,
                                   int_scaled, invert, left_nullspace_basis,
                                   mat_mul, mat_vec, orth_complement_basis,
                                   rank, vec_mat)
-from hollowcheck.emptiness import (DEFAULT_ORDER, EMPTY, FAMILY_B1_PERP,
-                                   FAMILY_CANONICAL, FAMILY_KERNEL,
-                                   FAMILY_PAIR, FAMILY_RB2_PERP,
-                                   MODE_ALGORITHM, MODE_THEOREM,
-                                   NOT_PROVEN_EMPTY, STATED_ORDER, build_U,
+from hollowcheck.emptiness import (BUDGET_SPENT, DEFAULT_ORDER, EMPTY,
+                                   FAMILY_B1_PERP, FAMILY_CANONICAL,
+                                   FAMILY_KERNEL, FAMILY_PAIR,
+                                   FAMILY_RB2_PERP, MODE_ALGORITHM,
+                                   MODE_THEOREM, NONEMPTY, NOT_PROVEN_EMPTY,
+                                   PIVOT_BUDGET, STATED_ORDER,
+                                   SoundnessViolation, WalkResult, build_U,
                                    decide, decompose, family_tests,
-                                   farkas_from, in_cone_G, run_test)
+                                   farkas_from, in_cone_G, run_test, walk)
 from hollowcheck.interval import contains_zero, iv_dot
 from hollowcheck.harness import (GenSpec, agreement_run, gen_random_system,
                                 system_from_rows)
-from hollowcheck.oracle import INFEASIBLE, fm_feasible, validate_certificate
+from hollowcheck.oracle import (INFEASIBLE, fm_feasible, validate_certificate,
+                                validate_witness)
 from hollowcheck.standardize import RawSystem, StandardSystem, standardize
 
 
@@ -50,6 +53,23 @@ PAIR_C0_A_NEG = ([[1, 0], [0, 1], [0, -1], [-1, 1]], [0, 0, -1, 5])
 PAIR_A_NEG = ([[1, 0], [0, 1], [1, -2], [-2, -1], [1, -2]], [0, -1, 0, 1, 1])
 PAIR_C_NEG_A0 = ([[1, 0], [0, 1], [-1, 0], [0, -1]], [0, 0, 0, -1])
 PAIR_C_NEG = ([[1, 0], [0, 1], [1, 1], [-1, 0], [1, -2]], [0, -2, 1, 2, 0])
+# criterion 6's shrunk discrepancies (seeds 5125, 5177, 5268, 5357, 5377,
+# 5424, 5444): NOT_PROVEN_EMPTY, yet empty; the walk proves each after
+# two pivots
+CRITERION_6_SHRUNK = (
+    ([[0, -1, 0], [1, 0, 0], [-1, -2, 0], [0, 0, 1], [1, 0, -1], [0, 3, 0]],
+     [0, 0, -2, -1, 0, 3]),
+    ([[0, 0, -1], [0, -1, 0], [-1, 0, 0], [-1, 0, 1], [1, 1, 0], [1, -1, 0]],
+     [0, 0, 0, -1, 1, 0]),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -1, 0], [0, 0, -1], [-1, 0, 1]],
+     [0, -1, 0, 0, 0, 0]),
+    ([[-1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 1], [1, 0, 0], [-1, 0, -1]],
+     [0, 0, 0, -1, 0, 0]),
+    ([[-1, 0, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1], [0, 1, 0], [1, -1, -2]],
+     [0, 0, 1, -1, 0, 1]),
+    ([[0, 1], [1, 0], [0, 1], [0, -1], [-1, 0], [1, 1]], [0, 0, 0, 0, 0, -1]),
+    ([[0, -1], [1, 0], [0, -1], [-1, -2], [0, 2], [1, 0]], [0, 1, 0, -2, 1, 0]),
+)
 
 
 def sys_of(rows, b):
@@ -898,21 +918,177 @@ def iis_families(sysr) -> list:
     return families
 
 
+def walk_is_iis(sysr) -> bool:
+    """Whether sysr's walk ends Empty, its certificate's support S checked
+    for rank(A_S) = |S| - 1: S is the failing row and the basis rows it
+    combines, which are independent."""
+    res = walk(decompose(sysr))
+    if res.status != EMPTY:
+        return False
+    support = [i for i, x in enumerate(res.y.entries) if x]
+    A_S = Matrix(len(support), sysr.n,
+                 tuple(sysr.A.entries[i] for i in support))
+    assert rank(A_S) == len(support) - 1, res
+    return True
+
+
 class TestIIS:
     @settings(max_examples=300, deadline=None)
     @given(battery_systems())
     def test_small_systems(self, sysr):
         iis_families(sysr)
+        walk_is_iis(sysr)
 
     def test_seeded_draws(self):
         families = set()
+        walk_empties = 0
         for seed in range(40):
             for m, n in ((6, 2), (8, 2), (12, 3), (13, 3)):
-                for lower in (0, 1, 2):
-                    families.update(iis_families(feasible_system(
-                        seed, m, n, x0_range=5, lower=lower)))
-                families.update(iis_families(rational_system(seed, m, n)))
+                systems = [feasible_system(seed, m, n, x0_range=5, lower=lower)
+                           for lower in (0, 1, 2)]
+                systems.append(rational_system(seed, m, n))
+                for sysr in systems:
+                    families.update(iis_families(sysr))
+                    walk_empties += walk_is_iis(sysr)
         assert families == set(IIS_FAMILIES)
+        assert walk_empties > 200
+
+    def test_walk_past_the_battery(self):
+        # the criterion 6 misses, which the walk settles after pivots
+        for rows, b in CRITERION_6_SHRUNK:
+            assert walk_is_iis(sys_of(rows, b))
+
+
+def walk_corpus(shapes=((6, 2), (8, 2), (12, 3), (13, 3)), seeds=30):
+    """Seeded integer systems, feasible and mostly infeasible, their p/q
+    versions, and criterion 6's shrunk discrepancies."""
+    systems = []
+    for seed in range(seeds):
+        for m, n in shapes:
+            systems += [feasible_system(seed, m, n, lower=lower)
+                        for lower in (0, 1, 2)]
+            systems.append(rational_system(seed, m, n))
+    return systems + [sys_of(*case) for case in CRITERION_6_SHRUNK]
+
+
+def reference_walk(sysr, budget):
+    """The walk read off R = A_N A_B^-1 and x_B = A_B^-1 b_B in Fractions,
+    built afresh at each basis: (status, pivots, basis, failing row)."""
+    A, b, n = sysr.A, sysr.b, sysr.n
+    dec = decompose(sysr)
+    basis = list(dec.row_perm[dec.m - n:])
+    pivots = 0
+    while True:
+        Binv = invert(Matrix(n, n, tuple(A.entries[i] for i in basis)))
+        x = mat_vec(Binv, Vector(n, tuple(b[i] for i in basis)))
+        violated = [i for i in range(sysr.m) if i not in basis
+                    and dot(A.entries[i], x.entries) > b[i]]
+        if not violated:
+            return NONEMPTY, pivots, tuple(basis), None
+        R = {i: vec_mat(A.row(i), Binv).entries for i in violated}
+        for i in violated:
+            if max(R[i]) <= 0:
+                return EMPTY, pivots, tuple(basis), i
+        if pivots == budget:
+            return BUDGET_SPENT, pivots, tuple(basis), None
+        i = violated[0]
+        l = min((l for l in range(n) if R[i][l] > 0), key=basis.__getitem__)
+        basis[l] = i
+        pivots += 1
+
+
+class TestWalk:
+    def test_matches_fm_on_seeded_corpus(self):
+        statuses = {}
+        rational = 0
+        # FM takes about 0.1 s on a (12, 3) system
+        for sysr in walk_corpus(((6, 2), (8, 2), (9, 3), (10, 3)), 20):
+            res = walk(decompose(sysr))
+            oracle = fm_feasible(sysr.A, sysr.b)
+            assert res.status != BUDGET_SPENT
+            assert (res.status == EMPTY) == (oracle.status == INFEASIBLE)
+            if res.status == EMPTY:
+                assert validate_certificate(sysr.A, sysr.b, res.y)
+                assert {type(x) for x in res.y.entries} == {int}
+            else:
+                assert validate_witness(sysr.A, sysr.b, res.witness)
+            statuses[res.status, res.pivots > 0] = True
+            rational += any(type(x) is Fraction for x in sysr.b.entries)
+        assert set(statuses) == {(EMPTY, False), (EMPTY, True),
+                                 (NONEMPTY, False), (NONEMPTY, True)}
+        assert rational > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(battery_systems())
+    def test_matches_fm_on_small_systems(self, sysr):
+        res = walk(decompose(sysr))
+        assert ((res.status == EMPTY)
+                == (fm_feasible(sysr.A, sysr.b).status == INFEASIBLE))
+
+    def test_pivots_match_the_fraction_walk(self):
+        # the integer pivot rule keeps Rz = D R and r at every basis, so
+        # the walk takes the Fraction walk's path, pivot for pivot
+        pivots = 0
+        for sysr in walk_corpus():
+            res = walk(decompose(sysr))
+            assert (res.status, res.pivots, res.basis, res.row) \
+                == reference_walk(sysr, PIVOT_BUDGET)
+            pivots += res.pivots
+        assert pivots > 300
+
+    def test_canonical_empty_after_no_pivot(self):
+        # a canonical failure at decompose's basis is the walk's answer,
+        # with the battery's own Farkas vector, and the walk ends Empty
+        # with no pivot only then
+        caught = 0
+        for sysr in walk_corpus():
+            report = decide(sysr)
+            res = walk(decompose(sysr))
+            if report.is_empty and report.certificate.family == FAMILY_CANONICAL:
+                assert (res.status, res.pivots) == (EMPTY, 0)
+                assert res.y == report.certificate.y
+                caught += 1
+            else:
+                assert res.pivots > 0 or res.status == NONEMPTY
+        assert caught > 50
+
+    def test_budget(self):
+        # a walk that needs k pivots spends a budget of k - 1 and answers
+        # under a budget of k
+        needs = set()
+        for sysr in walk_corpus():
+            dec = decompose(sysr)
+            res = walk(dec)
+            k = res.pivots
+            if k < 2:
+                continue
+            spent = walk(dec, k - 1)
+            assert (spent.status, spent.pivots, spent.y, spent.witness) \
+                == (BUDGET_SPENT, k - 1, None, None)
+            assert walk(dec, k) == res
+            needs.add((res.status, k))
+        assert {status for status, _ in needs} == {EMPTY, NONEMPTY}
+        assert max(k for _, k in needs) >= 3
+
+    @pytest.mark.parametrize("case", [CRITERION_6_SHRUNK[0], OK_1D])
+    def test_tampered_answer_raises(self, case, monkeypatch):
+        # walk checks its own answer: a Farkas vector or a point that
+        # fails its exact check never leaves it
+        real = emptiness._bland_path
+
+        def tampered(dec, budget):
+            res = real(dec, budget)
+            if res.status == EMPTY:
+                return WalkResult(EMPTY, res.pivots, res.basis, res.row,
+                                  res.y.neg(), None)
+            return WalkResult(NONEMPTY, res.pivots, res.basis, None, None,
+                              Vector(dec.n, tuple(x + 100 for x
+                                                  in res.witness.entries)))
+        dec = decompose(sys_of(*case))
+        assert walk(dec).status in (EMPTY, NONEMPTY)
+        monkeypatch.setattr(emptiness, "_bland_path", tampered)
+        with pytest.raises(SoundnessViolation, match="fails the exact check"):
+            walk(dec)
 
 
 class TestLemma1Identity:

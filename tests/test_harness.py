@@ -27,6 +27,11 @@ GEN_SPECS = [GenSpec(seed, m, n, er, br)
 # decided each A with check_assumptions before drawing b
 EXPECTED_GEN_DIGEST = \
     "35e8517fede3637ee71f43ac8fae14dc405685da00932a8b36bf417c6a1ed152"
+# the one discrepancy of `probe --suite agreement --instances 20 --seed 100`
+DISCREPANCY_SPEC = GenSpec(seed=105, m=7, n=3)
+DISCREPANCY_SHRUNK = (
+    [[-3, -4, 0], [3, 4, 0], [0, -1, 0], [0, -2, -1], [1, 0, 0], [-1, 1, 1]],
+    [0, 0, 0, 0, -1, 0])
 # sha256 of the shrunk discrepancies of criterion 6's agreement run
 EXPECTED_CRITERION_6_DIGEST = \
     "388491ecbe6ff7ab5440f81f3d147872bdc328a907e1c3ada096076100939485"
@@ -56,6 +61,14 @@ class TestGen:
     def test_invariant_rejects_square(self):
         with pytest.raises(ValueError):
             GenSpec(seed=0, m=3, n=3)
+
+    def test_entries_are_ints(self):
+        # the draws as they are: decide and the walk run on ints, as for
+        # an all-integer file
+        for spec in GEN_SPECS[:60]:
+            s = gen_random_system(spec)
+            assert {type(x) for row in s.A.entries for x in row} == {int}
+            assert {type(x) for x in s.b.entries} == {int}
 
     def test_output_passes_assumptions(self):
         for seed in range(20):
@@ -188,6 +201,31 @@ class TestAgreement:
         with pytest.raises(SoundnessViolation, match="oracle certificate"):
             agreement_run([spec])
 
+    def test_fm_confirms_each_shrunk_discrepancy(self, monkeypatch):
+        # FM decides the instance and then the shrunk instance, once each
+        calls = []
+
+        def recording(A, b):
+            calls.append(A.rows)
+            return fm_feasible(A, b)
+        monkeypatch.setattr(harness, "fm_feasible", recording)
+        stats = agreement_run([DISCREPANCY_SPEC])
+        (disc,) = stats.discrepancies
+        assert (disc.rows, disc.bounds) == DISCREPANCY_SHRUNK
+        assert calls == [DISCREPANCY_SPEC.m, len(disc.rows)]
+
+    def test_unconfirmed_shrunk_discrepancy_raises(self, monkeypatch):
+        calls = []
+
+        def second_says_feasible(A, b):
+            calls.append(1)
+            res = fm_feasible(A, b)
+            return res if len(calls) == 1 else FMResult(
+                FEASIBLE, witness=Vector.zero(A.cols))
+        monkeypatch.setattr(harness, "fm_feasible", second_says_feasible)
+        with pytest.raises(SoundnessViolation, match="does not confirm"):
+            agreement_run([DISCREPANCY_SPEC])
+
     def test_criterion_6_pinned(self):
         # criterion 6 prints its tallies; this pins them and the shrunk
         # instances, seeds 5000-5499 over test_acceptance._shapes(8, 3)
@@ -219,12 +257,44 @@ class TestShrink:
         assert len(rows) >= 1
 
     def test_soundness_violation_propagates(self, monkeypatch):
-        # only the oracle's row cap may stop the predicate quietly
+        # only a spent pivot budget may stop the predicate quietly
         def broken(sys):
             raise SoundnessViolation("injected")
         monkeypatch.setattr(harness, "decide", broken)
         with pytest.raises(SoundnessViolation):
             shrink_discrepancy([[1], [1], [-1]], [1, 2, -3])
+
+    def test_walk_decides_each_step(self, monkeypatch):
+        # the predicate asks the walk, not FM, and the shrink ends on the
+        # instance criterion 6 would report
+        monkeypatch.setattr(harness, "fm_feasible", None)
+        s = gen_random_system(DISCREPANCY_SPEC)
+        rows, bounds = shrink_discrepancy(s.A.row_lists(), list(s.b.entries))
+        assert (rows, bounds) == DISCREPANCY_SHRUNK
+
+    def test_spent_budget_leaves_shrink_unchanged(self, monkeypatch):
+        # every candidate needs a pivot, as decide's canonical family
+        # passes on it: with no pivot to spend, no step holds
+        monkeypatch.setattr(harness, "walk",
+                            lambda dec: emptiness.walk(dec, 0))
+        s = gen_random_system(DISCREPANCY_SPEC)
+        rows, bounds = s.A.row_lists(), list(s.b.entries)
+        assert shrink_discrepancy(rows, bounds) == (rows, bounds)
+
+    def test_tampered_walk_answer_raises(self, monkeypatch):
+        # a walk answer is checked before the predicate reads it
+        real = emptiness._bland_path
+
+        def tampered(dec, budget):
+            res = real(dec, budget)
+            return res if res.y is None else emptiness.WalkResult(
+                res.status, res.pivots, res.basis, res.row, res.y.neg(), None)
+        monkeypatch.setattr(emptiness, "_bland_path", tampered)
+        s = gen_random_system(DISCREPANCY_SPEC)
+        with pytest.raises(SoundnessViolation, match="fails the exact check"):
+            shrink_discrepancy(s.A.row_lists(), list(s.b.entries))
+        with pytest.raises(SoundnessViolation, match="fails the exact check"):
+            agreement_run([DISCREPANCY_SPEC])
 
     def test_entry_pull_stops_at_zero(self, monkeypatch):
         # a predicate that keeps every row and accepts every entry pull:

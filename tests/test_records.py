@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from hollowcheck.densemat import Matrix, Record, Vector
-from hollowcheck.emptiness import Certificate, EmptinessReport, decompose
+from hollowcheck.emptiness import (Certificate, EmptinessReport, decompose,
+                                   walk)
 from hollowcheck.harness import (AgreementStats, Discrepancy, GenSpec,
                                  system_from_rows)
 from hollowcheck.interval import Interval
@@ -58,6 +59,7 @@ def frozen_records():
                                 "algorithm"),
         lambda: FMResult(FEASIBLE, witness=vec()),
         lambda: GenSpec(0, 6, 2),
+        lambda: walk(dec()),
     ]
     return [(build(), build()) for build in builds]
 
