@@ -19,7 +19,7 @@ def main():
                      n=shapes[i % len(shapes)][1]) for i in range(200)]
 
     stats = agreement_run(specs)
-    # decide's default mode; the theorem mode changes only tests_run
+    # decide runs one battery, which counts the algorithm's tests
     print("=== mode: algorithm")
     print(f"instances:              {stats.total}")
     print(f"empty, oracle agrees:   {stats.empty_agree}")

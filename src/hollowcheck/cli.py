@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 from . import harness
 from .densemat import Matrix, Vector
-from .emptiness import EMPTY, MODE_ALGORITHM, MODES, SoundnessViolation, decide
+from .emptiness import EMPTY, SoundnessViolation, decide
 from .oracle import FEASIBLE, INFEASIBLE, SizeExceeded, fm_feasible
 from .standardize import (EarlyEmpty, FORMS, RawSystem, TriviallyNonEmpty,
                           standardize)
@@ -192,11 +192,12 @@ def _vec_json(v: Vector) -> list:
     return [_frac_str(x) for x in v.entries]
 
 
-def _report_obj(verdict, mode, tests_run, families, certificate) -> dict:
-    # the arithmetic is always exact rational; the key stays for stable output
+def _report_obj(verdict, tests_run, families, certificate) -> dict:
+    # the arithmetic is always exact rational and the battery counts the
+    # algorithm's tests; the two keys stay for stable output
     return {
         "verdict": verdict,
-        "mode": mode,
+        "mode": "algorithm",
         "backend": "rational",
         "tests_run": tests_run,
         "families": families,
@@ -222,7 +223,7 @@ def report_to_jsonable(report, std) -> dict:
             "farkas_y": [_ratio_str(x, s)
                          for x in std.original_farkas(c.y).entries],
         }
-    return _report_obj(report.verdict, report.mode, report.tests_run,
+    return _report_obj(report.verdict, report.tests_run,
                        dict(sorted(report.family_counts.items())), cert)
 
 
@@ -336,17 +337,17 @@ def cmd_check(args, out) -> int:
     std = standardize(parse_system(_read_input(args.input), args.form))
     report = None
     if isinstance(std, EarlyEmpty):
-        obj = _report_obj(EMPTY, args.mode, 0, {}, {
+        obj = _report_obj(EMPTY, 0, {}, {
             "family": "presolve",
             "k_prime": None,
             "interval": None,
             "farkas_y": _vec_json(std.farkas_y),
         })
     elif isinstance(std, TriviallyNonEmpty):
-        obj = _report_obj("NOT_PROVEN_EMPTY", args.mode, 0, {}, None)
+        obj = _report_obj("NOT_PROVEN_EMPTY", 0, {}, None)
         obj["note"] = std.note
     else:
-        report = decide(std, mode=args.mode, stated_order=args.stated_order)
+        report = decide(std)
         obj = report_to_jsonable(report, std)
     if args.oracle_check:
         obj["oracle"] = _oracle_answer(std)
@@ -438,15 +439,13 @@ def cmd_gen(args, out) -> int:
     return EXIT_NOT_PROVEN_EMPTY
 
 
-# `check`'s store-true switches and their help.  `_read_check` reads a
-# `check` argv of these and one input; `_parsers` adds them to the `check`
-# parser, and the first to `oracle`'s too
-_SWITCHES = (("--json", None),
-             ("--stated-order", "test families in the originally stated order"),
-             ("--oracle-check", None))
-# each switch's dest, as argparse derives it: "--stated-order" sets
-# stated_order
-_SWITCH_DESTS = {opt: opt[2:].replace("-", "_") for opt, _ in _SWITCHES}
+# `check`'s store-true switches.  `_read_check` reads a `check` argv of
+# these and one input; `_parsers` adds them to the `check` parser, and the
+# first to `oracle`'s too
+_SWITCHES = ("--json", "--oracle-check")
+# each switch's dest, as argparse derives it: "--oracle-check" sets
+# oracle_check
+_SWITCH_DESTS = {opt: opt[2:].replace("-", "_") for opt in _SWITCHES}
 
 
 @functools.cache
@@ -462,8 +461,8 @@ def _parsers() -> tuple:
     form_choices = sorted(set(FORMS) | {f.replace("_", "-") for f in FORMS})
 
     def add_switches(sp, switches):
-        for opt, help_text in switches:
-            sp.add_argument(opt, action="store_true", help=help_text)
+        for opt in switches:
+            sp.add_argument(opt, action="store_true")
 
     def common_io(sp):
         sp.add_argument("input", help="instance file, or - for stdin")
@@ -474,7 +473,6 @@ def _parsers() -> tuple:
     sp = subparsers["check"] = sub.add_parser(
         "check", help="run the emptiness test")
     common_io(sp)
-    sp.add_argument("--mode", choices=MODES, default=MODE_ALGORITHM)
     add_switches(sp, _SWITCHES[1:])
     sp.set_defaults(fn=cmd_check)
 
@@ -527,8 +525,8 @@ def _read_check(argv: list):
             args[dest] = True
     if len(inputs) != 1:
         return None
-    return SimpleNamespace(input=inputs[0], form="ineq", mode=MODE_ALGORITHM,
-                           fn=cmd_check, **args)
+    return SimpleNamespace(input=inputs[0], form="ineq", fn=cmd_check,
+                           **args)
 
 
 def _parse_args(argv: list):

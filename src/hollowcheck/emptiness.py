@@ -28,13 +28,10 @@ of b1 or R b2 has two nonzeros, at the first nonzero p of that vector
 and at a free index f, so it is a pair test on rows p and f: mixed signs
 are settled in O(1), and the rest in O(n).  A kernel vector is read off
 one elimination of t(Rz): its tail w Rz is 0, so it is always in the
-cone, and t(z)bz = D w bz[:m-n].  A
-single-signed kernel or complement vector has w >= 0, so -z is never in
-the cone and fails iff z does: the mode, which runs the orientations in
-the cone (the algorithm) or both (the theorem), sets only the count,
-never the verdict or the certificate.  Each family reports its count
-and its first failing params; the dense w, s and z are built for that
-failure alone.
+cone, and t(z)bz = D w bz[:m-n].  A single-signed kernel or complement
+vector has w >= 0, so -z is never in the cone, and the battery runs z
+alone.  Each family reports its count and its first failing params; the
+dense w, s and z are built for that failure alone.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
 and `run_test`, with the bases of `left_nullspace_basis` and
 `orth_complement_basis`: the reference for the demo and the tests.
@@ -89,10 +86,6 @@ from .interval import iv_dot  # noqa: F401
 from .oracle import validate_certificate, validate_witness
 from .standardize import StandardSystem
 
-MODE_ALGORITHM = "algorithm"
-MODE_THEOREM = "theorem"
-MODES = (MODE_ALGORITHM, MODE_THEOREM)
-
 FAMILY_CANONICAL = "canonical"
 FAMILY_KERNEL = "kernel"
 FAMILY_B1_PERP = "b1_perp"
@@ -101,9 +94,6 @@ FAMILY_PAIR = "pair"
 
 DEFAULT_ORDER = (FAMILY_CANONICAL, FAMILY_KERNEL, FAMILY_B1_PERP,
                  FAMILY_RB2_PERP, FAMILY_PAIR)
-# the order the test families appear in the source procedure
-STATED_ORDER = (FAMILY_B1_PERP, FAMILY_RB2_PERP, FAMILY_KERNEL,
-               FAMILY_CANONICAL, FAMILY_PAIR)
 
 
 class SoundnessViolation(AssertionError):
@@ -186,12 +176,16 @@ class Certificate(Record):
 class EmptinessReport(Record):
     __slots__ = _fields = (
         "verdict",      # "EMPTY" | "NOT_PROVEN_EMPTY"
-        "certificate", "tests_run", "family_counts", "mode",
+        "certificate", "family_counts",
     )
 
     @property
     def is_empty(self) -> bool:
         return self.verdict == "EMPTY"
+
+    @property
+    def tests_run(self) -> int:
+        return sum(self.family_counts.values())
 
 
 EMPTY = "EMPTY"
@@ -235,15 +229,6 @@ def in_cone_G(z: tuple) -> bool:
     return min(z) >= 0
 
 
-def _check_battery(mode: str, order: tuple) -> None:
-    """Raise ValueError for a mode or a family the battery does not know."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not set(order) <= set(DEFAULT_ORDER):
-        raise ValueError(f"unknown family in {order}; expected families "
-                         f"from {DEFAULT_ORDER}")
-
-
 def _z_of(w: tuple, s: int, dec: Decomposition) -> tuple:
     """(z, s D) with z = s D t(k')G = [D w | -w Rz], for k' = w / s."""
     support = [(x, row) for x, row in zip(w, dec.Rz) if x]
@@ -276,19 +261,19 @@ def _basis(dec: Decomposition, family: str, rb2: tuple) -> list:
         Vector(d, dec.bz[:d] if family == FAMILY_B1_PERP else rb2))
 
 
-def _signed_filtered(basis, family, dec, mode) -> Iterator[tuple]:
+def _signed_filtered(basis, family, dec) -> Iterator[tuple]:
     for idx, (w, s) in enumerate(basis):
         z, s = _z_of(w, s, dec)
-        if mode != MODE_ALGORITHM or in_cone_G(z):
+        if in_cone_G(z):
             yield family, (idx, 1), z, s
         if not any(w):
             continue
         zneg = tuple(-e for e in z)
-        if mode != MODE_ALGORITHM or in_cone_G(zneg):
+        if in_cone_G(zneg):
             yield family, (idx, -1), zneg, s
 
 
-def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
+def family_tests(dec: Decomposition,
                  order: tuple = DEFAULT_ORDER) -> Iterator[tuple]:
     """Deterministic enumeration of (family, params, z, s), family by family.
 
@@ -296,9 +281,11 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
     k' = z[:m-n] / s.  This is the z form of the battery that `decide`
     runs on the tableau: `decide` gives the verdict, the tests run and
     the family counts of this enumeration read through `run_test`.
-    Raises ValueError for a mode or a family it does not know.
+    Raises ValueError for a family it does not know.
     """
-    _check_battery(mode, order)
+    if not set(order) <= set(DEFAULT_ORDER):
+        raise ValueError(f"unknown family in {order}; expected families "
+                         f"from {DEFAULT_ORDER}")
     d = dec.m - dec.n
     for family in order:
         if family == FAMILY_CANONICAL:
@@ -313,7 +300,7 @@ def family_tests(dec: Decomposition, mode: str = MODE_ALGORITHM,
                                *_z_of(_pair_w(dec, j, i, i2), dec.D, dec))
         else:
             yield from _signed_filtered(_basis(dec, family, _rb2(dec)),
-                                        family, dec, mode)
+                                        family, dec)
 
 
 def run_test(z: tuple, dec: Decomposition) -> bool:
@@ -386,7 +373,7 @@ def _scan_pairs(dec: Decomposition) -> tuple:
     return dec.n * d * (d - 1) // 2, None
 
 
-def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
+def _scan_kernel(dec: Decomposition) -> tuple:
     """(tests run, first failure) of the kernel family.
 
     One elimination of t(Rz), n x d, gives rows E, determinant det and
@@ -395,9 +382,8 @@ def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
     So w is single-signed iff sgn(det) E[r][f] <= 0 for every pivot row r,
     and then w >= 0.  Its tail w Rz is 0, so z is in the cone, and t(z)bz
     = w r = D w bz[:d].  Without a free column, the basis is the zero
-    vector, whose z = 0 passes: one test in either mode.  Otherwise the
-    mode sets only the count: algorithm mode runs the z of each
-    single-signed w, and theorem mode both orientations of every w.
+    vector, whose z = 0 passes: one test.  Otherwise the z of each
+    single-signed w is one test.
     """
     d = dec.m - dec.n
     E, pc, det = eliminate(Matrix(dec.n, d, tuple(zip(*dec.Rz))))
@@ -419,12 +405,11 @@ def _scan_kernel(dec: Decomposition, mode: str) -> tuple:
             w[f] = det
             for row, p in zip(rows, pc):
                 w[p] = -row[f]
-            return (2 * idx + 1 if mode == MODE_THEOREM else count,
-                    ((idx, 1), *lowest_terms(w, det)))
-    return 2 * len(free) if mode == MODE_THEOREM else count, None
+            return count, ((idx, 1), *lowest_terms(w, det))
+    return count, None
 
 
-def _scan_complement(dec: Decomposition, v: tuple, mode: str) -> tuple:
+def _scan_complement(dec: Decomposition, v: tuple) -> tuple:
     """(tests run, first failure) of the orthogonal complement of v.
 
     v = bz[:d] for b1_perp and Rz bz[d:] for rb2_perp, positive multiples
@@ -433,7 +418,7 @@ def _scan_complement(dec: Decomposition, v: tuple, mode: str) -> tuple:
     a = |v_p| and c = -sgn(v_p) v_f, before lowest terms: a pair test on
     rows f and p.  For c < 0 its head has mixed signs.  Otherwise z is in
     the cone iff a Rz_f + c Rz_p <= 0, and t(z)bz = a r_f + c r_p.  As
-    w >= 0, the mode sets only the count, as in `_scan_kernel`.
+    w >= 0, -z is never in the cone, as in `_scan_kernel`.
     """
     r = dec.r
     d = len(r)
@@ -457,12 +442,11 @@ def _scan_complement(dec: Decomposition, v: tuple, mode: str) -> tuple:
             if a * r[f] + c * rp < 0:
                 w = [0] * d
                 w[p], w[f] = c, a
-                return (2 * idx + 1 if mode == MODE_THEOREM else count,
-                        ((idx, 1), *lowest_terms(w, a)))
-    return 2 * len(free) if mode == MODE_THEOREM else count, None
+                return count, ((idx, 1), *lowest_terms(w, a))
+    return count, None
 
 
-def _scan(dec: Decomposition, family: str, mode: str) -> tuple:
+def _scan(dec: Decomposition, family: str) -> tuple:
     """(tests run, first failure) of one family, as `family_tests` with
     `run_test` would find them; a failure is (params, w, s), k' = w / s."""
     if family == FAMILY_CANONICAL:
@@ -470,9 +454,9 @@ def _scan(dec: Decomposition, family: str, mode: str) -> tuple:
     if family == FAMILY_PAIR:
         return _scan_pairs(dec)
     if family == FAMILY_KERNEL:
-        return _scan_kernel(dec, mode)
+        return _scan_kernel(dec)
     return _scan_complement(dec, dec.bz[:len(dec.r)]
-                            if family == FAMILY_B1_PERP else _rb2(dec), mode)
+                            if family == FAMILY_B1_PERP else _rb2(dec))
 
 
 def farkas_from(z: Vector, dec: Decomposition) -> Vector:
@@ -490,9 +474,9 @@ def farkas_from(z: Vector, dec: Decomposition) -> Vector:
     return Vector(dec.m, tuple(ents))
 
 
-def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
-           stated_order: bool = False) -> EmptinessReport:
-    """Run the full test battery; Empty at the first failing test vector.
+def decide(sys: StandardSystem) -> EmptinessReport:
+    """Run the full test battery, in `DEFAULT_ORDER`; Empty at the first
+    failing test vector.
 
     Each family is decided on the tableau; the ints z = s t(k')G are
     built for the first failing test alone, and the certificate keeps
@@ -501,12 +485,10 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
     against sys before Empty is returned; a vector that fails raises
     SoundnessViolation.
     """
-    order = STATED_ORDER if stated_order else DEFAULT_ORDER
-    _check_battery(mode, order)
     dec = decompose(sys)
-    counts = {f: 0 for f in order}
-    for family in order:
-        counts[family], failure = _scan(dec, family, mode)
+    counts = dict.fromkeys(DEFAULT_ORDER, 0)
+    for family in DEFAULT_ORDER:
+        counts[family], failure = _scan(dec, family)
         if failure is None:
             continue
         params, w, s = failure
@@ -521,10 +503,8 @@ def decide(sys: StandardSystem, mode: str = MODE_ALGORITHM,
         if not validate_certificate(sys.A, sys.b, cert.y):
             raise SoundnessViolation(
                 f"Farkas vector from test {cert.label()} fails the exact check")
-        return EmptinessReport(EMPTY, cert, sum(counts.values()), counts,
-                               mode)
-    return EmptinessReport(NOT_PROVEN_EMPTY, None, sum(counts.values()),
-                           counts, mode)
+        return EmptinessReport(EMPTY, cert, counts)
+    return EmptinessReport(NOT_PROVEN_EMPTY, None, counts)
 
 
 NONEMPTY = "NONEMPTY"
@@ -607,7 +587,9 @@ def walk(dec: Decomposition, budget: int = PIVOT_BUDGET) -> WalkResult:
     Empty with an integer Farkas vector, NONEMPTY with a point, or
     BUDGET_SPENT after `budget` pivots with neither.  Each answer is
     checked exactly against the system first; one that fails raises
-    SoundnessViolation."""
+    SoundnessViolation.  A negative budget raises ValueError."""
+    if budget < 0:
+        raise ValueError(f"pivot budget must be >= 0, got {budget}")
     res = _bland_path(dec, budget)
     if res.status == EMPTY:
         ok = validate_certificate(dec.A, dec.b, res.y)

@@ -309,8 +309,7 @@ def agreement_run(specs) -> AgreementStats:
     counts only when the oracle's infeasibility certificate checks
     exactly, and it is shrunk and reported only when the oracle finds the
     shrunk system infeasible too, with a certificate that checks exactly.
-    decide runs in its default mode: the mode sets only `tests_run`, which
-    no tally reads.
+    No tally reads decide's `tests_run`.
     """
     total = empty_agree = notproven_and_feasible = 0
     discrepancies = []

@@ -6,7 +6,7 @@ Change nothing here to make a test pass; a difference is a finding.
 from operator import mul
 
 from hollowcheck.densemat import Matrix, denominator_lcm, lowest_terms
-from hollowcheck.emptiness import MODE_THEOREM, _pair_w
+from hollowcheck.emptiness import _pair_w
 
 
 def int_scaled(xs) -> tuple:
@@ -64,7 +64,7 @@ def scan_pairs(dec) -> tuple:
     return dec.n * per_j, None
 
 
-def scan_kernel(dec, mode: str) -> tuple:
+def scan_kernel(dec) -> tuple:
     d = dec.m - dec.n
     E, pc, det = eliminate(Matrix(dec.n, d, tuple(zip(*dec.Rz))))
     sd = 1 if det > 0 else -1
@@ -85,12 +85,11 @@ def scan_kernel(dec, mode: str) -> tuple:
             w[f] = det
             for row, p in zip(E, pc):
                 w[p] = -row[f]
-            return (2 * idx + 1 if mode == MODE_THEOREM else count,
-                    ((idx, 1), *lowest_terms(w, det)))
-    return 2 * len(free) if mode == MODE_THEOREM else count, None
+            return count, ((idx, 1), *lowest_terms(w, det))
+    return count, None
 
 
-def scan_complement(dec, v: tuple, mode: str) -> tuple:
+def scan_complement(dec, v: tuple) -> tuple:
     r = dec.r
     d = len(r)
     p = next((i for i, x in enumerate(v) if x), None)
@@ -109,6 +108,5 @@ def scan_complement(dec, v: tuple, mode: str) -> tuple:
         if a * r[f] + c * rp < 0:
             w = [0] * d
             w[p], w[f] = c, a
-            return (2 * idx + 1 if mode == MODE_THEOREM else count,
-                    ((idx, 1), *lowest_terms(w, a)))
-    return 2 * len(free) if mode == MODE_THEOREM else count, None
+            return count, ((idx, 1), *lowest_terms(w, a))
+    return count, None

@@ -353,7 +353,7 @@ JSON_VALUES = st.recursive(
 # (file text, form, command): every kind of report the CLI writes
 REPORT_CASES = [
     (EMPTY_1D, "ineq", ["check"]),
-    (OK_1D, "ineq", ["check", "--mode", "theorem"]),
+    (OK_1D, "ineq", ["check"]),
     (EMPTY_1D, "ineq", ["check", "--oracle-check"]),
     (OK_1D, "ineq", ["check", "--oracle-check"]),
     ("2 2\n0 0 -1\n1 0 5\n", "ineq", ["check"]),          # presolve
@@ -434,10 +434,16 @@ class TestCheck:
         assert obj["oracle"]["status"] == "feasible"
         assert obj["oracle"]["witness"] == ["1/2"]
 
-    def test_theorem_mode(self, tmp_path):
-        code, out = run_cli(["check", "@IN@", "--mode", "theorem", "--json"],
-                            tmp_path=tmp_path, text=OK_1D)
-        assert json.loads(out)["mode"] == "theorem"
+    @pytest.mark.parametrize("flags", [["--mode", "theorem"],
+                                       ["--stated-order"]],
+                             ids=["mode-theorem", "stated-order"])
+    def test_removed_option_exit_2(self, tmp_path, capsys, flags):
+        # decide runs one battery: no option sets its count or its order
+        code, out = run_cli(["check", "@IN@"] + flags, tmp_path=tmp_path,
+                            text=OK_1D)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert ("error: unrecognized arguments: " + " ".join(flags)
+                in capsys.readouterr().err)
 
     def test_early_empty_presolve(self, tmp_path):
         text = "2 2\n0 0 -1\n1 0 5\n"
@@ -549,12 +555,6 @@ class TestCheck:
         want.pop("presolve", None)     # `oracle` also names the zero row
         assert json.loads(out)["oracle"] == want
         assert want["status"] == status
-
-    def test_stated_order_flag_same_verdict(self, tmp_path):
-        a = run_cli(["check", "@IN@", "--json"], tmp_path=tmp_path, text=EMPTY_1D)
-        b = run_cli(["check", "@IN@", "--stated-order", "--json"],
-                    tmp_path=tmp_path, text=EMPTY_1D)
-        assert json.loads(a[1])["verdict"] == json.loads(b[1])["verdict"]
 
 
 class TestOneParser:
@@ -687,8 +687,7 @@ class TestDispatch:
            paths=st.lists(st.sampled_from(["@IN@", "@OK@", "-"]),
                           min_size=1, max_size=2),
            order=st.randoms(use_true_random=False))
-    @example(head="check", parts=[["--json"], ["--oracle-check"],
-                                  ["--stated-order"]],
+    @example(head="check", parts=[["--json"], ["--oracle-check"]],
              paths=["-"], order=random.Random(0))
     @example(head="check", parts=[["--json"], ["--json"]], paths=["@IN@"],
              order=random.Random(0))
@@ -720,7 +719,7 @@ class TestDispatch:
     @pytest.mark.parametrize("argv", [
         ["check", "in.txt"],
         ["check", "--json", "-"],
-        ["check", "--oracle-check", "in.txt", "--stated-order", "--json"],
+        ["check", "--oracle-check", "in.txt", "--json"],
     ])
     def test_argv_reader_settles_a_plain_check(self, argv):
         assert cli._read_check(argv) is not None
@@ -731,6 +730,7 @@ class TestDispatch:
         ["check", "in.txt", "--stated_order"], ["check", "--", "in.txt"],
         ["check", "in.txt", "--form", "ineq"], ["check", "-5"],
         ["check", "in.txt", "-h"],
+        ["check", "--oracle-check", "in.txt", "--stated-order", "--json"],
     ])
     def test_argv_reader_leaves_the_rest_to_argparse(self, argv):
         assert cli._read_check(argv) is None

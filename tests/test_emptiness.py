@@ -17,9 +17,8 @@ from hollowcheck.densemat import (Matrix, Vector, denominator_lcm, eliminate,
 from hollowcheck.emptiness import (BUDGET_SPENT, DEFAULT_ORDER, EMPTY,
                                    FAMILY_B1_PERP, FAMILY_CANONICAL,
                                    FAMILY_KERNEL, FAMILY_PAIR,
-                                   FAMILY_RB2_PERP, MODE_ALGORITHM,
-                                   MODE_THEOREM, NONEMPTY, NOT_PROVEN_EMPTY,
-                                   PIVOT_BUDGET, STATED_ORDER,
+                                   FAMILY_RB2_PERP, NONEMPTY,
+                                   NOT_PROVEN_EMPTY, PIVOT_BUDGET,
                                    SoundnessViolation, WalkResult, build_U,
                                    decide, decompose, family_tests,
                                    farkas_from, in_cone_G, run_test, walk)
@@ -43,6 +42,10 @@ B1_PERP_PAIR = ([[-1], [1], [1]], [-1, -1, 1])
 RB2_PERP_PAIR = ([[1], [1], [-1]], [-1, 0, -1])
 B1_ZERO = ([[-1], [1], [1]], [-1, 0, 0])
 RB2_ZERO = ([[-1], [1], [1]], [0, -1, 0])
+# systems whose first failing test in decide's order is a b1_perp or an
+# rb2_perp vector: the fixtures above fail a canonical test first
+B1_PERP_FIRST = ([[-2], [-1], [-2], [2]], [-1, 0, -2, 1])
+RB2_PERP_FIRST = ([[-2, 1], [2, 2], [1, -2], [-2, 2]], [1, 0, -1, 0])
 # the pair family's first failure in each sign branch of c = Rz_ij and
 # a = Rz_i'j (TestResidualForm.test_examples_cover_the_special_cases);
 # with a = 0 or c = 0 a canonical test fails too, and only the family
@@ -282,17 +285,15 @@ class TestConeAndTests:
             dec = decompose(sysr)
             G = G_of(dec)
             reference = reference_kprimes(dec)
-            for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                for family, params, z, s in family_tests(dec, mode):
-                    assert all(type(e) is int for e in z)
-                    assert type(s) is int and s > 0
-                    kprime = kprime_of(dec, z, s)
-                    assert kprime == reference[family, params]
-                    assert ([Fraction(x, s) for x in z]
-                            == list(vec_mat(kprime, G).entries)), \
-                        (family, params)
-                    seen_zero |= kprime.is_zero()
-                    seen_pair |= family == "pair"
+            for family, params, z, s in family_tests(dec):
+                assert all(type(e) is int for e in z)
+                assert type(s) is int and s > 0
+                kprime = kprime_of(dec, z, s)
+                assert kprime == reference[family, params]
+                assert ([Fraction(x, s) for x in z]
+                        == list(vec_mat(kprime, G).entries)), (family, params)
+                seen_zero |= kprime.is_zero()
+                seen_pair |= family == "pair"
         assert seen_zero and seen_pair
 
     def test_kernel_sentinel_passes(self):
@@ -337,13 +338,6 @@ class TestFamilies:
         assert "pair" not in fams
         assert fams.count("canonical") == 1
 
-    def test_theorem_mode_superset(self):
-        sysr = gen_random_system(GenSpec(seed=12, m=7, n=2))
-        dec = decompose(sysr)
-        alg = list(family_tests(dec, MODE_ALGORITHM))
-        thm = list(family_tests(dec, MODE_THEOREM))
-        assert len(thm) >= len(alg)
-
 
 def feasible_system(seed, m, n, x0_range=3, lower=0):
     """b = A x0 + s with s >= 0: feasible by construction.  With lower > 0,
@@ -370,13 +364,13 @@ def rational_system(seed, m, n):
         rows, [Fraction(x, rng.randint(1, 4)) for x in base.b.entries])
 
 
-def reference_run(dec, mode, order):
+def reference_run(dec, order):
     """The z-form battery: (tests run, family counts, first failure as
     (family, params, z, s) or None), read through family_tests and
     run_test, one candidate at a time."""
     counts = dict.fromkeys(order, 0)
     run = 0
-    for family, params, z, s in family_tests(dec, mode, order):
+    for family, params, z, s in family_tests(dec, order):
         run += 1
         counts[family] += 1
         if not run_test(z, dec):
@@ -384,11 +378,10 @@ def reference_run(dec, mode, order):
     return run, counts, None
 
 
-def assert_decide_matches_reference(sysr, mode, stated_order):
-    report = decide(sysr, mode=mode, stated_order=stated_order)
+def assert_decide_matches_reference(sysr):
+    report = decide(sysr)
     dec = decompose(sysr)
-    run, counts, failure = reference_run(
-        dec, mode, STATED_ORDER if stated_order else DEFAULT_ORDER)
+    run, counts, failure = reference_run(dec, DEFAULT_ORDER)
     assert (report.tests_run, report.family_counts) == (run, counts)
     if failure is None:
         assert report.verdict == NOT_PROVEN_EMPTY
@@ -401,12 +394,12 @@ def assert_decide_matches_reference(sysr, mode, stated_order):
     return report
 
 
-def assert_families_match_reference(dec, mode):
+def assert_families_match_reference(dec):
     """Each family alone, so that a pair family runs beside a failing
-    canonical test, which decide's orders never reach."""
+    canonical test, which decide's order never reaches."""
     for family in DEFAULT_ORDER:
-        run, _, failure = reference_run(dec, mode, (family,))
-        got_run, got = emptiness._scan(dec, family, mode)
+        run, _, failure = reference_run(dec, (family,))
+        got_run, got = emptiness._scan(dec, family)
         assert got_run == run, family
         if failure is None:
             assert got is None, family
@@ -460,24 +453,19 @@ class TestResidualForm:
     @example(sys_of(*KERNEL_NEG_DET))
     # the same with det > 0, and Rz of rank 1 < n
     @example(sys_of(*KERNEL_LOW_RANK))
-    # in the stated order, the first failure is a b1_perp or an rb2_perp
-    # vector with two nonzeros
+    # the b1_perp or rb2_perp family alone fails first at a vector with
+    # two nonzeros
     @example(sys_of(*B1_PERP_PAIR))
     @example(sys_of(*RB2_PERP_PAIR))
     # b1 = 0 or R b2 = 0: the canonical basis, whose first vector fails
     @example(sys_of(*B1_ZERO))
     @example(sys_of(*RB2_ZERO))
+    # decide's first failure is a b1_perp or an rb2_perp vector
+    @example(sys_of(*B1_PERP_FIRST))
+    @example(sys_of(*RB2_PERP_FIRST))
     def test_same_as_z_form(self, sysr):
-        dec = decompose(sysr)
-        for stated_order in (False, True):
-            algorithm, theorem = (
-                assert_decide_matches_reference(sysr, mode, stated_order)
-                for mode in (MODE_ALGORITHM, MODE_THEOREM))
-            # the mode sets only the count
-            assert (theorem.verdict, theorem.certificate) == (
-                algorithm.verdict, algorithm.certificate)
-        for mode in (MODE_ALGORITHM, MODE_THEOREM):
-            assert_families_match_reference(dec, mode)
+        assert_decide_matches_reference(sysr)
+        assert_families_match_reference(decompose(sysr))
 
     def test_examples_cover_the_special_cases(self):
         for fixture, params, (c, a), first in (
@@ -490,25 +478,30 @@ class TestResidualForm:
             dec = decompose(sys_of(*fixture))
             j, i, i2 = (p - 1 for p in params)
             assert (dec.Rz[i][j], dec.Rz[i2][j]) == (c, a)
-            _, _, failure = reference_run(dec, MODE_ALGORITHM, (FAMILY_PAIR,))
+            _, _, failure = reference_run(dec, (FAMILY_PAIR,))
             assert failure[:2] == (FAMILY_PAIR, params)
             assert decide(sys_of(*fixture)).certificate.family == first
         sentinel = decompose(sys_of([[1, 2], [3, 1], [1, 0], [0, 1]],
                                     [1, 2, -1, 3]))
         assert [p for f, p, *_ in family_tests(sentinel)
                 if f == "kernel"] == [(0, 1)]
-        for fixture, stated_order, family, nonzeros in (
-                (KERNEL_NEG_DET, False, FAMILY_KERNEL, 2),
-                (KERNEL_LOW_RANK, False, FAMILY_KERNEL, 2),
-                (B1_PERP_PAIR, True, FAMILY_B1_PERP, 2),
-                (RB2_PERP_PAIR, True, FAMILY_RB2_PERP, 2),
-                (B1_ZERO, True, FAMILY_B1_PERP, 1),
-                (RB2_ZERO, True, FAMILY_RB2_PERP, 1)):
-            for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                cert = decide(sys_of(*fixture), mode,
-                              stated_order).certificate
-                assert cert.family == family, (fixture, mode)
-                assert sum(1 for x in cert.kprime.entries if x) == nonzeros
+        for fixture, family in ((KERNEL_NEG_DET, FAMILY_KERNEL),
+                                (KERNEL_LOW_RANK, FAMILY_KERNEL),
+                                (B1_PERP_FIRST, FAMILY_B1_PERP),
+                                (RB2_PERP_FIRST, FAMILY_RB2_PERP)):
+            cert = decide(sys_of(*fixture)).certificate
+            assert cert.family == family, fixture
+            assert sum(1 for x in cert.kprime.entries if x) == 2
+        # the complement families alone, where a canonical test fails first
+        for fixture, family, nonzeros in ((B1_PERP_PAIR, FAMILY_B1_PERP, 2),
+                                          (RB2_PERP_PAIR, FAMILY_RB2_PERP, 2),
+                                          (B1_ZERO, FAMILY_B1_PERP, 1),
+                                          (RB2_ZERO, FAMILY_RB2_PERP, 1)):
+            dec = decompose(sys_of(*fixture))
+            _, _, failure = reference_run(dec, (family,))
+            assert failure[0] == family, fixture
+            assert (sum(1 for x in kprime_of(dec, *failure[2:]).entries if x)
+                    == nonzeros)
         dets = {}
         for name, fixture in (("neg", KERNEL_NEG_DET),
                               ("low", KERNEL_LOW_RANK)):
@@ -560,8 +553,7 @@ class TestResidualForm:
         verdicts = []
         for seed in range(3):
             sysr = feasible_system(seed, m, n, x0_range=5, lower=lower)
-            report = assert_decide_matches_reference(sysr, MODE_ALGORITHM,
-                                                     False)
+            report = assert_decide_matches_reference(sysr)
             verdicts.append(report.verdict)
         if kind == "feasible":
             assert verdicts == [NOT_PROVEN_EMPTY] * 3
@@ -571,15 +563,13 @@ class TestResidualForm:
 
 def assert_scans_match_frozen(dec):
     """Each scan and both eliminations of decide against the frozen copies
-    in scan_reference, in both modes."""
+    in scan_reference."""
     d = dec.m - dec.n
     assert emptiness._scan_pairs(dec) == scan_reference.scan_pairs(dec)
-    for mode in (MODE_ALGORITHM, MODE_THEOREM):
-        assert (emptiness._scan_kernel(dec, mode)
-                == scan_reference.scan_kernel(dec, mode)), mode
-        for v in (dec.bz[:d], emptiness._rb2(dec)):
-            assert (emptiness._scan_complement(dec, v, mode)
-                    == scan_reference.scan_complement(dec, v, mode)), mode
+    assert emptiness._scan_kernel(dec) == scan_reference.scan_kernel(dec)
+    for v in (dec.bz[:d], emptiness._rb2(dec)):
+        assert (emptiness._scan_complement(dec, v)
+                == scan_reference.scan_complement(dec, v))
     for M in (dec.A.transpose(), Matrix(dec.n, d, tuple(zip(*dec.Rz)))):
         assert eliminate(M) == scan_reference.eliminate(M)
 
@@ -642,10 +632,9 @@ class TestCandidateCost:
                                 counting(name, getattr(emptiness, name)))
         candidates = 0
         for sysr in fixtures:
-            for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                report = decide(sysr, mode=mode)
-                assert report.verdict == NOT_PROVEN_EMPTY
-                candidates += report.tests_run
+            report = decide(sysr)
+            assert report.verdict == NOT_PROVEN_EMPTY
+            candidates += report.tests_run
         assert calls == []
         assert candidates > 100
 
@@ -659,8 +648,7 @@ class TestCandidateCost:
                     + [feasible_system(seed, m, n, lower=2)
                        for seed, (m, n) in enumerate(shapes * 2)]
                     + [sys_of(*f) for f in (KERNEL_NEG_DET, KERNEL_LOW_RANK,
-                                            B1_PERP_PAIR, RB2_PERP_PAIR,
-                                            B1_ZERO, RB2_ZERO)])
+                                            B1_PERP_FIRST, RB2_PERP_FIRST)])
         calls = {"eliminate": [], "lowest_terms": []}
         in_decompose = []
 
@@ -689,23 +677,20 @@ class TestCandidateCost:
         monkeypatch.setattr(emptiness, "decompose", marked_decompose)
         verdicts, built = {EMPTY: 0, NOT_PROVEN_EMPTY: 0}, set()
         for sysr in fixtures:
-            for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                for stated_order in (False, True):
-                    for found in calls.values():
-                        found.clear()
-                    report = decide(sysr, mode, stated_order)
-                    verdicts[report.verdict] += 1
-                    assert len(calls["eliminate"]) <= 1
-                    if report.verdict == NOT_PROVEN_EMPTY:
-                        assert len(calls["eliminate"]) == 1
-                    family = report.certificate and report.certificate.family
-                    if family in (FAMILY_KERNEL, FAMILY_B1_PERP,
-                                  FAMILY_RB2_PERP):
-                        assert len(calls["lowest_terms"]) == 1
-                        built.add(family)
-                    else:
-                        assert calls["lowest_terms"] == []
-        assert min(verdicts.values()) >= 20, verdicts
+            for found in calls.values():
+                found.clear()
+            report = decide(sysr)
+            verdicts[report.verdict] += 1
+            assert len(calls["eliminate"]) <= 1
+            if report.verdict == NOT_PROVEN_EMPTY:
+                assert len(calls["eliminate"]) == 1
+            family = report.certificate and report.certificate.family
+            if family in (FAMILY_KERNEL, FAMILY_B1_PERP, FAMILY_RB2_PERP):
+                assert len(calls["lowest_terms"]) == 1
+                built.add(family)
+            else:
+                assert calls["lowest_terms"] == []
+        assert min(verdicts.values()) >= 5, verdicts
         assert built == {FAMILY_KERNEL, FAMILY_B1_PERP, FAMILY_RB2_PERP}
 
     def test_no_fraction_before_certificate(self, monkeypatch):
@@ -721,11 +706,10 @@ class TestCandidateCost:
                     in enumerate(((6, 2), (8, 2), (12, 3), (13, 3)))]
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
         for sysr in fixtures:
-            for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                calls.clear()
-                report = decide(sysr, mode=mode)
-                assert report.verdict == NOT_PROVEN_EMPTY
-                assert calls == [], (sysr.A.rows, mode)
+            calls.clear()
+            report = decide(sysr)
+            assert report.verdict == NOT_PROVEN_EMPTY
+            assert calls == [], sysr.A.rows
 
     def test_empty_verdict_fraction_count(self, monkeypatch):
         # no verdict makes a Fraction, for integer or rational input: the
@@ -748,13 +732,12 @@ class TestCandidateCost:
         for kind, systems in fixtures.items():
             empties = 0
             for sysr in systems:
-                for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                    calls.clear()
-                    report = decide(sysr, mode=mode)
-                    empties += report.verdict == EMPTY
-                    assert calls == [], (kind, sysr.A.rows, mode,
-                                         report.verdict, len(calls))
-            assert empties >= 8, kind
+                calls.clear()
+                report = decide(sysr)
+                empties += report.verdict == EMPTY
+                assert calls == [], (kind, sysr.A.rows, report.verdict,
+                                     len(calls))
+            assert empties >= 4, kind
 
     def test_cli_check_fraction_budget(self, tmp_path, monkeypatch):
         # `check --json` on an all-integer file keeps its ints from the
@@ -832,16 +815,11 @@ class TestDecide:
                 assert validate_certificate(sysr.A, sysr.b, y)
                 assert fm_feasible(sysr.A, sysr.b).status == INFEASIBLE
 
-    def test_stated_order_same_verdict(self):
-        for seed in range(20):
-            sysr = gen_random_system(GenSpec(seed=seed, m=5, n=2))
-            a = decide(sysr, stated_order=False)
-            b = decide(sysr, stated_order=True)
-            assert a.verdict == b.verdict
-
     def test_unknown_mode_or_family_raises(self):
-        with pytest.raises(ValueError, match="'algorithm', 'theorem'"):
-            decide(sys_of(*OK_1D), mode="Algorithm")
+        # decide runs one battery: it takes no mode and no order
+        for kwargs in ({"mode": "algorithm"}, {"stated_order": True}):
+            with pytest.raises(TypeError, match=next(iter(kwargs))):
+                decide(sys_of(*OK_1D), **kwargs)
         with pytest.raises(ValueError, match="'canonical', 'kernel'"):
             list(family_tests(decompose(sys_of(*OK_1D)),
                               order=(FAMILY_CANONICAL, "pairs")))
@@ -869,13 +847,12 @@ class TestDecide:
                 (OK_1D, NOT_PROVEN_EMPTY, 0, 0), (EMPTY_1D, EMPTY, 0, 1),
                 (([[1, 0], [0, 1], [1, 1], [-1, -1]], [1, 1, 2, -3]),
                  EMPTY, 0, 1)):
-            for mode in (MODE_ALGORITHM, MODE_THEOREM):
-                calls.clear()
-                built.clear()
-                report = decide(sys_of(*fixture), mode=mode)
-                assert report.verdict == verdict
-                assert len(calls) == products, (verdict, mode)
-                assert len(built) == zs, (verdict, mode)
+            calls.clear()
+            built.clear()
+            report = decide(sys_of(*fixture))
+            assert report.verdict == verdict
+            assert len(calls) == products, verdict
+            assert len(built) == zs, verdict
 
 
 class TestFarkas:
@@ -899,23 +876,20 @@ IIS_FAMILIES = (FAMILY_CANONICAL, FAMILY_KERNEL, FAMILY_PAIR)
 
 
 def iis_families(sysr) -> list:
-    """The families of decide's certificates of sysr, in both orders, each
-    checked for a support S that names an irreducible infeasible subsystem:
+    """The family of decide's certificate of sysr, if any, checked for a
+    support S that names an irreducible infeasible subsystem:
     rank(A_S) = |S| - 1.  The only row dependency of A_S is then y_S > 0,
     with t(y_S)b_S < 0, and dropping any row leaves independent rows,
     which Ax = b solves.  Complement certificates are left out: their
     supports need not have this rank."""
-    families = []
-    for stated_order in (False, True):
-        cert = decide(sysr, stated_order=stated_order).certificate
-        if cert is None or cert.family not in IIS_FAMILIES:
-            continue
-        support = [i for i, x in enumerate(cert.y.entries) if x]
-        A_S = Matrix(len(support), sysr.n,
-                     tuple(sysr.A.entries[i] for i in support))
-        assert rank(A_S) == len(support) - 1, cert.label()
-        families.append(cert.family)
-    return families
+    cert = decide(sysr).certificate
+    if cert is None or cert.family not in IIS_FAMILIES:
+        return []
+    support = [i for i, x in enumerate(cert.y.entries) if x]
+    A_S = Matrix(len(support), sysr.n,
+                 tuple(sysr.A.entries[i] for i in support))
+    assert rank(A_S) == len(support) - 1, cert.label()
+    return [cert.family]
 
 
 def walk_is_iis(sysr) -> bool:
@@ -1069,6 +1043,15 @@ class TestWalk:
             needs.add((res.status, k))
         assert {status for status, _ in needs} == {EMPTY, NONEMPTY}
         assert max(k for _, k in needs) >= 3
+
+    @pytest.mark.parametrize("budget", [-1, -PIVOT_BUDGET])
+    def test_negative_budget_raises(self, budget):
+        # pivots == budget never holds for a negative budget, which would
+        # leave the walk uncapped
+        dec = decompose(sys_of(*CRITERION_6_SHRUNK[0]))
+        assert walk(dec).pivots == 2
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            walk(dec, budget)
 
     @pytest.mark.parametrize("case", [CRITERION_6_SHRUNK[0], OK_1D])
     def test_tampered_answer_raises(self, case, monkeypatch):

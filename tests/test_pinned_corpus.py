@@ -1,8 +1,8 @@
 """Pin `check --json` on fixed generated corpora.
 
-Every instance runs in three configurations; a sha256 over (exit code,
-report bytes) must match the recorded value, and the per-configuration
-tallies say what moved when it does not.  Refactors of the arithmetic
+Every instance runs once, in the default configuration; a sha256 over
+(exit code, report bytes) must match the recorded value, and the tallies
+say what moved when it does not.  Refactors of the arithmetic
 or the test enumeration must keep all of it identical.
 
 The first corpus is all-integer, in the default `ineq` form.  The second
@@ -54,33 +54,21 @@ from hollowcheck.harness import GenSpec, gen_random_system
 
 SHAPES = ((10, 2), (12, 3), (14, 3))
 SEEDS = range(10)
-CONFIGS = {
-    "default": [],
-    "theorem": ["--mode", "theorem"],
-    "stated_order": ["--stated-order"],
-}
 
-# recorded when this test was added; a refactor must reproduce them exactly
+# The digests below were re-recorded when `check --mode theorem` and
+# `check --stated-order` were removed: each now covers the default
+# configuration alone, computed with the code from before the removal,
+# so no default byte moved.  A refactor must reproduce them exactly
 EXPECTED_DIGEST = \
-    "86ab30f97c6723be415ce5283bead3b129dc566a41fb54f6802bfffc6b26c6a0"
-EXPECTED_TALLIES = {
-    "default": {"empty": 27, "tests_run": 690},
-    "theorem": {"empty": 27, "tests_run": 1254},
-    "stated_order": {"empty": 27, "tests_run": 609},
-}
+    "1da81bf8d4de4e19fa40ea52af0876cb16c71549412eafe1dce7a226f2c71406"
+EXPECTED_TALLIES = {"empty": 27, "tests_run": 690}
 FEASIBLE_SHAPES = ((12, 3), (13, 3), (14, 3))
-# recorded when this corpus was added; every file is NOT_PROVEN_EMPTY
+# every file is NOT_PROVEN_EMPTY
 EXPECTED_FEASIBLE_DIGEST = \
-    "f0333875f0903deada1055becd61c361535bd545ef2c3a8fd14d0f4d52ac0bc6"
-# configuration -> family -> tests run, summed over the corpus
-EXPECTED_FEASIBLE_FAMILIES = {
-    "default": {"b1_perp": 7, "canonical": 300, "kernel": 34, "pair": 4080,
-                "rb2_perp": 4},
-    "theorem": {"b1_perp": 540, "canonical": 300, "kernel": 420,
-                "pair": 4080, "rb2_perp": 540},
-    "stated_order": {"b1_perp": 7, "canonical": 300, "kernel": 34,
-                     "pair": 4080, "rb2_perp": 4},
-}
+    "47d1ecc86c702267d55f99e7acb0f71940b3f69de4d54b1ea297737e06544fad"
+# family -> tests run, summed over the corpus
+EXPECTED_FEASIBLE_FAMILIES = {"b1_perp": 7, "canonical": 300, "kernel": 34,
+                              "pair": 4080, "rb2_perp": 4}
 
 # (form, raw m, raw n); ("ineq", 2, 3) has m <= n: its A has full row rank,
 # so `check` reports it without running the battery
@@ -89,20 +77,16 @@ RATIONAL_SHAPES = (("ineq", 8, 2), ("ineq", 10, 3), ("ineq", 2, 3),
                    ("eq-nonneg", 2, 3), ("eq-nonneg", 3, 3))
 RATIONAL_SEEDS = range(6)
 # re-recorded when rank-deficient `ineq` input was projected onto a column
-# basis: the six ("ineq", 2, 3) files skip the battery (18 outputs changed)
+# basis: the six ("ineq", 2, 3) files skip the battery (18 outputs
+# changed); and for the default configuration alone, as above
 EXPECTED_RATIONAL_DIGEST = \
-    "5e63412da7e9b7b28608a1dbe3e3db4bc5307f7a53ead69c97f30c043da654ef"
-EXPECTED_RATIONAL_TALLIES = {
-    "default": {"empty": 24, "tests_run": 797},
-    "theorem": {"empty": 24, "tests_run": 1299},
-    "stated_order": {"empty": 24, "tests_run": 763},
-}
+    "e59e13f9eee3d386547a6ce419840800415533ef636b0330738ec28c40755e28"
+EXPECTED_RATIONAL_TALLIES = {"empty": 24, "tests_run": 797}
 
 
 TEXT_CONFIGS = {
     "check": ["check"],
     "check_oracle": ["check", "--oracle-check"],
-    "check_theorem": ["check", "--mode", "theorem"],
     "oracle": ["oracle"],
     "oracle_json": ["oracle", "--json"],
 }
@@ -115,14 +99,14 @@ TRIVIAL_TEXT = "2 2\n0 0 0\n0 0 0\n"
 # `check --oracle-check` began to report presolve's answer as the oracle's
 # (23 `check_oracle` outputs changed); and again when presolve's
 # `farkas_y` moved into the embedding's rows (27 `farkas_y` lines of the
-# nonnegative forms changed)
+# nonnegative forms changed); and without the `check --mode theorem`
+# configuration, as above
 EXPECTED_TEXT_DIGEST = \
-    "b93fcfc13343ac91024243f5f6c094594e97e15edc65a58bf0d17eedcb0e2a35"
+    "0998097bca80b56856de48e9d7555e6c2fcc16b58f220f2efe6317264aa5c2e5"
 # configuration -> [runs exiting 0, runs exiting 1]
 EXPECTED_TEXT_EXITS = {
     "check": [15, 30],
     "check_oracle": [15, 30],
-    "check_theorem": [15, 30],
     "oracle": [10, 35],
     "oracle_json": [10, 35],
 }
@@ -207,22 +191,20 @@ def deficient_text(seed: int, m: int, n: int, r: int) -> str:
 
 
 def run_corpus(paths_and_flags):
-    """(sha256 hex digest, tallies, per-family tests run) over every
-    instance and configuration."""
+    """(sha256 hex digest, tallies, per-family tests run) of `check --json`
+    over every instance."""
     digest = hashlib.sha256()
-    tallies = {name: {"empty": 0, "tests_run": 0} for name in CONFIGS}
-    families = {name: {} for name in CONFIGS}
+    tallies = {"empty": 0, "tests_run": 0}
+    families = {}
     for path, form_flags in paths_and_flags:
-        for name, flags in CONFIGS.items():
-            buf = io.StringIO()
-            code = run(["check", str(path), "--json"] + form_flags + flags,
-                       out=buf)
-            digest.update(f"{code}\n{buf.getvalue()}".encode())
-            report = json.loads(buf.getvalue())
-            tallies[name]["empty"] += report["verdict"] == "EMPTY"
-            tallies[name]["tests_run"] += report["tests_run"]
-            for family, run_ in report["families"].items():
-                families[name][family] = families[name].get(family, 0) + run_
+        buf = io.StringIO()
+        code = run(["check", str(path), "--json"] + form_flags, out=buf)
+        digest.update(f"{code}\n{buf.getvalue()}".encode())
+        report = json.loads(buf.getvalue())
+        tallies["empty"] += report["verdict"] == "EMPTY"
+        tallies["tests_run"] += report["tests_run"]
+        for family, run_ in report["families"].items():
+            families[family] = families.get(family, 0) + run_
     return digest.hexdigest(), tallies, families
 
 
@@ -258,7 +240,7 @@ def test_pinned_feasible_corpus(tmp_path):
             path.write_text(feasible_text(seed, m, n))
             corpus.append((path, []))
     digest, tallies, families = run_corpus(corpus)
-    assert all(t["empty"] == 0 for t in tallies.values())
+    assert tallies["empty"] == 0
     assert families == EXPECTED_FEASIBLE_FAMILIES
     assert digest == EXPECTED_FEASIBLE_DIGEST
 

@@ -55,8 +55,7 @@ def frozen_records():
         std,
         dec,
         cert,
-        lambda: EmptinessReport("EMPTY", cert(), 2, (("canonical", 2),),
-                                "algorithm"),
+        lambda: EmptinessReport("EMPTY", cert(), (("canonical", 2),)),
         lambda: FMResult(FEASIBLE, witness=vec()),
         lambda: GenSpec(0, 6, 2),
         lambda: walk(dec()),
@@ -77,6 +76,13 @@ def test_reprs():
         "raw_cols=None)")
     assert repr(FMResult(FEASIBLE)) == (
         "FMResult(status='feasible', witness=None, certificate=None)")
+    # tests_run is the sum of the family counts, and stays out of the repr
+    report = EmptinessReport("NOT_PROVEN_EMPTY", None,
+                             {"canonical": 2, "pair": 1})
+    assert report.tests_run == 3
+    assert repr(report) == (
+        "EmptinessReport(verdict='NOT_PROVEN_EMPTY', certificate=None, "
+        "family_counts={'canonical': 2, 'pair': 1})")
     assert repr(GenSpec(0, 6, 2)) == (
         "GenSpec(seed=0, m=6, n=2, entry_range=5, b_range=5)")
     assert repr(AgreementStats(0, 0, 0, [], {})) == (
