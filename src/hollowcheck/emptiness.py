@@ -3,13 +3,12 @@
 Pipeline: split A into (A1; A2) with A2 invertible, read R = A1 A2^-1
 off `StandardSystem.split`, the elimination of t(A) that picks A2, form
 G = [I | -R], then test whether 0 lies in {t(k')G a : a <= b} for each
-vector k' of a finite family (canonical basis, left kernel of R,
-orthogonal complements of b1 and R b2, and the pairwise elimination
-vectors).  The verdict for k' reads only the signs of z = t(k')G and of
-t(z)b, which a positive scaling leaves alone, so the battery runs in
-Python ints: `decompose` returns the tableau at A2 in the split's
-fraction-free scale (Bareiss 1968), Rz = D R with D = |det A2| for
-integer A, bz, a positive integer multiple of b, and the slack column
+vector k' of a finite family (canonical basis, left kernel of R, and the
+pairwise elimination vectors).  The verdict for k' reads only the signs
+of z = t(k')G and of t(z)b, which a positive scaling leaves alone, so the
+battery runs in Python ints: `decompose` returns the tableau at A2 in the
+split's fraction-free scale (Bareiss 1968), Rz = D R with D = |det A2|
+for integer A, bz, a positive integer multiple of b, and the slack column
 r = D bz[:m-n] - Rz bz[m-n:]: r_i is a positive multiple of the slack of
 row i at the vertex x_B = A2^-1 b2.  For k' = w / s with w an int
 vector, z = [D w | -w Rz] is s D t(k')G, and t(z)bz = w r.
@@ -23,18 +22,21 @@ fail only if a <= 0 and t(z)bz < 0, for c < 0 only if a >= 0 and t(z)bz
 > 0, and only then is its tail scanned, so it costs one comparison in
 the common case.  For c = 0 it fails iff a != 0 and canonical test i
 fails, so the run (j, i, .) has no inner loop when canonical i passes.
-Neither of the two remaining scans builds a basis.  A complement vector
-of b1 or R b2 has two nonzeros, at the first nonzero p of that vector
-and at a free index f, so it is a pair test on rows p and f: mixed signs
-are settled in O(1), and the rest in O(n).  A kernel vector is read off
-one elimination of t(Rz): its tail w Rz is 0, so it is always in the
-cone, and t(z)bz = D w bz[:m-n].  A single-signed kernel or complement
-vector has w >= 0, so -z is never in the cone, and the battery runs z
-alone.  Each family reports its count and its first failing params; the
-dense w, s and z are built for that failure alone.
+A kernel vector is read off one elimination of t(Rz), with no basis
+built: its tail w Rz is 0, so it is always in the cone, and t(z)bz =
+D w bz[:m-n].  A single-signed kernel vector has w >= 0, so -z is never
+in the cone, and the battery runs z alone.  Each family reports its
+count and its first failing params; the dense w, s and z are built for
+that failure alone.
 `family_tests` is the z form of the same battery, read by `in_cone_G`
-and `run_test`, with the bases of `left_nullspace_basis` and
-`orth_complement_basis`: the reference for the demo and the tests.
+and `run_test`, with the kernel basis of `left_nullspace_basis`: the
+reference for the demo and the tests.
+
+The paper also tests the orthogonal complements of b1 and R b2.  A
+complement vector whose test can fail has the head u e_f + v e_p, with
+u, v >= 0 and two rows f and p of A1, and when it fails, canonical test
+f or p or a pair test on rows f and p fails too (the lemma in README).
+So the battery leaves them out, and no verdict moves.
 
 As G = [I | -R], the failing test has t(k')G = z / s, and the
 certificate keeps that one integer vector and its positive scale s: k'
@@ -77,23 +79,20 @@ from fractions import Fraction
 from operator import mul
 
 from .densemat import (Matrix, Record, Vector, denominator_lcm, eliminate,
-                       int_scaled, left_nullspace_basis, lowest_terms,
-                       orth_complement_basis)
+                       int_scaled, left_nullspace_basis, lowest_terms)
 from .interval import NEG_INF, POS_INF, Interval
 # unused here, but bench/tracer.py patches them by these names in this module
-from .densemat import invert, mat_mul, vec_mat  # noqa: F401
+from .densemat import (  # noqa: F401
+    invert, mat_mul, orth_complement_basis, vec_mat)
 from .interval import iv_dot  # noqa: F401
 from .oracle import validate_certificate, validate_witness
 from .standardize import StandardSystem
 
 FAMILY_CANONICAL = "canonical"
 FAMILY_KERNEL = "kernel"
-FAMILY_B1_PERP = "b1_perp"
-FAMILY_RB2_PERP = "rb2_perp"
 FAMILY_PAIR = "pair"
 
-DEFAULT_ORDER = (FAMILY_CANONICAL, FAMILY_KERNEL, FAMILY_B1_PERP,
-                 FAMILY_RB2_PERP, FAMILY_PAIR)
+DEFAULT_ORDER = (FAMILY_CANONICAL, FAMILY_KERNEL, FAMILY_PAIR)
 
 
 class SoundnessViolation(AssertionError):
@@ -244,23 +243,6 @@ def _pair_w(dec: Decomposition, j: int, i: int, i2: int) -> tuple:
     return tuple(w)
 
 
-def _rb2(dec: Decomposition) -> tuple:
-    """Rz bz[m-n:] = D bz[:m-n] - r, a positive multiple of R b2."""
-    return tuple(dec.D * x - y for x, y in zip(dec.bz, dec.r))
-
-
-def _basis(dec: Decomposition, family: str, rb2: tuple) -> list:
-    """The (w, s) basis of a kernel or complement family, read off Rz and
-    bz: a positive scaling changes neither an RREF nor its bases.  Only
-    `family_tests` builds it; `decide` reads the same vectors in place."""
-    d = dec.m - dec.n
-    if family == FAMILY_KERNEL:
-        return left_nullspace_basis(Matrix(d, dec.n, dec.Rz))
-    # bz = L (b1; b2) and rb2 = L D R b2, L > 0
-    return orth_complement_basis(
-        Vector(d, dec.bz[:d] if family == FAMILY_B1_PERP else rb2))
-
-
 def _signed_filtered(basis, family, dec) -> Iterator[tuple]:
     for idx, (w, s) in enumerate(basis):
         z, s = _z_of(w, s, dec)
@@ -292,15 +274,17 @@ def family_tests(dec: Decomposition,
             for i in range(d):
                 yield (FAMILY_CANONICAL, (i + 1,),
                        *_z_of(Vector.unit(d, i).entries, 1, dec))
-        elif family == FAMILY_PAIR:
+        elif family == FAMILY_KERNEL:
+            # the (w, s) basis of Rz = D R is that of R: a positive
+            # scaling changes neither an RREF nor its bases
+            yield from _signed_filtered(
+                left_nullspace_basis(Matrix(d, dec.n, dec.Rz)), family, dec)
+        else:
             for j in range(dec.n):
                 for i in range(d - 1):
                     for i2 in range(i + 1, d):
                         yield (FAMILY_PAIR, (j + 1, i + 1, i2 + 1),
                                *_z_of(_pair_w(dec, j, i, i2), dec.D, dec))
-        else:
-            yield from _signed_filtered(_basis(dec, family, _rb2(dec)),
-                                        family, dec)
 
 
 def run_test(z: tuple, dec: Decomposition) -> bool:
@@ -409,54 +393,14 @@ def _scan_kernel(dec: Decomposition) -> tuple:
     return count, None
 
 
-def _scan_complement(dec: Decomposition, v: tuple) -> tuple:
-    """(tests run, first failure) of the orthogonal complement of v.
-
-    v = bz[:d] for b1_perp and Rz bz[d:] for rb2_perp, positive multiples
-    of b1 and R b2.  For v = 0 the basis is canonical, e_f.  Otherwise, for
-    p the first nonzero of v, free index f != p gives w = a e_f + c e_p,
-    a = |v_p| and c = -sgn(v_p) v_f, before lowest terms: a pair test on
-    rows f and p.  For c < 0 its head has mixed signs.  Otherwise z is in
-    the cone iff a Rz_f + c Rz_p <= 0, and t(z)bz = a r_f + c r_p.  As
-    w >= 0, -z is never in the cone, as in `_scan_kernel`.
-    """
-    r = dec.r
-    d = len(r)
-    p = next((i for i, x in enumerate(v) if x), None)
-    if p is None:
-        p, a, sp, free = 0, 1, 0, range(d)
-    else:
-        a, sp = abs(v[p]), (1 if v[p] > 0 else -1)
-        free = [f for f in range(d) if f != p]
-    Rp, rp = dec.Rz[p], r[p]
-    count = 0
-    for idx, f in enumerate(free):
-        c = -sp * v[f]
-        if c < 0:
-            continue        # a head of mixed signs
-        for x, y in zip(dec.Rz[f], Rp):
-            if a * x + c * y > 0:
-                break       # a tail off the cone
-        else:
-            count += 1
-            if a * r[f] + c * rp < 0:
-                w = [0] * d
-                w[p], w[f] = c, a
-                return count, ((idx, 1), *lowest_terms(w, a))
-    return count, None
-
-
 def _scan(dec: Decomposition, family: str) -> tuple:
     """(tests run, first failure) of one family, as `family_tests` with
     `run_test` would find them; a failure is (params, w, s), k' = w / s."""
     if family == FAMILY_CANONICAL:
         return _scan_canonical(dec)
-    if family == FAMILY_PAIR:
-        return _scan_pairs(dec)
     if family == FAMILY_KERNEL:
         return _scan_kernel(dec)
-    return _scan_complement(dec, dec.bz[:len(dec.r)]
-                            if family == FAMILY_B1_PERP else _rb2(dec))
+    return _scan_pairs(dec)
 
 
 def farkas_from(z: Vector, dec: Decomposition) -> Vector:

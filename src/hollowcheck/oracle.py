@@ -208,10 +208,19 @@ def validate_certificate(A: Matrix, b: Vector, y: Vector) -> bool:
 
 
 def validate_witness(A: Matrix, b: Vector, x: Vector) -> bool:
+    """Exact check of a point: A x <= b.
+
+    x is scaled to ints by the lcm L of its denominators, and each row
+    [A_i | b_i] by the positive lcm of its own, which leaves the sign of
+    A_i x - b_i alone, so each row's check A_i (L x) <= L b_i runs in ints.
+    """
     check_rhs(A, b)
     if x.dim != A.cols:
         return False
+    L = denominator_lcm(x.entries)
+    xz = int_scaled(x.entries)
     for row, bi in zip(A.entries, b.entries):
-        if sum(row[j] * x[j] for j in range(A.cols)) > bi:
+        *az, bz = int_scaled(row + (bi,))
+        if sum(map(mul, az, xz)) > L * bz:
             return False
     return True

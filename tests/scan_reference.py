@@ -88,25 +88,3 @@ def scan_kernel(dec) -> tuple:
             return count, ((idx, 1), *lowest_terms(w, det))
     return count, None
 
-
-def scan_complement(dec, v: tuple) -> tuple:
-    r = dec.r
-    d = len(r)
-    p = next((i for i, x in enumerate(v) if x), None)
-    if p is None:
-        p, a, sp, free = 0, 1, 0, range(d)
-    else:
-        a, sp = abs(v[p]), (1 if v[p] > 0 else -1)
-        free = [f for f in range(d) if f != p]
-    Rp, rp = dec.Rz[p], r[p]
-    count = 0
-    for idx, f in enumerate(free):
-        c = -sp * v[f]
-        if c < 0 or any(a * x + c * y > 0 for x, y in zip(dec.Rz[f], Rp)):
-            continue        # a head of mixed signs, or a tail off the cone
-        count += 1
-        if a * r[f] + c * rp < 0:
-            w = [0] * d
-            w[p], w[f] = c, a
-            return count, ((idx, 1), *lowest_terms(w, a))
-    return count, None

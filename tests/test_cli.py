@@ -35,16 +35,16 @@ GOLDEN_EMPTY = (
     '    "family": "canonical",\n    "farkas_y": [\n      "1/1",\n'
     '      "0/1",\n      "1/1"\n    ],\n    "interval": [\n      "-inf",\n'
     '      "-2/1"\n    ],\n    "k_prime": [\n      "0/1",\n      "1/1"\n'
-    '    ]\n  },\n  "families": {\n    "b1_perp": 0,\n    "canonical": 2,\n'
-    '    "kernel": 0,\n    "pair": 0,\n    "rb2_perp": 0\n  },\n'
+    '    ]\n  },\n  "families": {\n    "canonical": 2,\n    "kernel": 0,\n'
+    '    "pair": 0\n  },\n'
     '  "mode": "algorithm",\n  "tests_run": 2,\n  "verdict": "EMPTY"\n}\n'
 )
 
 GOLDEN_OK = (
     '{\n  "backend": "rational",\n  "certificate": null,\n'
-    '  "families": {\n    "b1_perp": 1,\n    "canonical": 2,\n'
-    '    "kernel": 1,\n    "pair": 1,\n    "rb2_perp": 1\n  },\n'
-    '  "mode": "algorithm",\n  "tests_run": 6,\n'
+    '  "families": {\n    "canonical": 2,\n    "kernel": 1,\n'
+    '    "pair": 1\n  },\n'
+    '  "mode": "algorithm",\n  "tests_run": 4,\n'
     '  "verdict": "NOT_PROVEN_EMPTY"\n}\n'
 )
 

@@ -15,9 +15,8 @@ from hollowcheck.densemat import (Matrix, Vector, denominator_lcm, eliminate,
                                   mat_mul, mat_vec, orth_complement_basis,
                                   rank, vec_mat)
 from hollowcheck.emptiness import (BUDGET_SPENT, DEFAULT_ORDER, EMPTY,
-                                   FAMILY_B1_PERP, FAMILY_CANONICAL,
-                                   FAMILY_KERNEL, FAMILY_PAIR,
-                                   FAMILY_RB2_PERP, NONEMPTY,
+                                   FAMILY_CANONICAL, FAMILY_KERNEL,
+                                   FAMILY_PAIR, NONEMPTY,
                                    NOT_PROVEN_EMPTY, PIVOT_BUDGET,
                                    SoundnessViolation, WalkResult, build_U,
                                    decide, decompose, family_tests,
@@ -34,16 +33,13 @@ EMPTY_1D = ([[1], [1], [-1]], [1, 2, -3])
 OK_1D = ([[1], [1], [-1]], [1, 2, 0])
 RATIONAL_1D = ([[3], [2], [Fraction(-3, 2)]],
                [Fraction(-5, 6), Fraction(1, 2), Fraction(3, 4)])
-# systems whose first failing test is a kernel or complement vector
+# systems whose first failing test is a kernel vector
 # (TestResidualForm.test_examples_cover_the_special_cases)
 KERNEL_NEG_DET = ([[-1], [1], [-1]], [0, 0, -1])
 KERNEL_LOW_RANK = ([[-1, 0], [-1, 0], [0, 2], [1, 0]], [0, -1, 0, 0])
-B1_PERP_PAIR = ([[-1], [1], [1]], [-1, -1, 1])
-RB2_PERP_PAIR = ([[1], [1], [-1]], [-1, 0, -1])
-B1_ZERO = ([[-1], [1], [1]], [-1, 0, 0])
-RB2_ZERO = ([[-1], [1], [1]], [0, -1, 0])
-# systems whose first failing test in decide's order is a b1_perp or an
-# rb2_perp vector: the fixtures above fail a canonical test first
+# systems on which a vector of the complement of b1 (the first) or of
+# R b2 (the second) fails before any canonical test; a pair test then
+# fails (TestComplementLemma)
 B1_PERP_FIRST = ([[-2], [-1], [-2], [2]], [-1, 0, -2, 1])
 RB2_PERP_FIRST = ([[-2, 1], [2, 2], [1, -2], [-2, 2]], [1, 0, -1, 0])
 # the pair family's first failure in each sign branch of c = Rz_ij and
@@ -130,18 +126,13 @@ def blocks(dec):
 
 
 def reference_kprimes(dec):
-    """(family, params) -> k', built in Fraction from R, b1 and b2."""
+    """(family, params) -> k', built in Fraction from R."""
     d, R = dec.m - dec.n, dec.R
-    b1 = Vector(d, dec.b_perm.entries[:d])
-    b2 = Vector(dec.n, dec.b_perm.entries[d:])
     out = {("canonical", (i + 1,)): Vector.unit(d, i) for i in range(d)}
-    for family, basis in (("kernel", left_nullspace_basis(R)),
-                          ("b1_perp", orth_complement_basis(b1)),
-                          ("rb2_perp", orth_complement_basis(mat_vec(R, b2)))):
-        for idx, (w, s) in enumerate(basis):
-            v = exact_image(w, s)
-            out[family, (idx, 1)] = v
-            out[family, (idx, -1)] = v.neg()
+    for idx, (w, s) in enumerate(left_nullspace_basis(R)):
+        v = exact_image(w, s)
+        out["kernel", (idx, 1)] = v
+        out["kernel", (idx, -1)] = v.neg()
     for j, i, i2 in itertools.product(range(dec.n), range(d), range(d)):
         if i < i2:
             ents = [Fraction(0)] * d
@@ -453,14 +444,8 @@ class TestResidualForm:
     @example(sys_of(*KERNEL_NEG_DET))
     # the same with det > 0, and Rz of rank 1 < n
     @example(sys_of(*KERNEL_LOW_RANK))
-    # the b1_perp or rb2_perp family alone fails first at a vector with
-    # two nonzeros
-    @example(sys_of(*B1_PERP_PAIR))
-    @example(sys_of(*RB2_PERP_PAIR))
-    # b1 = 0 or R b2 = 0: the canonical basis, whose first vector fails
-    @example(sys_of(*B1_ZERO))
-    @example(sys_of(*RB2_ZERO))
-    # decide's first failure is a b1_perp or an rb2_perp vector
+    # a complement vector fails before any canonical test, and a pair
+    # test is decide's first failure
     @example(sys_of(*B1_PERP_FIRST))
     @example(sys_of(*RB2_PERP_FIRST))
     def test_same_as_z_form(self, sysr):
@@ -485,23 +470,10 @@ class TestResidualForm:
                                     [1, 2, -1, 3]))
         assert [p for f, p, *_ in family_tests(sentinel)
                 if f == "kernel"] == [(0, 1)]
-        for fixture, family in ((KERNEL_NEG_DET, FAMILY_KERNEL),
-                                (KERNEL_LOW_RANK, FAMILY_KERNEL),
-                                (B1_PERP_FIRST, FAMILY_B1_PERP),
-                                (RB2_PERP_FIRST, FAMILY_RB2_PERP)):
+        for fixture in (KERNEL_NEG_DET, KERNEL_LOW_RANK):
             cert = decide(sys_of(*fixture)).certificate
-            assert cert.family == family, fixture
+            assert cert.family == FAMILY_KERNEL, fixture
             assert sum(1 for x in cert.kprime.entries if x) == 2
-        # the complement families alone, where a canonical test fails first
-        for fixture, family, nonzeros in ((B1_PERP_PAIR, FAMILY_B1_PERP, 2),
-                                          (RB2_PERP_PAIR, FAMILY_RB2_PERP, 2),
-                                          (B1_ZERO, FAMILY_B1_PERP, 1),
-                                          (RB2_ZERO, FAMILY_RB2_PERP, 1)):
-            dec = decompose(sys_of(*fixture))
-            _, _, failure = reference_run(dec, (family,))
-            assert failure[0] == family, fixture
-            assert (sum(1 for x in kprime_of(dec, *failure[2:]).entries if x)
-                    == nonzeros)
         dets = {}
         for name, fixture in (("neg", KERNEL_NEG_DET),
                               ("low", KERNEL_LOW_RANK)):
@@ -510,17 +482,12 @@ class TestResidualForm:
                 [list(col) for col in zip(*dec.Rz)]))
             assert len(pc) == (1 if name == "low" else dec.n)
         assert dets["neg"] < 0 < dets["low"]
-        for fixture, zero in ((B1_ZERO, True), (B1_PERP_PAIR, False)):
-            dec = decompose(sys_of(*fixture))
-            assert any(dec.bz[:dec.m - dec.n]) != zero
-        for fixture, zero in ((RB2_ZERO, True), (RB2_PERP_PAIR, False)):
-            assert any(emptiness._rb2(decompose(sys_of(*fixture)))) != zero
 
     @settings(max_examples=150, deadline=None)
     @given(battery_systems())
     def test_reference_bases_have_the_scanned_form(self, sysr):
-        # the identities the kernel and complement scans read in place of
-        # the bases, checked against the bases family_tests builds
+        # the identities the kernel scan reads in place of the basis,
+        # checked against the basis family_tests builds
         dec = decompose(sysr)
         d = dec.m - dec.n
         b1 = dec.bz[:d]
@@ -530,20 +497,6 @@ class TestResidualForm:
             assert all(sum(x * row[k] for x, row in zip(w, dec.Rz)) == 0
                        for k in range(dec.n))
             assert dot(w, dec.r) == dec.D * dot(w, b1)
-        for v in (b1, emptiness._rb2(dec)):
-            basis = orth_complement_basis(Vector(d, v))
-            p = next((i for i, x in enumerate(v) if x), None)
-            if p is None:
-                assert basis == [(Vector.unit(d, i).entries, 1)
-                                 for i in range(d)]
-                continue
-            free = [f for f in range(d) if f != p]
-            assert len(basis) == len(free)
-            for (w, _), f in zip(basis, free):
-                assert {i for i, x in enumerate(w) if x} <= {p, f}
-                assert w[f] > 0
-                assert (w[p] * w[f] < 0) == (v[f] * v[p] > 0)
-                assert dot(w, v) == 0
 
     @pytest.mark.parametrize("kind, m, n, lower", [
         ("feasible", 40, 6, 0), ("near", 20, 4, 2), ("near", 40, 6, 2)])
@@ -567,9 +520,6 @@ def assert_scans_match_frozen(dec):
     d = dec.m - dec.n
     assert emptiness._scan_pairs(dec) == scan_reference.scan_pairs(dec)
     assert emptiness._scan_kernel(dec) == scan_reference.scan_kernel(dec)
-    for v in (dec.bz[:d], emptiness._rb2(dec)):
-        assert (emptiness._scan_complement(dec, v)
-                == scan_reference.scan_complement(dec, v))
     for M in (dec.A.transpose(), Matrix(dec.n, d, tuple(zip(*dec.Rz)))):
         assert eliminate(M) == scan_reference.eliminate(M)
 
@@ -587,8 +537,6 @@ class TestFrozenScans:
     @example(sys_of(*PAIR_C_NEG))
     @example(sys_of(*KERNEL_NEG_DET))
     @example(sys_of(*KERNEL_LOW_RANK))
-    @example(sys_of(*B1_ZERO))
-    @example(sys_of(*RB2_ZERO))
     def test_small_systems(self, sysr):
         assert_scans_match_frozen(decompose(sysr))
 
@@ -612,6 +560,106 @@ class TestFrozenScans:
         got = int_scaled(xs)
         assert got == scan_reference.int_scaled(xs)
         assert {type(x) for x in got} <= {int}
+
+
+def complement_heads(dec) -> list:
+    """The head w of every vector of the orthogonal complements of b1 and
+    R b2, whose positive multiples bz[:m-n] and Rz bz[m-n:] = D bz[:m-n]
+    - r the tableau holds; a complement vector is w / s."""
+    d = dec.m - dec.n
+    b1 = dec.bz[:d]
+    rb2 = tuple(dec.D * x - y for x, y in zip(b1, dec.r))
+    return [w for v in (b1, rb2)
+            for w, _ in orth_complement_basis(Vector(d, v))]
+
+
+def fails(w, dec) -> bool:
+    """Whether the test of head w fails."""
+    return not run_test(emptiness._z_of(w, 1, dec)[0], dec)
+
+
+def assert_lemma(sysr, heads) -> int:
+    """For each head w with one or two nonzeros whose test fails: a
+    canonical test on its support, or a pair test on its two rows, fails
+    too, and so the battery's scans fail and decide says EMPTY.  Returns
+    how many of the heads fail."""
+    dec = decompose(sysr)
+    d = dec.m - dec.n
+    failed = 0
+    for w in heads:
+        if not fails(w, dec):
+            continue
+        failed += 1
+        support = [i for i, x in enumerate(w) if x]
+        assert len(support) in (1, 2), w
+        caught = [Vector.unit(d, i).entries for i in support]
+        if len(support) == 2:
+            caught += [emptiness._pair_w(dec, j, *support)
+                       for j in range(dec.n)]
+        assert any(fails(v, dec) for v in caught), w
+    if failed:
+        assert (emptiness._scan_canonical(dec)[1] is not None
+                or emptiness._scan_pairs(dec)[1] is not None)
+        assert decide(sysr).verdict == EMPTY
+    return failed
+
+
+@st.composite
+def lemma_cases(draw):
+    """A battery system and up to six heads u e_f + v e_p, for rows f
+    and p of A1 drawn at random and u, v in -3..3."""
+    sysr = draw(battery_systems())
+    d = sysr.m - sysr.n
+    heads = []
+    for _ in range(draw(st.integers(0, 6))):
+        w = [0] * d
+        for _ in range(2):
+            w[draw(st.integers(0, d - 1))] += draw(st.integers(-3, 3))
+        heads.append(tuple(w))
+    return sysr, heads
+
+
+class TestComplementLemma:
+    """The lemma behind the battery's three families (README): a test
+    whose head is u e_f + v e_p fails only if canonical test f or p, or a
+    pair test on rows f and p, fails too.  Every vector of the orthogonal
+    complements of b1 and R b2 that is in the cone has such a head, so
+    those families never fail alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lemma_cases())
+    @example((sys_of(*B1_PERP_FIRST), []))
+    @example((sys_of(*RB2_PERP_FIRST), []))
+    def test_small_systems(self, case):
+        sysr, heads = case
+        assert_lemma(sysr, complement_heads(decompose(sysr)) + heads)
+
+    def test_seeded_draws(self):
+        # the failures of the complement families, and those on which no
+        # canonical test fails, so that only a pair test catches them
+        failed = pair_only = 0
+        for seed in range(60):
+            for m, n in ((6, 2), (8, 2), (12, 3), (13, 3)):
+                for sysr in (feasible_system(seed, m, n, lower=1),
+                             feasible_system(seed, m, n, lower=2),
+                             rational_system(seed, m, n)):
+                    dec = decompose(sysr)
+                    found = assert_lemma(sysr, complement_heads(dec))
+                    failed += found
+                    pair_only += (found > 0
+                                  and emptiness._scan_canonical(dec)[1]
+                                  is None)
+        assert failed > 150 and pair_only > 15, (failed, pair_only)
+
+    def test_complement_first_fixtures(self):
+        # a complement vector fails on each, and no canonical test: the
+        # certificate is a pair test's
+        for fixture in (B1_PERP_FIRST, RB2_PERP_FIRST):
+            sysr = sys_of(*fixture)
+            dec = decompose(sysr)
+            assert assert_lemma(sysr, complement_heads(dec)) > 0
+            assert emptiness._scan_canonical(dec)[1] is None
+            assert decide(sysr).certificate.family == FAMILY_PAIR
 
 
 class TestCandidateCost:
@@ -639,16 +687,15 @@ class TestCandidateCost:
         assert candidates > 100
 
     def test_no_basis_built(self, monkeypatch):
-        # the kernel and complement families are read in place: no basis,
-        # one elimination (the kernel's), and lowest terms outside
-        # decompose only for the failing vector of such a family
+        # the kernel family is read in place: no basis, one elimination,
+        # and lowest terms outside decompose only for a failing kernel
+        # vector
         shapes = ((6, 2), (8, 2), (12, 3), (13, 3))
         fixtures = ([feasible_system(seed, m, n) for seed, (m, n)
                      in enumerate(shapes)]
                     + [feasible_system(seed, m, n, lower=2)
                        for seed, (m, n) in enumerate(shapes * 2)]
-                    + [sys_of(*f) for f in (KERNEL_NEG_DET, KERNEL_LOW_RANK,
-                                            B1_PERP_FIRST, RB2_PERP_FIRST)])
+                    + [sys_of(*f) for f in (KERNEL_NEG_DET, KERNEL_LOW_RANK)])
         calls = {"eliminate": [], "lowest_terms": []}
         in_decompose = []
 
@@ -668,8 +715,7 @@ class TestCandidateCost:
                 return real(sysr)
             finally:
                 in_decompose.pop()
-        for name in ("_basis", "left_nullspace_basis",
-                     "orth_complement_basis"):
+        for name in ("left_nullspace_basis", "orth_complement_basis"):
             monkeypatch.setattr(emptiness, name, forbidden)
         for name in calls:
             monkeypatch.setattr(emptiness, name,
@@ -685,13 +731,13 @@ class TestCandidateCost:
             if report.verdict == NOT_PROVEN_EMPTY:
                 assert len(calls["eliminate"]) == 1
             family = report.certificate and report.certificate.family
-            if family in (FAMILY_KERNEL, FAMILY_B1_PERP, FAMILY_RB2_PERP):
+            if family == FAMILY_KERNEL:
                 assert len(calls["lowest_terms"]) == 1
                 built.add(family)
             else:
                 assert calls["lowest_terms"] == []
         assert min(verdicts.values()) >= 5, verdicts
-        assert built == {FAMILY_KERNEL, FAMILY_B1_PERP, FAMILY_RB2_PERP}
+        assert built == {FAMILY_KERNEL}
 
     def test_no_fraction_before_certificate(self, monkeypatch):
         # a NOT_PROVEN_EMPTY verdict runs every family in ints, from the
@@ -872,18 +918,14 @@ class TestFarkas:
                 assert y == Vector.from_list([1, 0, 1])
 
 
-IIS_FAMILIES = (FAMILY_CANONICAL, FAMILY_KERNEL, FAMILY_PAIR)
-
-
 def iis_families(sysr) -> list:
     """The family of decide's certificate of sysr, if any, checked for a
     support S that names an irreducible infeasible subsystem:
     rank(A_S) = |S| - 1.  The only row dependency of A_S is then y_S > 0,
     with t(y_S)b_S < 0, and dropping any row leaves independent rows,
-    which Ax = b solves.  Complement certificates are left out: their
-    supports need not have this rank."""
+    which Ax = b solves."""
     cert = decide(sysr).certificate
-    if cert is None or cert.family not in IIS_FAMILIES:
+    if cert is None:
         return []
     support = [i for i, x in enumerate(cert.y.entries) if x]
     A_S = Matrix(len(support), sysr.n,
@@ -924,7 +966,7 @@ class TestIIS:
                 for sysr in systems:
                     families.update(iis_families(sysr))
                     walk_empties += walk_is_iis(sysr)
-        assert families == set(IIS_FAMILIES)
+        assert families == set(DEFAULT_ORDER)
         assert walk_empties > 200
 
     def test_walk_past_the_battery(self):

@@ -212,6 +212,53 @@ def test_certificate_matches_fraction_reference(inst):
     assert validate_certificate(*inst) == reference_certificate(*inst)
 
 
+def reference_witness(A: Matrix, b: Vector, x: Vector) -> bool:
+    """A x <= b in Fraction arithmetic, entry by entry."""
+    if x.dim != A.cols:
+        return False
+    return all(sum(Fraction(A.at(i, j)) * x[j] for j in range(A.cols))
+               <= b[i] for i in range(A.rows))
+
+
+@st.composite
+def witness_instances(draw):
+    """(A, b, x) with p/q or int entries; b_i is often A_i x itself, or
+    one small unit either side of it, so points on a boundary, just
+    inside and just outside are common."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    A = [[draw(scalars) for _ in range(n)] for _ in range(m)]
+    x = [draw(scalars) for _ in range(n)]
+    b = []
+    for row in A:
+        ax = sum(a * v for a, v in zip(row, x))
+        b.append(draw(st.sampled_from((
+            ax, ax, ax + Fraction(1, 6), ax - Fraction(1, 6),
+            draw(scalars)))))
+    if draw(st.booleans()):
+        # int entries where the value is an integer
+        A = [[int(v) if v.denominator == 1 else v for v in r] for r in A]
+        b = [int(v) if v.denominator == 1 else v for v in b]
+        x = [int(v) if v.denominator == 1 else v for v in x]
+    return raw_matrix(A), Vector(m, tuple(b)), Vector(n, tuple(x))
+
+
+@given(witness_instances())
+@settings(max_examples=400, deadline=None)
+def test_witness_matches_fraction_reference(inst):
+    # the int check after lcm scaling gives the Fraction check's answer
+    assert validate_witness(*inst) == reference_witness(*inst)
+
+
+def test_witness_on_the_boundary():
+    # x = 1/3 meets 3x <= 1 and -3/2 x <= -1/2 with equality, and misses
+    # -3/2 x <= -2/3 by 1/6
+    A = raw_matrix([[3], [Fraction(-3, 2)]])
+    x = V([Fraction(1, 3)])
+    assert validate_witness(A, Vector(2, (1, Fraction(-1, 2))), x)
+    assert not validate_witness(A, Vector(2, (1, Fraction(-2, 3))), x)
+
+
 # --- a frozen copy of the FM oracle in which every row carries a dict of
 # its multipliers over the input rows; fm_feasible_rows must match it
 

@@ -26,9 +26,18 @@ own rows by the benchmark's report check, `bench/verify.check_report`.
 
 The feasible corpus holds integer `ineq` files at the benchmark's
 `check-feasible` shapes, feasible by construction: `check` runs every
-family to the end on each of them, so the kernel and complement scans are
+family to the end on each of them, so the kernel and pair scans are
 pinned with their per-family tallies, which the mostly-EMPTY corpora above
 reach less often.
+
+All five digests, and the `tests_run` tallies, were re-recorded when the
+battery dropped the orthogonal complements of b1 and R b2 (the lemma in
+README): each `families` object lost its `b1_perp` and `rb2_perp` keys,
+and no verdict or exit code moved.  A certificate that was a complement
+vector's is now a pair test's (two files of the integer corpus, and one
+text corpus file in both `check` renderings), and `tests_run` changed by
+the complement tests that are no longer run, and, where the certificate
+moved, by the pair tests run up to the new one.
 
 The parser reads an integer token as an int and any other numeral as a
 Fraction.  Writing each integer token k as k/1 moves a file from the
@@ -58,17 +67,17 @@ SEEDS = range(10)
 # The digests below were re-recorded when `check --mode theorem` and
 # `check --stated-order` were removed: each now covers the default
 # configuration alone, computed with the code from before the removal,
-# so no default byte moved.  A refactor must reproduce them exactly
+# so no default byte moved; and again without the complement families,
+# as the module docstring says.  A refactor must reproduce them exactly
 EXPECTED_DIGEST = \
-    "1da81bf8d4de4e19fa40ea52af0876cb16c71549412eafe1dce7a226f2c71406"
-EXPECTED_TALLIES = {"empty": 27, "tests_run": 690}
+    "10e0bb4a457639658731ccee64495bc747fababc4215062fcd9e5f9a080bcc0e"
+EXPECTED_TALLIES = {"empty": 27, "tests_run": 691}
 FEASIBLE_SHAPES = ((12, 3), (13, 3), (14, 3))
 # every file is NOT_PROVEN_EMPTY
 EXPECTED_FEASIBLE_DIGEST = \
-    "47d1ecc86c702267d55f99e7acb0f71940b3f69de4d54b1ea297737e06544fad"
+    "969e83662aef3a4cbe446298d50e4a064700e0b01ef0623eb7bd8ca9d1d86c1f"
 # family -> tests run, summed over the corpus
-EXPECTED_FEASIBLE_FAMILIES = {"b1_perp": 7, "canonical": 300, "kernel": 34,
-                              "pair": 4080, "rb2_perp": 4}
+EXPECTED_FEASIBLE_FAMILIES = {"canonical": 300, "kernel": 34, "pair": 4080}
 
 # (form, raw m, raw n); ("ineq", 2, 3) has m <= n: its A has full row rank,
 # so `check` reports it without running the battery
@@ -78,10 +87,11 @@ RATIONAL_SHAPES = (("ineq", 8, 2), ("ineq", 10, 3), ("ineq", 2, 3),
 RATIONAL_SEEDS = range(6)
 # re-recorded when rank-deficient `ineq` input was projected onto a column
 # basis: the six ("ineq", 2, 3) files skip the battery (18 outputs
-# changed); and for the default configuration alone, as above
+# changed); for the default configuration alone, as above; and without
+# the complement families
 EXPECTED_RATIONAL_DIGEST = \
-    "e59e13f9eee3d386547a6ce419840800415533ef636b0330738ec28c40755e28"
-EXPECTED_RATIONAL_TALLIES = {"empty": 24, "tests_run": 797}
+    "41fa85eceb99c61fa7728fa17f01cdd96eb03cd2e21a44f48905daf8b601beaa"
+EXPECTED_RATIONAL_TALLIES = {"empty": 24, "tests_run": 774}
 
 
 TEXT_CONFIGS = {
@@ -99,10 +109,10 @@ TRIVIAL_TEXT = "2 2\n0 0 0\n0 0 0\n"
 # `check --oracle-check` began to report presolve's answer as the oracle's
 # (23 `check_oracle` outputs changed); and again when presolve's
 # `farkas_y` moved into the embedding's rows (27 `farkas_y` lines of the
-# nonnegative forms changed); and without the `check --mode theorem`
-# configuration, as above
+# nonnegative forms changed); without the `check --mode theorem`
+# configuration, as above; and without the complement families
 EXPECTED_TEXT_DIGEST = \
-    "0998097bca80b56856de48e9d7555e6c2fcc16b58f220f2efe6317264aa5c2e5"
+    "8dd8cb61b2967ec92fcdc424e11bd6f4a4733fd963f0e98760a0e7c35ce5f481"
 # configuration -> [runs exiting 0, runs exiting 1]
 EXPECTED_TEXT_EXITS = {
     "check": [15, 30],
@@ -123,11 +133,11 @@ DEFICIENT_CONFIGS = {
     "oracle": ["oracle"],
 }
 # re-recorded when rank-deficient `ineq` input was projected onto a column
-# basis instead of sign-split (62 outputs changed), and when `check
+# basis instead of sign-split (62 outputs changed), when `check
 # --oracle-check` began to report presolve's answer as the oracle's (12
-# `check_oracle` outputs changed)
+# `check_oracle` outputs changed), and without the complement families
 EXPECTED_DEFICIENT_DIGEST = \
-    "c1d31f158e7d8dadeb99a61ccb5eeb2e49c63bc0aa8476976b4884f561974ca2"
+    "98468898c73f21f7935f6dcab61208892b24040f9566da2f080e3ad215c42c67"
 # configuration -> [runs exiting 0, runs exiting 1]; 10 files end in presolve
 EXPECTED_DEFICIENT_EXITS = {name: [4, 26] for name in DEFICIENT_CONFIGS}
 
